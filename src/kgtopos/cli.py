@@ -17,7 +17,7 @@ import click
 
 from . import matrices as mx
 from . import linegraph as lg
-from .errors import KgToposError, SchemaError, SizeCapError
+from .errors import KgParseError, KgToposError, SchemaError, SizeCapError
 from .freecat import Path, build_free_category, path_key
 from .kg import KnowledgeGraph, parse_kg
 from .sheaves import (
@@ -38,12 +38,18 @@ INPUT_ERROR, SIZE_ERROR = 2, 3
 
 
 def _read_graph(path: str) -> KnowledgeGraph:
-    return parse_kg(FilePath(path).read_text(encoding="utf-8"))
+    try:
+        text = FilePath(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise KgParseError(f"{path}: not UTF-8: {exc}") from exc
+    return parse_kg(text)
 
 
 def _read_json(path: str) -> dict:
     try:
         return json.loads(FilePath(path).read_text(encoding="utf-8"))
+    except UnicodeDecodeError as exc:
+        raise SchemaError(f"{path}: not UTF-8: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise SchemaError(f"{path}: invalid JSON: {exc}") from exc
 
@@ -134,7 +140,7 @@ def line(graph: str, direction: str, fmt: str) -> None:
 
 @main.command()
 @click.argument("graph", type=click.Path(exists=True, dir_okay=False))
-@click.option("--max-path-length", type=int, default=None)
+@click.option("--max-path-length", type=click.IntRange(min=0), default=None)
 def freecat(graph: str, max_path_length: int | None) -> None:
     """Emit the path category of GRAPH as JSON."""
     try:
@@ -148,7 +154,7 @@ def freecat(graph: str, max_path_length: int | None) -> None:
 @main.command()
 @click.argument("graph", type=click.Path(exists=True, dir_okay=False))
 @click.option("--topology", type=click.Choice(["path", "atomic"]), default="path")
-@click.option("--max-path-length", type=int, default=None)
+@click.option("--max-path-length", type=click.IntRange(min=0), default=None)
 @click.option("--sieve-cap", type=int, default=12)
 def covers(graph: str, topology: str, max_path_length: int | None, sieve_cap: int) -> None:
     """Emit the covering sieves of GRAPH's site as JSON."""
@@ -180,7 +186,7 @@ def _load_site_and_presheaf(
 
 SITE_OPTIONS = [
     click.option("--topology", type=click.Choice(["path", "atomic"]), default="path"),
-    click.option("--max-path-length", type=int, default=None),
+    click.option("--max-path-length", type=click.IntRange(min=0), default=None),
     click.option("--sieve-cap", type=int, default=12),
 ]
 
@@ -330,7 +336,7 @@ def omega_cmd(graph, topology, max_path_length, sieve_cap) -> None:
 @click.option("--other", required=True, type=click.Path(exists=True, dir_okay=False),
               help="Presheaf JSON for the path-site side.")
 @click.option("--section-cap", type=int, default=3)
-@click.option("--max-path-length", type=int, default=None)
+@click.option("--max-path-length", type=click.IntRange(min=0), default=None)
 @click.option("--sieve-cap", type=int, default=12)
 def adjoint_cmd(graph, presheaf, other, section_cap, max_path_length, sieve_cap) -> None:
     """Compare hom-set cardinalities across the two transports."""
@@ -361,7 +367,7 @@ def adjoint_cmd(graph, presheaf, other, section_cap, max_path_length, sieve_cap)
 @click.option("--seed", type=int, default=None, help="Defaults to $KGTOPOS_SEED, then 0.")
 @click.option("--max-size", type=int, default=60, show_default=True,
               help="Largest random graph (triples) in the property suites.")
-@click.option("--max-path-length", type=int, default=None)
+@click.option("--max-path-length", type=click.IntRange(min=0), default=None)
 @click.option("--sieve-cap", type=int, default=12)
 @click.option("--section-cap", type=int, default=3)
 @click.option("--format", "fmt", type=click.Choice(["text", "json"]), default="text")
@@ -370,7 +376,14 @@ def verify(
 ) -> None:
     """Run every applicable structural check on GRAPH and/or random cases."""
     if seed is None:
-        seed = int(os.environ.get("KGTOPOS_SEED", "0"))
+        raw_seed = os.environ.get("KGTOPOS_SEED", "0")
+        try:
+            seed = int(raw_seed)
+        except ValueError:
+            click.echo(
+                f"error: KGTOPOS_SEED must be an integer, got {raw_seed!r}", err=True
+            )
+            sys.exit(INPUT_ERROR)
     kg = None
     if graph is not None:
         try:

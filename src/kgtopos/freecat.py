@@ -21,7 +21,7 @@ from .errors import (
     InfiniteCategoryError,
     TypingError,
 )
-from .kg import KgHomomorphism, KnowledgeGraph, check_hom, entity_successors, find_entity_cycle
+from .kg import KgHomomorphism, KnowledgeGraph, check_hom, find_entity_cycle
 
 
 @dataclass(frozen=True)
@@ -173,7 +173,7 @@ def build_free_category(
     elif max_length < 0:
         raise ValueError("max_length must be non-negative")
 
-    successors = entity_successors(kg)
+    successors = kg.head_fibres
     hom: dict[tuple[str, str], list[Path]] = {}
     complete = True
 
@@ -202,21 +202,6 @@ def build_free_category(
         for key, paths in hom.items()
     }
     return FreeCategory(kg, hom_sets, max_length, complete)
-
-
-def fibres(
-    kg: KnowledgeGraph,
-) -> tuple[dict[str, tuple[int, ...]], dict[str, tuple[int, ...]]]:
-    """Domain and codomain fibres: triples headed by / ending at each entity."""
-    by_head: dict[str, list[int]] = {e: [] for e in kg.entities}
-    by_tail: dict[str, list[int]] = {e: [] for e in kg.entities}
-    for i, t in enumerate(kg.triples):
-        by_head[t.head].append(i)
-        by_tail[t.tail].append(i)
-    return (
-        {e: tuple(v) for e, v in by_head.items()},
-        {e: tuple(v) for e, v in by_tail.items()},
-    )
 
 
 @dataclass(frozen=True)

@@ -86,6 +86,23 @@ class KnowledgeGraph:
     def tails(self) -> tuple[str, ...]:
         return tuple(t.tail for t in self.triples)
 
+    @cached_property
+    def head_fibres(self) -> dict[str, tuple[int, ...]]:
+        """Indices of the triples each entity heads, ascending.  Every
+        entity has a key; one heading no triple maps to ()."""
+        return self._fibres(self.heads)
+
+    @cached_property
+    def tail_fibres(self) -> dict[str, tuple[int, ...]]:
+        """Indices of the triples ending at each entity, ascending."""
+        return self._fibres(self.tails)
+
+    def _fibres(self, ends: tuple[str, ...]) -> dict[str, tuple[int, ...]]:
+        groups: dict[str, list[int]] = {e: [] for e in self.entities}
+        for i, e in enumerate(ends):
+            groups[e].append(i)
+        return {e: tuple(members) for e, members in groups.items()}
+
     def to_dict(self) -> dict:
         return {
             "entities": list(self.entities),
@@ -231,19 +248,9 @@ def entity_adjacency_counts(kg: KnowledgeGraph) -> list[list[int]]:
     return counts
 
 
-def entity_successors(kg: KnowledgeGraph) -> dict[str, list[int]]:
-    """For each entity, the canonical indices of triples it heads."""
-    out: dict[str, list[int]] = {e: [] for e in kg.entities}
-    for i, t in enumerate(kg.triples):
-        out[t.head].append(i)
-    return out
-
-
 def find_entity_cycle(kg: KnowledgeGraph) -> list[str] | None:
     """A directed entity cycle as a closed walk [e0, ..., e0], or None."""
-    succ = {e: [] for e in kg.entities}
-    for t in kg.triples:
-        succ[t.head].append(t.tail)
+    succ = {e: [kg.tails[j] for j in fibre] for e, fibre in kg.head_fibres.items()}
     WHITE, GREY, BLACK = 0, 1, 2
     color = {e: WHITE for e in kg.entities}
     parent: dict[str, str] = {}

@@ -66,25 +66,22 @@ class Partition:
         raise KeyError(vertex)
 
 
-def _grouped_line(kg: KnowledgeGraph, key_of) -> Digraph:
-    groups: dict[str, list[int]] = {}
-    for i, t in enumerate(kg.triples):
-        groups.setdefault(key_of(t), []).append(i)
-    adjacency: list[tuple[int, ...]] = [()] * kg.triple_count
-    for members in groups.values():
+def _grouped_line(m: int, fibres: dict[str, tuple[int, ...]]) -> Digraph:
+    adjacency: list[tuple[int, ...]] = [()] * m
+    for members in fibres.values():
         for i in members:
             adjacency[i] = tuple(j for j in members if j != i)
-    return Digraph(kg.triple_count, tuple(adjacency))
+    return Digraph(m, tuple(adjacency))
 
 
 def build_out_line(kg: KnowledgeGraph) -> Digraph:
     """Digraph on triples with an edge i -> j iff i != j and heads coincide."""
-    return _grouped_line(kg, lambda t: t.head)
+    return _grouped_line(kg.triple_count, kg.head_fibres)
 
 
 def build_in_line(kg: KnowledgeGraph) -> Digraph:
     """Digraph on triples with an edge i -> j iff i != j and tails coincide."""
-    return _grouped_line(kg, lambda t: t.tail)
+    return _grouped_line(kg.triple_count, kg.tail_fibres)
 
 
 def scc(g: Digraph) -> Partition:
@@ -139,17 +136,11 @@ def scc(g: Digraph) -> Partition:
 
 def head_partition(kg: KnowledgeGraph) -> Partition:
     """Triples grouped by head entity (nonempty fibres only)."""
-    groups: dict[str, list[int]] = {}
-    for i, t in enumerate(kg.triples):
-        groups.setdefault(t.head, []).append(i)
-    return Partition.from_blocks(groups.values())
+    return Partition.from_blocks(f for f in kg.head_fibres.values() if f)
 
 
 def tail_partition(kg: KnowledgeGraph) -> Partition:
-    groups: dict[str, list[int]] = {}
-    for i, t in enumerate(kg.triples):
-        groups.setdefault(t.tail, []).append(i)
-    return Partition.from_blocks(groups.values())
+    return Partition.from_blocks(f for f in kg.tail_fibres.values() if f)
 
 
 @dataclass(frozen=True)

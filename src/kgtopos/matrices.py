@@ -165,21 +165,6 @@ def rank_exact(matrix: IntMatrix) -> int:
     return rank
 
 
-def head_fibre_sizes(kg: KnowledgeGraph) -> dict[str, int]:
-    """Number of triples headed by each entity (zero entries omitted)."""
-    sizes: dict[str, int] = {}
-    for t in kg.triples:
-        sizes[t.head] = sizes.get(t.head, 0) + 1
-    return sizes
-
-
-def tail_fibre_sizes(kg: KnowledgeGraph) -> dict[str, int]:
-    sizes: dict[str, int] = {}
-    for t in kg.triples:
-        sizes[t.tail] = sizes.get(t.tail, 0) + 1
-    return sizes
-
-
 def spectrum_formula(kg: KnowledgeGraph, *, use_tails: bool = False) -> list[int]:
     """Exact eigenvalue multiset of the line adjacency matrix, sorted.
 
@@ -188,10 +173,9 @@ def spectrum_formula(kg: KnowledgeGraph, *, use_tails: bool = False) -> list[int
     k-1.  Total multiplicity is the triple count.  With use_tails=True the
     same computation runs on tail fibres for the in-line digraph.
     """
-    sizes = tail_fibre_sizes(kg) if use_tails else head_fibre_sizes(kg)
-    m = kg.triple_count
-    values = [k - 1 for k in sizes.values()]
-    values.extend([-1] * (m - len(sizes)))
+    fibres = kg.tail_fibres if use_tails else kg.head_fibres
+    values = [len(fibre) - 1 for fibre in fibres.values() if fibre]
+    values.extend([-1] * (kg.triple_count - len(values)))
     return sorted(values)
 
 

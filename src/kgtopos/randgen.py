@@ -6,7 +6,9 @@ property suites and the CLI verifier are reproducible bit for bit.
 
 from __future__ import annotations
 
+from itertools import chain
 from random import Random
+from typing import Iterable
 
 from .freecat import FreeCategory, build_free_category
 from .kg import KgHomomorphism, KnowledgeGraph, Triple, find_entity_cycle
@@ -74,54 +76,49 @@ def random_small_category(
     raise RuntimeError("could not sample a category within the caps")
 
 
+def _image_graph(
+    source: KnowledgeGraph,
+    entity_map: dict[str, str],
+    predicate_map: dict[str, str],
+    extra: Iterable[Triple] = (),
+) -> KnowledgeGraph:
+    """The image of `source` under the maps, plus `extra` triples; names
+    and triples keep their first-appearance order, duplicates dropped."""
+    images = (
+        Triple(entity_map[t.head], predicate_map[t.predicate], entity_map[t.tail])
+        for t in source.triples
+    )
+    return KnowledgeGraph(
+        tuple(dict.fromkeys(entity_map[e] for e in source.entities)),
+        tuple(dict.fromkeys(predicate_map[p] for p in source.predicates)),
+        tuple(dict.fromkeys(chain(images, extra))),
+    )
+
+
+def _random_predicate_map(rng: Random, source: KnowledgeGraph) -> dict[str, str]:
+    p_buckets = rng.randint(1, max(1, len(source.predicates)))
+    return {p: f"P{rng.randrange(p_buckets)}" for p in source.predicates}
+
+
 def random_hom(rng: Random, source: KnowledgeGraph) -> KgHomomorphism:
     """A random homomorphism out of `source`, valid by construction: the
     target is the image of the source under random entity and predicate
     fusions, plus occasional extra triples."""
     n_buckets = rng.randint(1, max(1, source.entity_count))
     entity_map = {e: f"E{rng.randrange(n_buckets)}" for e in source.entities}
-    p_buckets = rng.randint(1, max(1, len(source.predicates)))
-    predicate_map = {p: f"P{rng.randrange(p_buckets)}" for p in source.predicates}
-
-    entities: list[str] = []
-    for e in source.entities:
-        if entity_map[e] not in entities:
-            entities.append(entity_map[e])
-    predicates: list[str] = []
-    for p in source.predicates:
-        if predicate_map[p] not in predicates:
-            predicates.append(predicate_map[p])
-    triples: list[Triple] = []
-    seen: set[Triple] = set()
-    for t in source.triples:
-        image = Triple(entity_map[t.head], predicate_map[t.predicate], entity_map[t.tail])
-        if image not in seen:
-            seen.add(image)
-            triples.append(image)
-    for _ in range(rng.randint(0, 2)):
-        if not entities:
-            break
-        extra = Triple(
-            rng.choice(entities), rng.choice(predicates), rng.choice(entities)
+    predicate_map = _random_predicate_map(rng, source)
+    image = _image_graph(source, entity_map, predicate_map)
+    extra = [
+        Triple(
+            rng.choice(image.entities),
+            rng.choice(image.predicates),
+            rng.choice(image.entities),
         )
-        if extra not in seen:
-            seen.add(extra)
-            triples.append(extra)
-    target = KnowledgeGraph(tuple(entities), tuple(predicates), tuple(triples))
+        for _ in range(rng.randint(0, 2))
+        if image.entities
+    ]
+    target = _image_graph(source, entity_map, predicate_map, extra)
     return KgHomomorphism(source, target, entity_map, predicate_map)
-
-
-def random_hom_chain(
-    rng: Random, source: KnowledgeGraph, length: int = 2
-) -> list[KgHomomorphism]:
-    """Composable homomorphisms f1, f2, ... starting at `source`."""
-    chain: list[KgHomomorphism] = []
-    current = source
-    for _ in range(length):
-        hom = random_hom(rng, current)
-        chain.append(hom)
-        current = hom.target
-    return chain
 
 
 def random_acyclic_hom(rng: Random, source: KnowledgeGraph) -> KgHomomorphism:
@@ -131,57 +128,22 @@ def random_acyclic_hom(rng: Random, source: KnowledgeGraph) -> KgHomomorphism:
     # Monotone bucket assignment over the entity order preserves the DAG.
     buckets = sorted(rng.randrange(max(1, n)) for _ in range(n))
     entity_map = {e: f"E{buckets[i]}" for i, e in enumerate(source.entities)}
-    p_buckets = rng.randint(1, max(1, len(source.predicates)))
-    predicate_map = {p: f"P{rng.randrange(p_buckets)}" for p in source.predicates}
-    entities: list[str] = []
-    for e in source.entities:
-        if entity_map[e] not in entities:
-            entities.append(entity_map[e])
-    predicates: list[str] = []
-    for p in source.predicates:
-        if predicate_map[p] not in predicates:
-            predicates.append(predicate_map[p])
-    triples: list[Triple] = []
-    seen: set[Triple] = set()
-    reflexive: set[Triple] = set()
-    for t in source.triples:
-        image = Triple(entity_map[t.head], predicate_map[t.predicate], entity_map[t.tail])
-        if image.head == image.tail:
-            # Fusing both endpoints would create a loop; drop the image.
-            reflexive.add(image)
-            continue
-        if image not in seen:
-            seen.add(image)
-            triples.append(image)
-    if reflexive:
-        # Dropped images would break triple preservation; retry without fusion.
-        return random_acyclic_hom_identity(rng, source)
-    target = KnowledgeGraph(tuple(entities), tuple(predicates), tuple(triples))
+    predicate_map = _random_predicate_map(rng, source)
+    target = _image_graph(source, entity_map, predicate_map)
     if find_entity_cycle(target) is not None:
-        # Happens only when the source entity order was not topological.
+        # Fusing both endpoints of a triple makes a loop, and a source
+        # entity order that is not topological can close a longer cycle;
+        # retry without entity fusion.
         return random_acyclic_hom_identity(rng, source)
     return KgHomomorphism(source, target, entity_map, predicate_map)
 
 
 def random_acyclic_hom_identity(rng: Random, source: KnowledgeGraph) -> KgHomomorphism:
     """Fallback: rename predicates only, keep entities fixed."""
-    p_buckets = rng.randint(1, max(1, len(source.predicates)))
-    predicate_map = {p: f"P{rng.randrange(p_buckets)}" for p in source.predicates}
-    predicates: list[str] = []
-    for p in source.predicates:
-        if predicate_map[p] not in predicates:
-            predicates.append(predicate_map[p])
-    triples: list[Triple] = []
-    seen: set[Triple] = set()
-    for t in source.triples:
-        image = Triple(t.head, predicate_map[t.predicate], t.tail)
-        if image not in seen:
-            seen.add(image)
-            triples.append(image)
-    target = KnowledgeGraph(source.entities, tuple(predicates), tuple(triples))
-    return KgHomomorphism(
-        source, target, {e: e for e in source.entities}, predicate_map
-    )
+    entity_map = {e: e for e in source.entities}
+    predicate_map = _random_predicate_map(rng, source)
+    target = _image_graph(source, entity_map, predicate_map)
+    return KgHomomorphism(source, target, entity_map, predicate_map)
 
 
 def random_presheaf(

@@ -41,16 +41,13 @@ class Presheaf:
 
     `restrictions[i]` sends sections at the tail of triple i to sections
     at its head (restriction runs against the arrows).  Restriction along
-    a general path composes the generator maps; optional explicit maps
-    for composite paths may be supplied in `path_restrictions` and are
-    checked against the composites on construction, pinpointing the
-    offending decomposition on failure.
+    a general path is by definition the composite of the generator maps,
+    so any generator assignment is functorial.
     """
 
     cat: FreeCategory
     sections: dict[str, tuple[str, ...]]
     restrictions: dict[int, dict[str, str]]
-    path_restrictions: dict[tuple[int, ...], dict[str, str]] | None = None
 
     def __post_init__(self):
         self.cat.require_complete("Presheaf construction")
@@ -77,37 +74,6 @@ class Presheaf:
                     f"restriction for triple {i} ({t}) maps outside the "
                     f"sections at {t.head}: {bad}"
                 )
-        self._check_functoriality()
-
-    def _check_functoriality(self) -> None:
-        for p in self.cat.morphisms():
-            table = self._lookup(p)
-            for split in range(1, len(p.arrows)):
-                left = Path(
-                    p.source,
-                    self.cat.kg.triples[p.arrows[split - 1]].tail,
-                    p.arrows[:split],
-                )
-                right = Path(left.target, p.target, p.arrows[split:])
-                left_table = self._lookup(left)
-                right_table = self._lookup(right)
-                for s in self.sections[p.target]:
-                    if table[s] != left_table[right_table[s]]:
-                        raise PresheafError(
-                            f"restriction along {path_key(p)} disagrees with the "
-                            f"composite through ({path_key(left)}, {path_key(right)}) "
-                            f"on section {s!r}"
-                        )
-
-    def _lookup(self, p: Path) -> dict[str, str]:
-        if self.path_restrictions is not None and p.arrows in self.path_restrictions:
-            table = self.path_restrictions[p.arrows]
-            if set(table.keys()) != set(self.sections[p.target]):
-                raise SchemaError(
-                    f"explicit restriction for {path_key(p)} is not total"
-                )
-            return table
-        return self._derived(p)
 
     def _derived(self, p: Path) -> dict[str, str]:
         table = {s: s for s in self.sections[p.target]}
@@ -359,18 +325,14 @@ def global_sections(presheaf: Presheaf) -> list[dict[str, str]]:
     """All object-indexed families of sections commuting with every
     restriction, in deterministic order."""
     cat = presheaf.cat
+    kg = cat.kg
     objects = list(cat.objects)
-    generators_by_object: dict[str, list[int]] = {obj: [] for obj in objects}
-    for i, t in enumerate(cat.kg.triples):
-        generators_by_object[t.head].append(i)
-        generators_by_object[t.tail].append(i)
-    order = {obj: k for k, obj in enumerate(objects)}
     results: list[dict[str, str]] = []
     chosen: dict[str, str] = {}
 
     def consistent(obj: str) -> bool:
-        for i in generators_by_object[obj]:
-            t = cat.kg.triples[i]
+        for i in kg.head_fibres[obj] + kg.tail_fibres[obj]:
+            t = kg.triples[i]
             if t.head in chosen and t.tail in chosen:
                 if presheaf.restrictions[i][chosen[t.tail]] != chosen[t.head]:
                     return False
@@ -448,18 +410,14 @@ def enumerate_nat_transformations(
             raise SizeCapError(
                 f"section set at {obj} exceeds the cap {section_cap}"
             )
+    kg = cat.kg
     objects = list(cat.objects)
-    generators_by_object: dict[str, list[int]] = {obj: [] for obj in objects}
-    for i, t in enumerate(cat.kg.triples):
-        generators_by_object[t.head].append(i)
-        generators_by_object[t.tail].append(i)
-
     results: list[NatTransformation] = []
     components: dict[str, dict[str, str]] = {}
 
     def natural_so_far(obj: str) -> bool:
-        for i in generators_by_object[obj]:
-            t = cat.kg.triples[i]
+        for i in kg.head_fibres[obj] + kg.tail_fibres[obj]:
+            t = kg.triples[i]
             if t.head in components and t.tail in components:
                 f_res, g_res = f.restrictions[i], g.restrictions[i]
                 for s in f.sections[t.tail]:

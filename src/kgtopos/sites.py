@@ -124,31 +124,6 @@ def enumerate_sieves(
     return sieves
 
 
-def literal_path_cover(cat: FreeCategory, obj: str, family: Iterable[Path]) -> bool:
-    """Literal reachability reading of the covering condition.
-
-    True iff every entity reachable from obj by a nonempty path is also
-    reachable from some family member's source by a path factoring
-    through obj.  Composing a family member with the outgoing path always
-    provides such a factoring, so any nonempty family covers; an empty
-    family covers only objects with no outgoing nonempty paths.
-    """
-    members = list(family)
-    for f in members:
-        if f.target != obj:
-            raise ValueError(f"family member {path_key(f)} does not end at {obj}")
-    reachable = {
-        b
-        for (a, b), paths in cat.hom_sets.items()
-        if a == obj and any(not p.is_identity for p in paths)
-    }
-    if not reachable:
-        return True
-    # For any reachable entity, compose(f, outgoing path) witnesses the
-    # factoring for every family member f, so a nonempty family covers.
-    return bool(members)
-
-
 @dataclass(frozen=True)
 class Topology:
     """Per-object sets of covering sieves."""
@@ -277,53 +252,23 @@ def atomic_topology(
 
 def path_coverage(cat: FreeCategory) -> dict[str, list[list[Path]]]:
     """One generating family per object: all generating triples into it."""
-    coverage: dict[str, list[list[Path]]] = {}
-    for obj in cat.objects:
-        incoming = [
-            cat.generator_path(i)
-            for i, t in enumerate(cat.kg.triples)
-            if t.tail == obj
-        ]
-        if incoming:
-            coverage[obj] = [incoming]
-    return coverage
-
-
-def literal_coverage(cat: FreeCategory) -> dict[str, list[list[Path]]]:
-    """Every nonempty family of incoming morphisms, per the literal
-    reachability reading (each one passes literal_path_cover).  Its
-    generated topology is degenerate whenever an object is reached from
-    two different sources: pulling a single-source sieve back along the
-    other source forces the empty sieve to cover."""
-    coverage: dict[str, list[list[Path]]] = {}
-    for obj in cat.objects:
-        incoming = [p for p in cat.morphisms_into(obj) if not p.is_identity]
-        families = [
-            [p]
-            for p in sorted(incoming, key=lambda p: (len(p.arrows), p.arrows))
-        ]
-        if incoming:
-            families.append(sorted(incoming, key=lambda p: (len(p.arrows), p.arrows)))
-        if families:
-            coverage[obj] = families
-    return coverage
+    return {
+        obj: [[cat.generator_path(i) for i in fibre]]
+        for obj, fibre in cat.kg.tail_fibres.items()
+        if fibre
+    }
 
 
 def path_topology(
-    cat: FreeCategory,
-    sieve_cap: int = DEFAULT_SIEVE_CAP,
-    *,
-    literal: bool = False,
+    cat: FreeCategory, sieve_cap: int = DEFAULT_SIEVE_CAP
 ) -> Topology:
     """Topology of relational propagation along incoming paths.
 
-    By default each object with incoming triples gets the single
-    generating family of all of them, so the minimal covering sieve at an
-    object collects every nonidentity path into it.  literal=True instead
-    admits every nonempty family as a generator (see literal_coverage).
+    Each object with incoming triples gets the single generating family
+    of all of them, so the minimal covering sieve at an object collects
+    every nonidentity path into it.
     """
-    coverage = literal_coverage(cat) if literal else path_coverage(cat)
-    return generate_topology(cat, coverage, sieve_cap)
+    return generate_topology(cat, path_coverage(cat), sieve_cap)
 
 
 def build_site(
@@ -335,14 +280,11 @@ def build_site(
     """Convenience: free category plus a named topology ('path' or 'atomic')."""
     from .freecat import build_free_category
 
+    builders = {"path": path_topology, "atomic": atomic_topology}
+    if topology not in builders:
+        raise TopologyError(f"unknown topology {topology!r}; use 'path' or 'atomic'")
     cat = build_free_category(kg, max_path_length)
-    if topology == "path":
-        top = path_topology(cat, sieve_cap)
-    elif topology == "atomic":
-        top = atomic_topology(cat, sieve_cap)
-    else:
-        raise ValueError(f"unknown topology {topology!r}; use 'path' or 'atomic'")
-    return Site(cat, top)
+    return Site(cat, builders[topology](cat, sieve_cap))
 
 
 @dataclass(frozen=True)

@@ -24,7 +24,6 @@ from .freecat import (
     build_free_category,
     compose_functors,
     extend_functor,
-    fibres,
     identity_functor,
     induced_functor,
 )
@@ -248,14 +247,19 @@ def check_walk_count(cat: FreeCategory) -> list[str]:
 
 
 def check_fibres_match_partitions(kg: KnowledgeGraph) -> list[str]:
+    """The cached fibre index against fibres recomputed by scanning
+    kg.heads and kg.tails once per entity."""
     failures = []
-    by_head, by_tail = fibres(kg)
-    head_blocks = {frozenset(v) for v in by_head.values() if v}
-    tail_blocks = {frozenset(v) for v in by_tail.values() if v}
-    if head_blocks != lg.head_partition(kg).as_sets():
-        failures.append("head fibres differ from head partition")
-    if tail_blocks != lg.tail_partition(kg).as_sets():
-        failures.append("tail fibres differ from tail partition")
+    for name, index, ends in (
+        ("head", kg.head_fibres, kg.heads),
+        ("tail", kg.tail_fibres, kg.tails),
+    ):
+        direct = {
+            e: tuple(i for i, end in enumerate(ends) if end == e)
+            for e in kg.entities
+        }
+        if index != direct:
+            failures.append(f"{name} fibre index differs from direct recomputation")
     return failures
 
 

@@ -173,6 +173,30 @@ class TestSheafCommands:
         assert data["hom_into_path_sheaf"] == data["hom_from_atomic_presheaf"] == 4
 
 
+class TestHostileInput:
+    @pytest.mark.parametrize(
+        "args, env",
+        [
+            (["freecat", FAN, "--max-path-length", "-1"], {}),
+            (["covers", FAN, "--max-path-length", "-1"], {}),
+            (["sheaf", "omega", FAN, "--max-path-length", "-1"], {}),
+            (["matrices", "NOT_UTF8"], {}),
+            (["sheaf", "check", FAN, "NOT_UTF8"], {}),
+            (["verify", FAN], {"KGTOPOS_SEED": "abc"}),
+        ],
+        ids=["freecat-negative-bound", "covers-negative-bound", "omega-negative-bound",
+             "graph-not-utf8", "presheaf-not-utf8", "seed-env-not-integer"],
+    )
+    def test_exits_2_without_traceback(self, runner, tmp_path, args, env):
+        bad = tmp_path / "latin1.txt"
+        bad.write_bytes(b"A r B\n\xe9 r C\n")
+        args = [str(bad) if a == "NOT_UTF8" else a for a in args]
+        result = runner.invoke(main, args, env=env)
+        assert result.exit_code == 2
+        assert result.exception is None or isinstance(result.exception, SystemExit)
+        assert "Traceback" not in result.output
+
+
 class TestVerify:
     def test_fan_verifies_clean(self, runner):
         result = runner.invoke(main, ["verify", FAN])

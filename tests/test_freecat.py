@@ -16,7 +16,6 @@ from kgtopos import (
     build_free_category,
     compose,
     extend_functor,
-    fibres,
     head_partition,
     identity_hom,
     induced_functor,
@@ -24,7 +23,7 @@ from kgtopos import (
     tail_partition,
 )
 from kgtopos.freecat import compose_functors, identity_functor
-from kgtopos.kg import compose_homs
+from kgtopos.kg import compose_homs, find_entity_cycle
 from kgtopos.randgen import random_acyclic_hom, random_small_category
 from kgtopos.verify import expected_morphism_count
 
@@ -61,6 +60,15 @@ class TestBuild:
         with pytest.raises(InfiniteCategoryError) as exc:
             build_free_category(parse_kg("X r X\n"))
         assert exc.value.cycle == ["X", "X"]
+
+    def test_two_cycle_witness_is_pinned(self):
+        # Both cycles pass through B.  The search follows B's triples in
+        # file order, so it closes B -> D -> B before reaching C -> A.
+        kg = parse_kg("A r B\nB s D\nB r C\nC r A\nD s B\n")
+        assert find_entity_cycle(kg) == ["B", "D", "B"]
+        with pytest.raises(InfiniteCategoryError) as exc:
+            build_free_category(kg)
+        assert exc.value.cycle == ["B", "D", "B"]
 
     def test_bounded_cycle_is_incomplete(self):
         cat = build_free_category(parse_kg("A r B\nB s A\n"), max_length=3)
@@ -114,14 +122,13 @@ class TestCompose:
 
 class TestFibres:
     def test_fan_fibres(self, fan_kg):
-        by_head, by_tail = fibres(fan_kg)
-        assert by_head == {"A": (0, 1), "B": (), "C": (), "D": (2, 3)}
-        assert by_tail == {"A": (), "B": (0, 2), "C": (1, 3), "D": ()}
+        assert fan_kg.head_fibres == {"A": (0, 1), "B": (), "C": (), "D": (2, 3)}
+        assert fan_kg.tail_fibres == {"A": (), "B": (0, 2), "C": (1, 3), "D": ()}
 
     def test_single_triple(self):
-        by_head, by_tail = fibres(parse_kg("A r B\n"))
-        assert by_head == {"A": (0,), "B": ()}
-        assert by_tail == {"A": (), "B": (0,)}
+        kg = parse_kg("A r B\n")
+        assert kg.head_fibres == {"A": (0,), "B": ()}
+        assert kg.tail_fibres == {"A": (), "B": (0,)}
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 10**9))
@@ -129,13 +136,12 @@ class TestFibres:
         from kgtopos.randgen import random_kg
 
         kg = random_kg(Random(seed), max_entities=10, max_triples=20)
-        by_head, by_tail = fibres(kg)
-        assert {frozenset(v) for v in by_head.values() if v} == head_partition(
-            kg
-        ).as_sets()
-        assert {frozenset(v) for v in by_tail.values() if v} == tail_partition(
-            kg
-        ).as_sets()
+        for ends, partition in ((kg.heads, head_partition), (kg.tails, tail_partition)):
+            classes = {
+                frozenset(j for j in range(len(ends)) if ends[j] == ends[i])
+                for i in range(len(ends))
+            }
+            assert classes == partition(kg).as_sets()
 
 
 class TestDomCod:

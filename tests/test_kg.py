@@ -19,7 +19,7 @@ from kgtopos import (
     parse_kg,
     serialize_kg,
 )
-from kgtopos.randgen import random_hom_chain, random_kg
+from kgtopos.randgen import random_hom, random_kg
 
 from helpers import swap_hom
 
@@ -104,6 +104,18 @@ class TestRoundTrip:
         assert kg_from_json(serialize_kg(kg)) == kg
 
 
+class TestFibreIndex:
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 10**9))
+    def test_matches_direct_recomputation(self, seed):
+        kg = random_kg(Random(seed), max_entities=10, max_triples=20)
+        for index, ends in ((kg.head_fibres, kg.heads), (kg.tail_fibres, kg.tails)):
+            assert index == {
+                e: tuple(i for i, end in enumerate(ends) if end == e)
+                for e in kg.entities
+            }
+
+
 class TestHomomorphisms:
     def test_identity_is_hom(self, fan_kg):
         assert check_hom(identity_hom(fan_kg)).valid
@@ -153,7 +165,8 @@ class TestHomomorphisms:
     def test_composites_are_homs(self, seed):
         rng = Random(seed)
         kg = random_kg(rng, max_entities=8, max_triples=12)
-        f, g = random_hom_chain(rng, kg, length=2)
+        f = random_hom(rng, kg)
+        g = random_hom(rng, f.target)
         assert check_hom(f).valid and check_hom(g).valid
         assert check_hom(compose_homs(g, f)).valid
 
@@ -162,7 +175,9 @@ class TestHomomorphisms:
     def test_composition_associative(self, seed):
         rng = Random(seed)
         kg = random_kg(rng, max_entities=8, max_triples=12)
-        f, g, h = random_hom_chain(rng, kg, length=3)
+        f = random_hom(rng, kg)
+        g = random_hom(rng, f.target)
+        h = random_hom(rng, g.target)
         left = compose_homs(h, compose_homs(g, f))
         right = compose_homs(compose_homs(h, g), f)
         assert left.entity_map == right.entity_map

@@ -23,7 +23,7 @@ from kgtopos import (
     verify_scc_theorem,
 )
 from kgtopos.linegraph import to_dot
-from kgtopos.randgen import random_hom_chain, random_kg
+from kgtopos.randgen import random_hom, random_kg
 
 
 def brute_force_scc(g: Digraph) -> set[frozenset[int]]:
@@ -189,7 +189,8 @@ class TestInducedLineMap:
     def test_functor_laws_on_chains(self, seed):
         rng = Random(seed)
         kg = random_kg(rng, max_entities=8, max_triples=12)
-        f, g = random_hom_chain(rng, kg, length=2)
+        f = random_hom(rng, kg)
+        g = random_hom(rng, f.target)
         map_f = induced_line_map(f)
         map_g = induced_line_map(g)
         map_gf = induced_line_map(compose_homs(g, f))

@@ -19,7 +19,6 @@ from kgtopos import (
     enumerate_sieves,
     generate_topology,
     induced_functor,
-    literal_path_cover,
     parse_kg,
     path_topology,
     pullback_sieve,
@@ -117,21 +116,6 @@ class TestSieves:
                         assert two_step.members == direct.members
 
 
-class TestLiteralCover:
-    def test_fan_family_covers_b(self, fan_cat):
-        family = [fan_cat.generator_path(0), fan_cat.generator_path(2)]
-        assert literal_path_cover(fan_cat, "B", family)
-
-    def test_empty_family_with_outgoing_paths(self, fan_cat):
-        assert not literal_path_cover(fan_cat, "A", [])
-
-    def test_identity_singleton_covers(self, fan_cat):
-        assert literal_path_cover(fan_cat, "A", [fan_cat.identity("A")])
-
-    def test_empty_family_at_sink_is_vacuous(self, fan_cat):
-        assert literal_path_cover(fan_cat, "B", [])
-
-
 class TestGenerateTopology:
     def test_fan_path_covering_at_b(self, fan_cat, fan_path_site):
         t1 = fan_cat.generator_path(0)
@@ -159,6 +143,12 @@ class TestGenerateTopology:
     def test_empty_family_rejected(self, fan_cat):
         with pytest.raises(TopologyError):
             generate_topology(fan_cat, {"B": [[]]})
+
+    def test_unknown_topology_name_rejected(self):
+        # The name is checked before path enumeration, so a cyclic graph
+        # gets the same error.
+        with pytest.raises(TopologyError):
+            build_site(parse_kg("A r B\nB s A\n"), "discrete")
 
     def test_atomic_only_maximal(self, fan_cat, fan_atomic_site):
         for obj in fan_cat.objects:
@@ -195,14 +185,6 @@ class TestGenerateTopology:
             },
         )
         assert regenerated == fan_path_site.topology
-
-    def test_literal_mode_degenerates_but_satisfies_axioms(self, fan_cat):
-        literal = path_topology(fan_cat, literal=True)
-        assert frozenset() in {
-            s.members for s in literal.covering_sieves("B")
-        }
-        report = verify_topology_axioms(Site(fan_cat, literal))
-        assert report.passed
 
 
 class TestAxioms:
