@@ -155,7 +155,7 @@ def freecat(graph: str, max_path_length: int | None) -> None:
 @click.argument("graph", type=click.Path(exists=True, dir_okay=False))
 @click.option("--topology", type=click.Choice(["path", "atomic"]), default="path")
 @click.option("--max-path-length", type=click.IntRange(min=0), default=None)
-@click.option("--sieve-cap", type=int, default=12)
+@click.option("--sieve-cap", type=click.IntRange(min=0), default=12)
 def covers(graph: str, topology: str, max_path_length: int | None, sieve_cap: int) -> None:
     """Emit the covering sieves of GRAPH's site as JSON."""
     try:
@@ -187,7 +187,7 @@ def _load_site_and_presheaf(
 SITE_OPTIONS = [
     click.option("--topology", type=click.Choice(["path", "atomic"]), default="path"),
     click.option("--max-path-length", type=click.IntRange(min=0), default=None),
-    click.option("--sieve-cap", type=int, default=12),
+    click.option("--sieve-cap", type=click.IntRange(min=0), default=12),
 ]
 
 
@@ -335,9 +335,9 @@ def omega_cmd(graph, topology, max_path_length, sieve_cap) -> None:
 @click.argument("presheaf", type=click.Path(exists=True, dir_okay=False))
 @click.option("--other", required=True, type=click.Path(exists=True, dir_okay=False),
               help="Presheaf JSON for the path-site side.")
-@click.option("--section-cap", type=int, default=3)
+@click.option("--section-cap", type=click.IntRange(min=0), default=3)
 @click.option("--max-path-length", type=click.IntRange(min=0), default=None)
-@click.option("--sieve-cap", type=int, default=12)
+@click.option("--sieve-cap", type=click.IntRange(min=0), default=12)
 def adjoint_cmd(graph, presheaf, other, section_cap, max_path_length, sieve_cap) -> None:
     """Compare hom-set cardinalities across the two transports."""
     try:
@@ -363,13 +363,13 @@ def adjoint_cmd(graph, presheaf, other, section_cap, max_path_length, sieve_cap)
 @main.command()
 @click.argument("graph", required=False, type=click.Path(exists=True, dir_okay=False))
 @click.option("--random", "random_mode", is_flag=True, help="Run the seeded property suites.")
-@click.option("--cases", type=int, default=200, show_default=True)
+@click.option("--cases", type=click.IntRange(min=1), default=200, show_default=True)
 @click.option("--seed", type=int, default=None, help="Defaults to $KGTOPOS_SEED, then 0.")
 @click.option("--max-size", type=int, default=60, show_default=True,
               help="Largest random graph (triples) in the property suites.")
 @click.option("--max-path-length", type=click.IntRange(min=0), default=None)
-@click.option("--sieve-cap", type=int, default=12)
-@click.option("--section-cap", type=int, default=3)
+@click.option("--sieve-cap", type=click.IntRange(min=0), default=12)
+@click.option("--section-cap", type=click.IntRange(min=0), default=3)
 @click.option("--format", "fmt", type=click.Choice(["text", "json"]), default="text")
 def verify(
     graph, random_mode, cases, seed, max_size, max_path_length, sieve_cap, section_cap, fmt

@@ -251,6 +251,7 @@ def enumerate_matching_families(
             del assignment[g]
 
     search(0)
+    del search  # breaks the search -> closure -> search cycle
     return results
 
 
@@ -279,11 +280,22 @@ class SheafCheck:
 
 def is_sheaf(presheaf: Presheaf, site: Site) -> SheafCheck:
     """Exactly one amalgamation for every matching family on every
-    covering sieve; the first failure is reported with its witnesses."""
+    covering sieve; the first failure is reported with its witnesses.
+
+    Per sieve, each section at the object is filed under its trace, the
+    tuple of its restrictions along the members; a family's
+    amalgamations are the sections filed under the family's values, in
+    section order, as `amalgamations` would list them."""
     for obj in site.category.objects:
         for sieve in site.topology.covering_sieves(obj):
+            members = sieve.sorted_members()
+            tables = [restrict(presheaf, f) for f in members]
+            by_trace: dict[tuple[str, ...], list[str]] = {}
+            for s in presheaf.sections[obj]:
+                by_trace.setdefault(tuple(t[s] for t in tables), []).append(s)
             for family in enumerate_matching_families(presheaf, sieve):
-                glued = amalgamations(presheaf, family)
+                trace = tuple(family.assignment[f] for f in members)
+                glued = by_trace.get(trace, [])
                 if len(glued) != 1:
                     return SheafCheck(
                         False,
@@ -350,6 +362,7 @@ def global_sections(presheaf: Presheaf) -> list[dict[str, str]]:
             del chosen[obj]
 
     search(0)
+    del search  # breaks the search -> closure -> search cycle
     return results
 
 
@@ -450,6 +463,7 @@ def enumerate_nat_transformations(
             del components[obj]
 
     search(0)
+    del search  # breaks the search -> closure -> search cycle
     return results
 
 
@@ -500,11 +514,10 @@ def _plus(
 
     unit_components: dict[str, dict[str, str]] = {}
     for obj in cat.objects:
+        tables = {f: restrict(presheaf, f) for f in minimum[obj].members}
         comp = {}
         for s in presheaf.sections[obj]:
-            induced = {
-                f: restrict(presheaf, f)[s] for f in minimum[obj].members
-            }
+            induced = {f: table[s] for f, table in tables.items()}
             key = MatchingFamily(minimum[obj], induced).canonical_key()
             comp[s] = labels[obj][key]
         unit_components[obj] = comp

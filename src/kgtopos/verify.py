@@ -26,6 +26,7 @@ from .freecat import (
     extend_functor,
     identity_functor,
     induced_functor,
+    path_key,
 )
 from .kg import (
     KnowledgeGraph,
@@ -41,8 +42,12 @@ from .randgen import (
     random_small_category,
 )
 from .sheaves import (
+    Presheaf,
+    SheafCheck,
+    amalgamations,
     check_adjunction,
     count_subsheaves,
+    enumerate_matching_families,
     enumerate_nat_transformations,
     is_sheaf,
     omega,
@@ -411,6 +416,39 @@ def suite_topologies(seed: int, cases: int = 50, sieve_cap: int = 12) -> list[Ch
     return [_run(f"suite.topologies[{cases}]", body)]
 
 
+def _is_sheaf_by_scan(presheaf: Presheaf, site: Site) -> SheafCheck:
+    """Oracle for is_sheaf: every matching family's amalgamations found
+    by scanning every section against every sieve member."""
+    for obj in site.category.objects:
+        for sieve in site.topology.covering_sieves(obj):
+            for family in enumerate_matching_families(presheaf, sieve):
+                glued = amalgamations(presheaf, family)
+                if len(glued) != 1:
+                    return SheafCheck(
+                        False,
+                        {
+                            "object": obj,
+                            "sieve": sieve.keys(),
+                            "family": {
+                                path_key(p): v for p, v in family.assignment.items()
+                            },
+                            "amalgamations": glued,
+                        },
+                    )
+    return SheafCheck(True)
+
+
+def _is_sheaf_against_scan(
+    presheaf: Presheaf, site: Site, failures: list[str], label: str
+) -> SheafCheck:
+    """is_sheaf, appending a failure when the scan oracle's SheafCheck,
+    counterexample included, differs."""
+    check = is_sheaf(presheaf, site)
+    if check != _is_sheaf_by_scan(presheaf, site):
+        failures.append(f"{label}: is_sheaf disagrees with the amalgamation scan")
+    return check
+
+
 def _tiny_site(rng: Random, sieve_cap: int = 12) -> Site:
     cat = random_small_category(
         rng, max_entities=4, max_triples=4, max_morphisms=30, sieve_cap=8
@@ -426,14 +464,16 @@ def suite_sheafification(seed: int, cases: int = 30) -> list[CheckResult]:
             site = _tiny_site(rng)
             presheaf = random_presheaf(rng, site.category, max_sections=3)
             result = sheafify(presheaf, site)
-            if not is_sheaf(result.sheaf, site):
+            if not _is_sheaf_against_scan(
+                result.sheaf, site, failures, f"case {case} (sheafified)"
+            ):
                 failures.append(f"case {case}: sheafified presheaf fails the sheaf condition")
             again = sheafify(result.sheaf, site)
             counts = {o: len(s) for o, s in result.sheaf.sections.items()}
             counts_again = {o: len(s) for o, s in again.sheaf.sections.items()}
             if counts != counts_again:
                 failures.append(f"case {case}: sheafification not idempotent on counts")
-            if is_sheaf(presheaf, site):
+            if _is_sheaf_against_scan(presheaf, site, failures, f"case {case}"):
                 for obj in site.category.objects:
                     component = result.unit.components[obj]
                     if len(set(component.values())) != len(
@@ -493,7 +533,9 @@ def suite_omega(seed: int, cases: int = 10) -> list[CheckResult]:
             ):
                 site = Site(cat, topology)
                 classifier = omega(site)
-                if not is_sheaf(classifier, site):
+                if not _is_sheaf_against_scan(
+                    classifier, site, failures, f"case {case} (omega, {name})"
+                ):
                     failures.append(f"case {case}: omega ({name}) is not a sheaf")
                 terminal = terminal_presheaf(cat)
                 subsheaves = count_subsheaves(terminal, site)
@@ -562,12 +604,10 @@ def graph_checks(
                     0.0,
                 )
             )
-        results.append(
-            _run(
-                "freecat.fibres",
-                lambda: check_fibres_match_partitions(kg),
-            )
-        )
+    # The fibre index needs no category, so cyclic graphs get it too.
+    results.append(
+        _run("freecat.fibres", lambda: check_fibres_match_partitions(kg))
+    )
     if cat is None or not cat.complete:
         reason = "free category unavailable or truncated"
         for name in ("sites.axioms", "sites.inclusion", "sheaf.omega", "sheaf.adjunction"):

@@ -183,9 +183,15 @@ class TestHostileInput:
             (["matrices", "NOT_UTF8"], {}),
             (["sheaf", "check", FAN, "NOT_UTF8"], {}),
             (["verify", FAN], {"KGTOPOS_SEED": "abc"}),
+            (["covers", FAN, "--sieve-cap", "-1"], {}),
+            (["sheaf", "adjoint", FAN, PRODUCT, "--other", PRODUCT, "--section-cap", "-1"],
+             {}),
+            (["verify", "--random", "--cases", "-3"], {}),
         ],
         ids=["freecat-negative-bound", "covers-negative-bound", "omega-negative-bound",
-             "graph-not-utf8", "presheaf-not-utf8", "seed-env-not-integer"],
+             "graph-not-utf8", "presheaf-not-utf8", "seed-env-not-integer",
+             "covers-negative-sieve-cap", "adjoint-negative-section-cap",
+             "verify-negative-cases"],
     )
     def test_exits_2_without_traceback(self, runner, tmp_path, args, env):
         bad = tmp_path / "latin1.txt"
@@ -218,6 +224,31 @@ class TestVerify:
         monkeypatch.setenv("KGTOPOS_SEED", "7")
         result = runner.invoke(main, ["verify", FAN])
         assert "seed=7" in result.output
+
+    def test_cyclic_graph_check_list(self, runner, tmp_path):
+        # Without a length bound the free category is unavailable; the
+        # fibre-index check needs none and still runs.
+        graph = tmp_path / "cyclic.txt"
+        graph.write_text("A r B\nB s D\nB r C\nC r A\nD s B\n")
+        result = runner.invoke(main, ["verify", str(graph), "--format", "json"])
+        assert result.exit_code == 0
+        checks = json.loads(result.output)["checks"]
+        assert [(c["name"], c["status"]) for c in checks] == [
+            ("kg.roundtrip", "pass"),
+            ("incidence.column_sums", "pass"),
+            ("incidence.gram", "pass"),
+            ("incidence.line_operator_identity", "pass"),
+            ("incidence.rank", "pass"),
+            ("incidence.spectrum", "pass"),
+            ("line.scc_theorem", "pass"),
+            ("line.matrix_consistency", "pass"),
+            ("freecat.walk_count", "skipped"),
+            ("freecat.fibres", "pass"),
+            ("sites.axioms", "skipped"),
+            ("sites.inclusion", "skipped"),
+            ("sheaf.omega", "skipped"),
+            ("sheaf.adjunction", "skipped"),
+        ]
 
     def test_random_small_run(self, runner):
         result = runner.invoke(main, ["verify", "--random", "--cases", "8", "--seed", "3"])
