@@ -1,9 +1,11 @@
 """Command-line interface.
 
 Exit codes: 0 success, 1 check failure, 2 input error, 3 size-cap abort.
-All randomness is seeded; --seed falls back to the KGTOPOS_SEED
-environment variable and then to 0, and the seed used is always echoed
-in verification reports.
+Commands raise library errors; the root group's `invoke` is the one
+place where a KgToposError becomes `error: ...` on stderr and exit 3
+(SizeCapError) or 2 (any other).  All randomness is seeded; --seed
+falls back to the KGTOPOS_SEED environment variable and then to 0, and
+the seed used is always echoed in verification reports.
 """
 
 from __future__ import annotations
@@ -18,20 +20,20 @@ import click
 from . import matrices as mx
 from . import linegraph as lg
 from .errors import KgParseError, KgToposError, SchemaError, SizeCapError
-from .freecat import Path, build_free_category, path_key
+from .freecat import build_free_category
 from .kg import KnowledgeGraph, parse_kg
 from .sheaves import (
-    MatchingFamily,
+    DEFAULT_SECTION_CAP,
     check_adjunction,
-    glue as glue_family,
+    glue,
     global_sections,
     is_sheaf,
+    load_family,
     load_presheaf,
     omega as build_omega,
-    restrict,
     sheafify,
 )
-from .sites import build_site, sieve_generated_by, topology_to_dict
+from .sites import DEFAULT_SIEVE_CAP, build_site, topology_to_dict
 from .verify import run_verification
 
 INPUT_ERROR, SIZE_ERROR = 2, 3
@@ -58,14 +60,48 @@ def _emit_json(data: dict) -> None:
     sys.stdout.write(json.dumps(data, indent=2) + "\n")
 
 
-def _fail(exc: KgToposError) -> None:
-    click.echo(f"error: {exc}", err=True)
-    sys.exit(SIZE_ERROR if isinstance(exc, SizeCapError) else INPUT_ERROR)
+class KgToposGroup(click.Group):
+    """Root group: maps every library error raised by a command to its
+    exit code."""
+
+    def invoke(self, ctx: click.Context):
+        try:
+            return super().invoke(ctx)
+        except KgToposError as exc:
+            click.echo(f"error: {exc}", err=True)
+            ctx.exit(SIZE_ERROR if isinstance(exc, SizeCapError) else INPUT_ERROR)
 
 
-@click.group()
+@click.group(cls=KgToposGroup)
 def main() -> None:
     """Exact constructions and machine checks on finite knowledge graphs."""
+
+
+EXISTING_FILE = click.Path(exists=True, dir_okay=False)
+
+
+def graph_argument(required: bool = True):
+    return click.argument("graph", required=required, type=EXISTING_FILE)
+
+
+presheaf_argument = click.argument("presheaf", type=EXISTING_FILE)
+topology_option = click.option(
+    "--topology", type=click.Choice(["path", "atomic"]), default="path"
+)
+max_path_length_option = click.option(
+    "--max-path-length", type=click.IntRange(min=0), default=None
+)
+sieve_cap_option = click.option(
+    "--sieve-cap", type=click.IntRange(min=0), default=DEFAULT_SIEVE_CAP
+)
+section_cap_option = click.option(
+    "--section-cap", type=click.IntRange(min=0), default=DEFAULT_SECTION_CAP
+)
+
+
+def site_options(fn):
+    """--topology, --max-path-length and --sieve-cap, in that order."""
+    return topology_option(max_path_length_option(sieve_cap_option(fn)))
 
 
 MATRIX_BUILDERS = {
@@ -79,7 +115,7 @@ MATRIX_BUILDERS = {
 
 
 @main.command()
-@click.argument("graph", type=click.Path(exists=True, dir_okay=False))
+@graph_argument()
 @click.option("--head", "selected", flag_value="head", help="Head incidence matrix.")
 @click.option("--tail", "selected", flag_value="tail", help="Tail incidence matrix.")
 @click.option("--gram-out", "selected", flag_value="gram-out", help="Shared-head products.")
@@ -91,10 +127,7 @@ MATRIX_BUILDERS = {
 @click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default="csv")
 def matrices(graph: str, selected: str | None, fmt: str) -> None:
     """Emit incidence and line-operator matrices of GRAPH."""
-    try:
-        kg = _read_graph(graph)
-    except KgToposError as exc:
-        _fail(exc)
+    kg = _read_graph(graph)
     names = [selected] if selected else list(MATRIX_BUILDERS)
     if fmt == "json":
         _emit_json(
@@ -110,15 +143,12 @@ def matrices(graph: str, selected: str | None, fmt: str) -> None:
 
 
 @main.command()
-@click.argument("graph", type=click.Path(exists=True, dir_okay=False))
+@graph_argument()
 @click.option("--direction", type=click.Choice(["out", "in"]), default="out")
 @click.option("--format", "fmt", type=click.Choice(["dot", "csv", "json"]), default="dot")
 def line(graph: str, direction: str, fmt: str) -> None:
     """Emit the out- or in-line digraph of GRAPH."""
-    try:
-        kg = _read_graph(graph)
-    except KgToposError as exc:
-        _fail(exc)
+    kg = _read_graph(graph)
     digraph = lg.build_out_line(kg) if direction == "out" else lg.build_in_line(kg)
     if fmt == "dot":
         sys.stdout.write(lg.to_dot(digraph, kg, name=f"{direction}_line"))
@@ -139,30 +169,19 @@ def line(graph: str, direction: str, fmt: str) -> None:
 
 
 @main.command()
-@click.argument("graph", type=click.Path(exists=True, dir_okay=False))
-@click.option("--max-path-length", type=click.IntRange(min=0), default=None)
+@graph_argument()
+@max_path_length_option
 def freecat(graph: str, max_path_length: int | None) -> None:
     """Emit the path category of GRAPH as JSON."""
-    try:
-        kg = _read_graph(graph)
-        cat = build_free_category(kg, max_path_length)
-    except KgToposError as exc:
-        _fail(exc)
-    sys.stdout.write(cat.to_json())
+    sys.stdout.write(build_free_category(_read_graph(graph), max_path_length).to_json())
 
 
 @main.command()
-@click.argument("graph", type=click.Path(exists=True, dir_okay=False))
-@click.option("--topology", type=click.Choice(["path", "atomic"]), default="path")
-@click.option("--max-path-length", type=click.IntRange(min=0), default=None)
-@click.option("--sieve-cap", type=click.IntRange(min=0), default=12)
+@graph_argument()
+@site_options
 def covers(graph: str, topology: str, max_path_length: int | None, sieve_cap: int) -> None:
     """Emit the covering sieves of GRAPH's site as JSON."""
-    try:
-        kg = _read_graph(graph)
-        site = build_site(kg, topology, max_path_length, sieve_cap)
-    except KgToposError as exc:
-        _fail(exc)
+    site = build_site(_read_graph(graph), topology, max_path_length, sieve_cap)
     _emit_json(topology_to_dict(site, topology))
 
 
@@ -178,37 +197,20 @@ def _load_site_and_presheaf(
     max_path_length: int | None,
     sieve_cap: int,
 ):
-    kg = _read_graph(graph)
-    site = build_site(kg, topology, max_path_length, sieve_cap)
+    site = build_site(_read_graph(graph), topology, max_path_length, sieve_cap)
     presheaf = load_presheaf(site.category, _read_json(presheaf_path))
     return site, presheaf
 
 
-SITE_OPTIONS = [
-    click.option("--topology", type=click.Choice(["path", "atomic"]), default="path"),
-    click.option("--max-path-length", type=click.IntRange(min=0), default=None),
-    click.option("--sieve-cap", type=click.IntRange(min=0), default=12),
-]
-
-
-def site_options(fn):
-    for option in reversed(SITE_OPTIONS):
-        fn = option(fn)
-    return fn
-
-
 @sheaf.command()
-@click.argument("graph", type=click.Path(exists=True, dir_okay=False))
-@click.argument("presheaf", type=click.Path(exists=True, dir_okay=False))
+@graph_argument()
+@presheaf_argument
 @site_options
 def check(graph, presheaf, topology, max_path_length, sieve_cap) -> None:
     """Report whether PRESHEAF satisfies the sheaf condition."""
-    try:
-        site, data = _load_site_and_presheaf(
-            graph, presheaf, topology, max_path_length, sieve_cap
-        )
-    except KgToposError as exc:
-        _fail(exc)
+    site, data = _load_site_and_presheaf(
+        graph, presheaf, topology, max_path_length, sieve_cap
+    )
     result = is_sheaf(data, site)
     payload = {"is_sheaf": result.is_sheaf}
     if result.counterexample:
@@ -218,69 +220,33 @@ def check(graph, presheaf, topology, max_path_length, sieve_cap) -> None:
 
 
 @sheaf.command(name="glue")
-@click.argument("graph", type=click.Path(exists=True, dir_okay=False))
-@click.argument("presheaf", type=click.Path(exists=True, dir_okay=False))
-@click.option("--family", "family_path", required=True,
-              type=click.Path(exists=True, dir_okay=False),
+@graph_argument()
+@presheaf_argument
+@click.option("--family", "family_path", required=True, type=EXISTING_FILE,
               help="JSON {object, assignment: {path key: section}}.")
 @site_options
 def glue_cmd(graph, presheaf, family_path, topology, max_path_length, sieve_cap) -> None:
     """Glue a matching family to its unique section."""
-    try:
-        site, data = _load_site_and_presheaf(
-            graph, presheaf, topology, max_path_length, sieve_cap
-        )
-        family_doc = _read_json(family_path)
-        obj = family_doc["object"]
-        raw = family_doc["assignment"]
-        keyed = {
-            path_key(p): p for p in site.category.morphisms_into(obj)
-        }
-        try:
-            generators = [keyed[k] for k in raw]
-        except KeyError as exc:
-            raise SchemaError(f"unknown path key {exc} into {obj}") from exc
-        sieve = sieve_generated_by(site.category, obj, generators)
-        assignment = {}
-        for p in sieve.sorted_members():
-            key = path_key(p)
-            if key in raw:
-                assignment[p] = str(raw[key])
-        for p in sieve.sorted_members():
-            if p not in assignment:
-                # Values on closure members are forced by compatibility.
-                for key, base in raw.items():
-                    member = keyed[key]
-                    arrows = member.arrows
-                    if p.arrows[len(p.arrows) - len(arrows):] == arrows:
-                        prefix = p.arrows[: len(p.arrows) - len(arrows)]
-                        hpath = Path(p.source, member.source, prefix)
-                        assignment[p] = restrict(data, hpath)[str(base)]
-                        break
-        family = MatchingFamily(sieve, assignment)
-        if not site.topology.covers(sieve):
-            raise SchemaError(f"the given family does not generate a covering sieve on {obj}")
-        section = glue_family(data, family)
-    except (KeyError, TypeError) as exc:
-        _fail(SchemaError(f"malformed family document: {exc}"))
-    except KgToposError as exc:
-        _fail(exc)
-    _emit_json({"object": obj, "section": section})
+    site, data = _load_site_and_presheaf(
+        graph, presheaf, topology, max_path_length, sieve_cap
+    )
+    family = load_family(data, _read_json(family_path))
+    obj = family.sieve.obj
+    if not site.topology.covers(family.sieve):
+        raise SchemaError(f"the given family does not generate a covering sieve on {obj}")
+    _emit_json({"object": obj, "section": glue(data, family)})
 
 
 @sheaf.command(name="sheafify")
-@click.argument("graph", type=click.Path(exists=True, dir_okay=False))
-@click.argument("presheaf", type=click.Path(exists=True, dir_okay=False))
+@graph_argument()
+@presheaf_argument
 @site_options
 def sheafify_cmd(graph, presheaf, topology, max_path_length, sieve_cap) -> None:
     """Sheafify PRESHEAF and report per-object section counts."""
-    try:
-        site, data = _load_site_and_presheaf(
-            graph, presheaf, topology, max_path_length, sieve_cap
-        )
-        result = sheafify(data, site)
-    except KgToposError as exc:
-        _fail(exc)
+    site, data = _load_site_and_presheaf(
+        graph, presheaf, topology, max_path_length, sieve_cap
+    )
+    result = sheafify(data, site)
     _emit_json(
         {
             "section_counts": {
@@ -293,32 +259,25 @@ def sheafify_cmd(graph, presheaf, topology, max_path_length, sieve_cap) -> None:
 
 
 @sheaf.command(name="global")
-@click.argument("graph", type=click.Path(exists=True, dir_okay=False))
-@click.argument("presheaf", type=click.Path(exists=True, dir_okay=False))
+@graph_argument()
+@presheaf_argument
 @site_options
 def global_cmd(graph, presheaf, topology, max_path_length, sieve_cap) -> None:
     """Enumerate compatible families of sections across all objects."""
-    try:
-        site, data = _load_site_and_presheaf(
-            graph, presheaf, topology, max_path_length, sieve_cap
-        )
-    except KgToposError as exc:
-        _fail(exc)
+    _, data = _load_site_and_presheaf(
+        graph, presheaf, topology, max_path_length, sieve_cap
+    )
     sections = global_sections(data)
     _emit_json({"count": len(sections), "sections": sections})
 
 
 @sheaf.command(name="omega")
-@click.argument("graph", type=click.Path(exists=True, dir_okay=False))
+@graph_argument()
 @site_options
 def omega_cmd(graph, topology, max_path_length, sieve_cap) -> None:
     """Emit the subobject classifier of the site."""
-    try:
-        kg = _read_graph(graph)
-        site = build_site(kg, topology, max_path_length, sieve_cap)
-        classifier = build_omega(site, sieve_cap)
-    except KgToposError as exc:
-        _fail(exc)
+    site = build_site(_read_graph(graph), topology, max_path_length, sieve_cap)
+    classifier = build_omega(site, sieve_cap)
     _emit_json(
         {
             "section_counts": {
@@ -331,23 +290,20 @@ def omega_cmd(graph, topology, max_path_length, sieve_cap) -> None:
 
 
 @sheaf.command(name="adjoint")
-@click.argument("graph", type=click.Path(exists=True, dir_okay=False))
-@click.argument("presheaf", type=click.Path(exists=True, dir_okay=False))
-@click.option("--other", required=True, type=click.Path(exists=True, dir_okay=False),
+@graph_argument()
+@presheaf_argument
+@click.option("--other", required=True, type=EXISTING_FILE,
               help="Presheaf JSON for the path-site side.")
-@click.option("--section-cap", type=click.IntRange(min=0), default=3)
-@click.option("--max-path-length", type=click.IntRange(min=0), default=None)
-@click.option("--sieve-cap", type=click.IntRange(min=0), default=12)
+@section_cap_option
+@max_path_length_option
+@sieve_cap_option
 def adjoint_cmd(graph, presheaf, other, section_cap, max_path_length, sieve_cap) -> None:
     """Compare hom-set cardinalities across the two transports."""
-    try:
-        kg = _read_graph(graph)
-        site = build_site(kg, "path", max_path_length, sieve_cap)
-        atomic_side = load_presheaf(site.category, _read_json(presheaf))
-        path_side = load_presheaf(site.category, _read_json(other))
-        report = check_adjunction(atomic_side, path_side, site, section_cap)
-    except KgToposError as exc:
-        _fail(exc)
+    site, atomic_side = _load_site_and_presheaf(
+        graph, presheaf, "path", max_path_length, sieve_cap
+    )
+    path_side = load_presheaf(site.category, _read_json(other))
+    report = check_adjunction(atomic_side, path_side, site, section_cap)
     _emit_json(
         {
             "passed": report.passed,
@@ -361,15 +317,15 @@ def adjoint_cmd(graph, presheaf, other, section_cap, max_path_length, sieve_cap)
 
 
 @main.command()
-@click.argument("graph", required=False, type=click.Path(exists=True, dir_okay=False))
+@graph_argument(required=False)
 @click.option("--random", "random_mode", is_flag=True, help="Run the seeded property suites.")
 @click.option("--cases", type=click.IntRange(min=1), default=200, show_default=True)
 @click.option("--seed", type=int, default=None, help="Defaults to $KGTOPOS_SEED, then 0.")
-@click.option("--max-size", type=int, default=60, show_default=True,
+@click.option("--max-size", type=click.IntRange(min=1), default=60, show_default=True,
               help="Largest random graph (triples) in the property suites.")
-@click.option("--max-path-length", type=click.IntRange(min=0), default=None)
-@click.option("--sieve-cap", type=click.IntRange(min=0), default=12)
-@click.option("--section-cap", type=click.IntRange(min=0), default=3)
+@max_path_length_option
+@sieve_cap_option
+@section_cap_option
 @click.option("--format", "fmt", type=click.Choice(["text", "json"]), default="text")
 def verify(
     graph, random_mode, cases, seed, max_size, max_path_length, sieve_cap, section_cap, fmt
@@ -379,22 +335,14 @@ def verify(
         raw_seed = os.environ.get("KGTOPOS_SEED", "0")
         try:
             seed = int(raw_seed)
-        except ValueError:
-            click.echo(
-                f"error: KGTOPOS_SEED must be an integer, got {raw_seed!r}", err=True
-            )
-            sys.exit(INPUT_ERROR)
-    kg = None
-    if graph is not None:
-        try:
-            kg = _read_graph(graph)
-        except KgToposError as exc:
-            _fail(exc)
-    if kg is None and not random_mode:
-        click.echo("error: give a graph file, --random, or both", err=True)
-        sys.exit(INPUT_ERROR)
+        except ValueError as exc:
+            raise KgToposError(
+                f"KGTOPOS_SEED must be an integer, got {raw_seed!r}"
+            ) from exc
+    if graph is None and not random_mode:
+        raise KgToposError("give a graph file, --random, or both")
     report = run_verification(
-        kg,
+        None if graph is None else _read_graph(graph),
         random_mode=random_mode,
         cases=cases,
         seed=seed,

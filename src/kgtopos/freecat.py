@@ -102,10 +102,6 @@ class FreeCategory:
                 yield from self.hom(a, b)
 
     @cached_property
-    def morphism_set(self) -> frozenset[Path]:
-        return frozenset(self.morphisms())
-
-    @cached_property
     def total_morphisms(self) -> int:
         return sum(len(paths) for paths in self.hom_sets.values())
 
@@ -128,9 +124,6 @@ class FreeCategory:
 
     def compose(self, p: Path, q: Path) -> Path:
         return compose(p, q)
-
-    def has_morphism(self, p: Path) -> bool:
-        return p in self.morphism_set
 
     def require_complete(self, operation: str) -> None:
         if not self.complete:
@@ -284,9 +277,6 @@ class FiniteCategory:
             raise CompositionError(f"{f!r} and {g!r} do not compose")
         return self.composition[(f, g)]
 
-    def has_morphism(self, m) -> bool:
-        return m in set(self.morphisms)
-
     def hom(self, a, b) -> tuple:
         return tuple(
             m
@@ -378,9 +368,6 @@ class Functor:
                                 f"composition {path_key(p)};{path_key(q)} not preserved"
                             )
         return failures
-
-    def apply_object(self, obj):
-        return self.object_map[obj]
 
     def apply(self, p: Path):
         return self.morphism_map[p]

@@ -59,12 +59,6 @@ class Partition:
     def as_sets(self) -> set[frozenset[int]]:
         return {frozenset(b) for b in self.blocks}
 
-    def block_of(self, vertex: int) -> tuple[int, ...]:
-        for block in self.blocks:
-            if vertex in block:
-                return block
-        raise KeyError(vertex)
-
 
 def _grouped_line(m: int, fibres: dict[str, tuple[int, ...]]) -> Digraph:
     adjacency: list[tuple[int, ...]] = [()] * m

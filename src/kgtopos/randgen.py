@@ -10,10 +10,13 @@ from itertools import chain
 from random import Random
 from typing import Iterable
 
+from .errors import SizeCapError
 from .freecat import FreeCategory, build_free_category
 from .kg import KgHomomorphism, KnowledgeGraph, Triple, find_entity_cycle
 from .sheaves import Presheaf
 from .sites import DEFAULT_SIEVE_CAP
+
+SAMPLE_ATTEMPTS = 200
 
 
 def random_kg(
@@ -60,11 +63,11 @@ def random_small_category(
     max_triples: int = 10,
     max_morphisms: int = 300,
     sieve_cap: int = DEFAULT_SIEVE_CAP,
-    max_attempts: int = 200,
 ) -> FreeCategory:
     """A random acyclic free category kept within enumeration caps: total
-    morphism count bounded and at most sieve_cap morphisms into any object."""
-    for _ in range(max_attempts):
+    morphism count bounded and at most sieve_cap morphisms into any object.
+    Raises SizeCapError when SAMPLE_ATTEMPTS draws all miss the caps."""
+    for _ in range(SAMPLE_ATTEMPTS):
         kg = random_acyclic_kg(rng, max_entities, max_triples)
         cat = build_free_category(kg)
         if cat.total_morphisms > max_morphisms:
@@ -73,7 +76,10 @@ def random_small_category(
             len(cat.morphisms_into(obj)) <= sieve_cap for obj in cat.objects
         ):
             return cat
-    raise RuntimeError("could not sample a category within the caps")
+    raise SizeCapError(
+        f"no category within {max_morphisms} morphisms and sieve cap {sieve_cap} "
+        f"in {SAMPLE_ATTEMPTS} draws"
+    )
 
 
 def _image_graph(

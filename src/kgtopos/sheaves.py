@@ -30,7 +30,14 @@ from .errors import (
     UniquenessError,
 )
 from .freecat import FreeCategory, Path, compose, path_key
-from .sites import Sieve, Site, pullback_sieve, enumerate_sieves
+from .sites import (
+    DEFAULT_SIEVE_CAP,
+    Sieve,
+    Site,
+    enumerate_sieves,
+    pullback_sieve,
+    sieve_generated_by,
+)
 
 DEFAULT_SECTION_CAP = 3
 
@@ -101,31 +108,79 @@ def restrict(presheaf: Presheaf, p: Path) -> dict[str, str]:
     return presheaf._derived(p)
 
 
+def _fields(data, document: str, *names: str) -> list:
+    """The named fields of a JSON document, which must be an object
+    holding all of them."""
+    if not isinstance(data, Mapping):
+        raise SchemaError(f"{document} is not a JSON object")
+    for name in names:
+        if name not in data:
+            raise SchemaError(f"{document} lacks '{name}'")
+    return [data[name] for name in names]
+
+
+def _require_mapping(value, what: str) -> None:
+    if not isinstance(value, Mapping):
+        raise SchemaError(f"{what} is not a JSON object")
+
+
 def load_presheaf(cat: FreeCategory, data: Mapping) -> Presheaf:
     """Build a presheaf from its JSON document.
 
     Sections are keyed by object name; restriction maps are keyed by the
     triple rendered as 'head predicate tail'.
     """
-    try:
-        raw_sections = data["sections"]
-        raw_restrictions = data["restrictions"]
-    except (KeyError, TypeError) as exc:
-        raise SchemaError(f"presheaf document lacks {exc}") from exc
+    raw_sections, raw_restrictions = _fields(
+        data, "presheaf document", "sections", "restrictions"
+    )
+    _require_mapping(raw_sections, "'sections'")
+    _require_mapping(raw_restrictions, "'restrictions'")
     sections = {}
     for obj in cat.objects:
         if obj not in raw_sections:
             raise SchemaError(f"no section set for object {obj}")
-        sections[obj] = tuple(str(s) for s in raw_sections[obj])
+        labels = raw_sections[obj]
+        if not isinstance(labels, list):
+            raise SchemaError(f"the section set for object {obj} is not a list")
+        sections[obj] = tuple(str(s) for s in labels)
     restrictions = {}
     for i, t in enumerate(cat.kg.triples):
         key = str(t)
         if key not in raw_restrictions:
             raise SchemaError(f"no restriction map for triple '{key}'")
-        restrictions[i] = {
-            str(k): str(v) for k, v in raw_restrictions[key].items()
-        }
+        mapping = raw_restrictions[key]
+        _require_mapping(mapping, f"the restriction map for triple '{key}'")
+        restrictions[i] = {str(k): str(v) for k, v in mapping.items()}
     return Presheaf(cat, sections, restrictions)
+
+
+def load_family(presheaf: Presheaf, data: Mapping) -> MatchingFamily:
+    """The matching family named by a gluing document.
+
+    The document gives an object and sections on some paths into it,
+    keyed by `path_key`.  Those paths generate the family's sieve; the
+    values on its other members are the ones compatibility forces.
+    Raises GluingError when the given values are not compatible.
+    """
+    cat = presheaf.cat
+    obj, raw = _fields(data, "family document", "object", "assignment")
+    _require_mapping(raw, "'assignment'")
+    if obj not in cat.objects:
+        raise SchemaError(f"unknown object {obj!r} in the family document")
+    keyed = {path_key(p): p for p in cat.morphisms_into(obj)}
+    given: dict[Path, str] = {}
+    for key, value in raw.items():
+        if key not in keyed:
+            raise SchemaError(f"unknown path key '{key}' into {obj}")
+        p, label = keyed[key], str(value)
+        if label not in presheaf.sections[p.source]:
+            raise SchemaError(f"'{label}' on path {key} is not a section at {p.source}")
+        given[p] = label
+    sieve = sieve_generated_by(cat, obj, given)
+    families = enumerate_matching_families(presheaf, sieve, given)
+    if not families:
+        raise GluingError("assignment is not a matching family")
+    return families[0]
 
 
 def constant_presheaf(cat: FreeCategory, labels: Iterable[str] = ("*",)) -> Presheaf:
@@ -197,9 +252,10 @@ def is_matching_family(presheaf: Presheaf, family: MatchingFamily) -> bool:
 
 
 def enumerate_matching_families(
-    presheaf: Presheaf, sieve: Sieve
+    presheaf: Presheaf, sieve: Sieve, fixed: Mapping[Path, str] | None = None
 ) -> list[MatchingFamily]:
-    """All matching families on a sieve, in a deterministic order.
+    """All matching families on a sieve, in a deterministic order; with
+    `fixed`, only those taking the given values on the given members.
 
     Members are assigned shortest-first; a member that factors as
     (prefix, shorter member) has its value forced by compatibility, so
@@ -207,6 +263,7 @@ def enumerate_matching_families(
     inside the sieve.
     """
     members = sieve.sorted_members()
+    pinned = [fixed.get(g) for g in members] if fixed else [None] * len(members)
     member_set = sieve.members
     restrict_cache: dict[tuple[int, ...], dict[str, str]] = {}
 
@@ -235,7 +292,7 @@ def enumerate_matching_families(
             results.append(MatchingFamily(sieve, dict(assignment)))
             return
         g = members[i]
-        forced: str | None = None
+        forced = pinned[i]
         for suffix, prefix in constraints[i]:
             value = restriction(prefix)[assignment[suffix]]
             if forced is None:
@@ -619,7 +676,7 @@ def is_closed_sieve(site: Site, sieve: Sieve) -> bool:
     return True
 
 
-def omega(site: Site, sieve_cap: int = 12) -> Presheaf:
+def omega(site: Site, sieve_cap: int = DEFAULT_SIEVE_CAP) -> Presheaf:
     """Subobject classifier: closed sieves with pullback as restriction."""
     cat = site.category
     closed: dict[str, list[Sieve]] = {}

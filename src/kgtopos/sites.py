@@ -10,7 +10,6 @@ verify_topology_axioms re-checks them exhaustively.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
@@ -35,18 +34,6 @@ class Sieve:
 
     def keys(self) -> list[str]:
         return sorted(path_key(p) for p in self.members)
-
-
-def is_sieve(cat: FreeCategory, sieve: Sieve) -> bool:
-    """Closure check: members have the right codomain and every
-    precomposition of a member is again a member."""
-    for p in sieve.members:
-        if p.target != sieve.obj:
-            return False
-        for h in cat.morphisms_into(p.source):
-            if compose(h, p) not in sieve.members:
-                return False
-    return True
 
 
 def sieve_generated_by(
@@ -375,7 +362,3 @@ def topology_to_dict(site: Site, name: str | None = None) -> dict:
     if name is not None:
         data["topology"] = name
     return data
-
-
-def topology_to_json(site: Site, name: str | None = None) -> str:
-    return json.dumps(topology_to_dict(site, name), indent=2) + "\n"

@@ -42,6 +42,7 @@ from .randgen import (
     random_small_category,
 )
 from .sheaves import (
+    DEFAULT_SECTION_CAP,
     Presheaf,
     SheafCheck,
     amalgamations,
@@ -55,6 +56,7 @@ from .sheaves import (
     terminal_presheaf,
 )
 from .sites import (
+    DEFAULT_SIEVE_CAP,
     Site,
     atomic_topology,
     check_inclusion,
@@ -64,6 +66,8 @@ from .sites import (
 )
 
 SPECTRUM_TOLERANCE = 1e-9
+# Site and sheaf checks on one graph run only on categories this small.
+SITE_CHECK_MORPHISM_LIMIT = 40
 
 
 @dataclass(frozen=True)
@@ -380,7 +384,9 @@ def suite_categories(seed: int, cases: int = 100) -> list[CheckResult]:
     return [_run(f"suite.categories[{cases}]", body)]
 
 
-def suite_topologies(seed: int, cases: int = 50, sieve_cap: int = 12) -> list[CheckResult]:
+def suite_topologies(
+    seed: int, cases: int = 50, sieve_cap: int = DEFAULT_SIEVE_CAP
+) -> list[CheckResult]:
     def body() -> list[str]:
         failures = []
         for case in range(cases):
@@ -449,11 +455,11 @@ def _is_sheaf_against_scan(
     return check
 
 
-def _tiny_site(rng: Random, sieve_cap: int = 12) -> Site:
+def _tiny_site(rng: Random) -> Site:
     cat = random_small_category(
         rng, max_entities=4, max_triples=4, max_morphisms=30, sieve_cap=8
     )
-    return Site(cat, path_topology(cat, sieve_cap))
+    return Site(cat, path_topology(cat))
 
 
 def suite_sheafification(seed: int, cases: int = 30) -> list[CheckResult]:
@@ -559,9 +565,8 @@ def suite_omega(seed: int, cases: int = 10) -> list[CheckResult]:
 def graph_checks(
     kg: KnowledgeGraph,
     max_path_length: int | None = None,
-    sieve_cap: int = 12,
-    section_cap: int = 3,
-    max_size_for_sites: int = 40,
+    sieve_cap: int = DEFAULT_SIEVE_CAP,
+    section_cap: int = DEFAULT_SECTION_CAP,
 ) -> list[CheckResult]:
     """Every applicable structural check on one graph, size-gated."""
     results = [
@@ -613,12 +618,12 @@ def graph_checks(
         for name in ("sites.axioms", "sites.inclusion", "sheaf.omega", "sheaf.adjunction"):
             results.append(CheckResult(name, "skipped", reason, 0.0))
         return results
-    if cat.total_morphisms > max_size_for_sites or any(
+    if cat.total_morphisms > SITE_CHECK_MORPHISM_LIMIT or any(
         len(cat.morphisms_into(obj)) > sieve_cap for obj in cat.objects
     ):
         reason = (
             f"category has {cat.total_morphisms} morphisms; site and sheaf "
-            f"checks are gated at {max_size_for_sites} and sieve cap {sieve_cap}"
+            f"checks are gated at {SITE_CHECK_MORPHISM_LIMIT} and sieve cap {sieve_cap}"
         )
         for name in ("sites.axioms", "sites.inclusion", "sheaf.omega", "sheaf.adjunction"):
             results.append(CheckResult(name, "skipped", reason, 0.0))
@@ -681,8 +686,8 @@ def run_verification(
     seed: int = 0,
     max_size: int = 60,
     max_path_length: int | None = None,
-    sieve_cap: int = 12,
-    section_cap: int = 3,
+    sieve_cap: int = DEFAULT_SIEVE_CAP,
+    section_cap: int = DEFAULT_SECTION_CAP,
 ) -> VerifyReport:
     """Graph checks for `kg` and/or the seeded random suites.
 

@@ -123,6 +123,30 @@ class TestSheafCommands:
         assert data["is_sheaf"] is False
         assert "counterexample" in data
 
+    def test_glue_derives_closure_values(self, runner, tmp_path):
+        # The family gives a value on s only; its value on r.s is forced.
+        graph = tmp_path / "chain.txt"
+        graph.write_text("A r B\nB s C\n")
+        presheaf = tmp_path / "presheaf.json"
+        presheaf.write_text(
+            json.dumps(
+                {
+                    "sections": {"A": ["a0"], "B": ["b0", "b1"], "C": ["c0", "c1"]},
+                    "restrictions": {
+                        "A r B": {"b0": "a0", "b1": "a0"},
+                        "B s C": {"c0": "b0", "c1": "b1"},
+                    },
+                }
+            )
+        )
+        family = tmp_path / "family.json"
+        family.write_text(json.dumps({"object": "C", "assignment": {"1": "b1"}}))
+        result = runner.invoke(
+            main, ["sheaf", "glue", str(graph), str(presheaf), "--family", str(family)]
+        )
+        assert result.exit_code == 0
+        assert json.loads(result.output) == {"object": "C", "section": "c1"}
+
     def test_glue_pair(self, runner, tmp_path):
         family = tmp_path / "family.json"
         family.write_text(
@@ -187,11 +211,12 @@ class TestHostileInput:
             (["sheaf", "adjoint", FAN, PRODUCT, "--other", PRODUCT, "--section-cap", "-1"],
              {}),
             (["verify", "--random", "--cases", "-3"], {}),
+            (["verify", "--random", "--cases", "1", "--max-size", "-5"], {}),
         ],
         ids=["freecat-negative-bound", "covers-negative-bound", "omega-negative-bound",
              "graph-not-utf8", "presheaf-not-utf8", "seed-env-not-integer",
              "covers-negative-sieve-cap", "adjoint-negative-section-cap",
-             "verify-negative-cases"],
+             "verify-negative-cases", "verify-negative-max-size"],
     )
     def test_exits_2_without_traceback(self, runner, tmp_path, args, env):
         bad = tmp_path / "latin1.txt"
@@ -200,6 +225,27 @@ class TestHostileInput:
         result = runner.invoke(main, args, env=env)
         assert result.exit_code == 2
         assert result.exception is None or isinstance(result.exception, SystemExit)
+        assert "Traceback" not in result.output
+
+    @pytest.mark.parametrize("command", ["check", "sheafify", "global"])
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"sections": ["A"], "restrictions": {}},
+            {"sections": {"A": None, "B": [], "C": [], "D": []}, "restrictions": {}},
+            {"sections": {o: ["x"] for o in "ABCD"}, "restrictions": {"A r1 B": ["x"]}},
+            {"sections": {o: ["x"] for o in "ABCD"}, "restrictions": None},
+        ],
+        ids=["sections-list", "section-set-null", "restriction-map-list",
+             "restrictions-null"],
+    )
+    def test_malformed_presheaf_exits_2(self, runner, tmp_path, command, doc):
+        presheaf = tmp_path / "presheaf.json"
+        presheaf.write_text(json.dumps(doc))
+        result = runner.invoke(main, ["sheaf", command, FAN, str(presheaf)])
+        assert result.exit_code == 2
+        assert result.exception is None or isinstance(result.exception, SystemExit)
+        assert result.stderr.startswith("error: ")
         assert "Traceback" not in result.output
 
 
@@ -249,6 +295,16 @@ class TestVerify:
             ("sheaf.omega", "skipped"),
             ("sheaf.adjunction", "skipped"),
         ]
+
+    def test_unsatisfiable_sieve_cap_skips_topology_suite(self, runner):
+        # No category has zero morphisms into an object, so the topology
+        # suite cannot sample one; that is a size-cap skip, not a crash.
+        result = runner.invoke(main, ["verify", "--random", "--cases", "4", "--sieve-cap", "0"])
+        assert result.exit_code == 0
+        assert result.exception is None or isinstance(result.exception, SystemExit)
+        assert "SKIPPED suite.topologies[1] (" in result.output
+        assert "-- size cap: " in result.output
+        assert "Traceback" not in result.output
 
     def test_random_small_run(self, runner):
         result = runner.invoke(main, ["verify", "--random", "--cases", "8", "--seed", "3"])

@@ -29,6 +29,7 @@ from kgtopos import (
     glue,
     inverse_image,
     is_sheaf,
+    load_family,
     load_presheaf,
     omega,
     parse_kg,
@@ -128,6 +129,79 @@ class TestLoadPresheaf:
         again = load_presheaf(fan_cat, json.loads(fan_product_presheaf.to_json()))
         assert again == fan_product_presheaf
 
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            ["sections", "restrictions"],
+            {"sections": ["A"], "restrictions": {}},
+            {"sections": {o: "s" for o in "ABCD"}, "restrictions": {}},
+            {"sections": {o: ["s"] for o in "ABCD"}, "restrictions": None},
+            {"sections": {o: ["s"] for o in "ABCD"}, "restrictions": {"A r1 B": ["s"]}},
+        ],
+        ids=["document-list", "sections-list", "section-set-string", "restrictions-null",
+             "restriction-map-list"],
+    )
+    def test_malformed_documents_rejected(self, fan_cat, doc):
+        with pytest.raises(SchemaError):
+            load_presheaf(fan_cat, doc)
+
+
+def chain_presheaf() -> Presheaf:
+    """A r B, B s C; restriction along r is a bijection."""
+    cat = build_free_category(parse_kg("A r B\nB s C\n"))
+    return Presheaf(
+        cat,
+        {"A": ("a0", "a1"), "B": ("b0", "b1"), "C": ("c0",)},
+        {0: {"b0": "a0", "b1": "a1"}, 1: {"c0": "b0"}},
+    )
+
+
+class TestLoadFamily:
+    def test_fan_pair(self, fan_cat, fan_product_presheaf):
+        family = load_family(
+            fan_product_presheaf, {"object": "B", "assignment": {"0": "a1", "2": "d1"}}
+        )
+        assert family.sieve == sieve_generated_by(
+            fan_cat, "B", [fan_cat.generator_path(0), fan_cat.generator_path(2)]
+        )
+        assert glue(fan_product_presheaf, family) == "(a1,d1)"
+
+    def test_closure_values_are_forced(self):
+        presheaf = chain_presheaf()
+        cat = presheaf.cat
+        family = load_family(presheaf, {"object": "C", "assignment": {"1": "b1"}})
+        assert family.assignment == {
+            cat.generator_path(1): "b1",
+            cat.hom("A", "C")[0]: "a1",
+        }
+        both = load_family(presheaf, {"object": "C", "assignment": {"0.1": "a1", "1": "b1"}})
+        assert both == family
+
+    def test_incompatible_values_raise(self):
+        with pytest.raises(GluingError):
+            load_family(
+                chain_presheaf(), {"object": "C", "assignment": {"1": "b1", "0.1": "a0"}}
+            )
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            ["B"],
+            {"assignment": {}},
+            {"object": "B"},
+            {"object": "B", "assignment": ["0"]},
+            {"object": "Q", "assignment": {}},
+            {"object": ["B"], "assignment": {}},
+            {"object": "B", "assignment": {"9": "a1"}},
+            {"object": "B", "assignment": {"0": "zz"}},
+        ],
+        ids=["document-list", "no-object", "no-assignment", "assignment-list",
+             "unknown-object", "object-list", "unknown-path-key", "not-a-section"],
+    )
+    def test_malformed_documents_rejected(self, fan_product_presheaf, doc):
+        with pytest.raises(SchemaError):
+            load_family(fan_product_presheaf, doc)
+
 
 class TestMatchingFamilies:
     def test_pairs_are_families_on_the_fan_cover(self, fan_cat, fan_product_presheaf):
@@ -164,6 +238,29 @@ class TestMatchingFamilies:
             assert family.assignment[rs_path] == restrict(presheaf, cat.generator_path(0))[
                 family.assignment[s_path]
             ]
+
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(0, 10**9))
+    def test_fixed_values_select_agreeing_families(self, seed):
+        # Pinning sections on some members leaves exactly the families
+        # that take those values there, in the same order.
+        rng = Random(seed)
+        site = tiny_site(seed)
+        presheaf = random_presheaf(rng, site.category, max_sections=3, min_sections=0)
+        for obj in site.category.objects:
+            for sieve in site.topology.covering_sieves(obj):
+                families = enumerate_matching_families(presheaf, sieve)
+                fixed = {
+                    p: rng.choice(presheaf.sections[p.source])
+                    for p in sieve.sorted_members()
+                    if presheaf.sections[p.source] and rng.random() < 0.5
+                }
+                expected = [
+                    f for f in families
+                    if all(f.assignment[p] == v for p, v in fixed.items())
+                ]
+                assert enumerate_matching_families(presheaf, sieve, fixed) == expected
 
 
 class TestIsSheaf:
