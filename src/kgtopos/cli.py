@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 import os
 import sys
+from itertools import islice
 from pathlib import Path as FilePath
 
 import click
@@ -37,6 +38,7 @@ from .sites import DEFAULT_SIEVE_CAP, build_site, topology_to_dict
 from .verify import run_verification
 
 INPUT_ERROR, SIZE_ERROR = 2, 3
+JSON_BATCH_CHUNKS = 8192
 
 
 def _read_graph(path: str) -> KnowledgeGraph:
@@ -57,7 +59,12 @@ def _read_json(path: str) -> dict:
 
 
 def _emit_json(data: dict) -> None:
-    sys.stdout.write(json.dumps(data, indent=2) + "\n")
+    """Write json.dumps(data, indent=2) and a newline, in batches of
+    encoder chunks, so the whole document is never one string."""
+    chunks = json.JSONEncoder(indent=2).iterencode(data)
+    while batch := list(islice(chunks, JSON_BATCH_CHUNKS)):
+        sys.stdout.write("".join(batch))
+    sys.stdout.write("\n")
 
 
 class KgToposGroup(click.Group):

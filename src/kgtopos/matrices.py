@@ -64,17 +64,20 @@ class IntMatrix:
         )
 
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
+        """Exact product, accumulated row by row: each nonzero entry a of
+        a row of self adds a times the matching row of other, so the cost
+        is O(nnz(self) * other.cols)."""
         if self.cols != other.rows:
             raise ValueError("dimension mismatch in matrix product")
-        rows = self.to_rows()
-        cols = other.transpose().to_rows()
-        return IntMatrix(
-            self.rows,
-            other.cols,
-            tuple(
-                sum(a * b for a, b in zip(r, c)) for r in rows for c in cols
-            ),
-        )
+        other_rows = other.to_rows()
+        entries: list[int] = []
+        for row in self.to_rows():
+            acc = [0] * other.cols
+            for a, other_row in zip(row, other_rows):
+                if a:
+                    acc = [x + a * y for x, y in zip(acc, other_row)]
+            entries.extend(acc)
+        return IntMatrix(self.rows, other.cols, tuple(entries))
 
     def __sub__(self, other: "IntMatrix") -> "IntMatrix":
         if (self.rows, self.cols) != (other.rows, other.cols):
@@ -115,28 +118,44 @@ def tail_incidence(kg: KnowledgeGraph) -> IntMatrix:
     return IntMatrix(n, m, tuple(entries))
 
 
+def _fibre_operator(
+    fibres: dict[str, tuple[int, ...]], m: int, diagonal: int
+) -> IntMatrix:
+    """m x m matrix whose row i is the indicator of the fibre holding
+    triple i, with every diagonal entry set to `diagonal`.
+
+    Every triple of a fibre shares one indicator row, so the cost is
+    O(m^2) for the output plus O(sum of fibre sizes) for the rows.
+    """
+    entries = [0] * (m * m)
+    for fibre in fibres.values():
+        row = [0] * m
+        for j in fibre:
+            row[j] = 1
+        for i in fibre:
+            entries[i * m : (i + 1) * m] = row
+            entries[i * m + i] = diagonal
+    return IntMatrix(m, m, tuple(entries))
+
+
 def gram_out(kg: KnowledgeGraph) -> IntMatrix:
-    """m x m shared-head indicator: entry (i, j) = 1 iff heads coincide."""
-    h = head_incidence(kg)
-    return h.transpose() @ h
+    """m x m shared-head indicator H^T H: entry (i, j) = 1 iff heads coincide."""
+    return _fibre_operator(kg.head_fibres, kg.triple_count, 1)
 
 
 def gram_in(kg: KnowledgeGraph) -> IntMatrix:
-    """m x m shared-tail indicator: entry (i, j) = 1 iff tails coincide."""
-    h = tail_incidence(kg)
-    return h.transpose() @ h
+    """m x m shared-tail indicator H^T H: entry (i, j) = 1 iff tails coincide."""
+    return _fibre_operator(kg.tail_fibres, kg.triple_count, 1)
 
 
 def line_adjacency_out(kg: KnowledgeGraph) -> IntMatrix:
     """Adjacency matrix of the out-line digraph: shared-head minus diagonal."""
-    m = kg.triple_count
-    return gram_out(kg) - IntMatrix.identity(m)
+    return _fibre_operator(kg.head_fibres, kg.triple_count, 0)
 
 
 def line_adjacency_in(kg: KnowledgeGraph) -> IntMatrix:
     """Adjacency matrix of the in-line digraph: shared-tail minus diagonal."""
-    m = kg.triple_count
-    return gram_in(kg) - IntMatrix.identity(m)
+    return _fibre_operator(kg.tail_fibres, kg.triple_count, 0)
 
 
 def rank_exact(matrix: IntMatrix) -> int:

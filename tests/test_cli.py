@@ -306,6 +306,16 @@ class TestVerify:
         assert "-- size cap: " in result.output
         assert "Traceback" not in result.output
 
+    def test_section_cap_below_need_skips_adjunction(self, runner):
+        # The cap is passed through as given: no sheaf on the fan fits zero
+        # sections per object, as `sheaf adjoint --section-cap 0` reports.
+        result = runner.invoke(main, ["verify", FAN, "--section-cap", "0"])
+        assert result.exit_code == 0
+        assert "Traceback" not in result.output
+        assert "SKIPPED sheaf.adjunction (" in result.output
+        assert "-- size cap: section set at A exceeds the cap 0" in result.output
+        assert "PASS    sheaf.adjunction" not in result.output
+
     def test_random_small_run(self, runner):
         result = runner.invoke(main, ["verify", "--random", "--cases", "8", "--seed", "3"])
         assert result.exit_code == 0

@@ -1,14 +1,19 @@
+import time
 from fractions import Fraction
 from random import Random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from kgtopos import matrices as mx
+from kgtopos import verify
 from kgtopos import (
     IntMatrix,
+    KnowledgeGraph,
     SymmetryError,
+    Triple,
     gram_in,
     gram_out,
     head_incidence,
@@ -112,6 +117,103 @@ class TestSmallCases:
         assert spectrum_formula(kg) == [-1, -1, 2]
 
 
+@st.composite
+def product_operands(draw):
+    """Two signed matrices with a shared inner dimension; any of the
+    three dimensions may be 0."""
+    n, k, p = (draw(st.integers(0, 5)) for _ in range(3))
+    entry = st.integers(-4, 4)
+    left = draw(st.lists(entry, min_size=n * k, max_size=n * k))
+    right = draw(st.lists(entry, min_size=k * p, max_size=k * p))
+    return IntMatrix(n, k, tuple(left)), IntMatrix(k, p, tuple(right))
+
+
+def naive_product(a, b):
+    """Independent oracle: the textbook triple loop."""
+    return [
+        [sum(a.get(i, t) * b.get(t, j) for t in range(a.cols)) for j in range(b.cols)]
+        for i in range(a.rows)
+    ]
+
+
+def with_isolated_entities(kg, count):
+    """kg plus `count` entities that head and tail no triple."""
+    extra = tuple(f"isolated{i}" for i in range(count))
+    return KnowledgeGraph(kg.entities + extra, kg.predicates, kg.triples)
+
+
+class TestMatmul:
+    @settings(max_examples=150, deadline=None)
+    @given(product_operands())
+    @example((IntMatrix(3, 0, ()), IntMatrix(0, 2, ())))
+    @example((IntMatrix(0, 2, ()), IntMatrix(2, 3, (1, -2, 0, 3, 0, -1))))
+    @example((IntMatrix(2, 3, (0, -1, 2, 4, 0, 0)), IntMatrix(3, 0, ())))
+    def test_against_triple_loop(self, operands):
+        a, b = operands
+        product = a @ b
+        assert (product.rows, product.cols) == (a.rows, b.cols)
+        assert product.to_rows() == naive_product(a, b)
+
+    def test_dimension_mismatch_rejected(self):
+        with pytest.raises(ValueError):
+            IntMatrix.zeros(2, 3) @ IntMatrix.zeros(2, 3)
+
+
+class TestFibreOperators:
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 10**9), st.integers(0, 3))
+    def test_match_dense_product(self, seed, isolated):
+        kg = with_isolated_entities(
+            random_kg(Random(seed), max_entities=10, max_triples=25), isolated
+        )
+        identity = IntMatrix.identity(kg.triple_count)
+        for gram, adjacency, incidence in (
+            (gram_out(kg), line_adjacency_out(kg), head_incidence(kg)),
+            (gram_in(kg), line_adjacency_in(kg), tail_incidence(kg)),
+        ):
+            product = incidence.transpose() @ incidence
+            assert gram == product
+            assert adjacency == product - identity
+
+    def test_planted_gram_mismatch_fails_check(self, fan_kg, monkeypatch):
+        real = mx.gram_out
+
+        def planted(kg):
+            # Flip entry (0, 2) and its mirror: the gram stays symmetric,
+            # 0/1 and unit-diagonal, so only the H^T H oracle can see it.
+            gram = real(kg)
+            entries = list(gram.entries)
+            for i, j in ((0, 2), (2, 0)):
+                entries[i * gram.cols + j] ^= 1
+            return IntMatrix(gram.rows, gram.cols, tuple(entries))
+
+        monkeypatch.setattr(mx, "gram_out", planted)
+        assert verify.check_gram(fan_kg) == ["gram_out differs from H^T H"]
+
+    def test_two_thousand_triples_within_budget(self):
+        rng = Random(2000)
+        entities = tuple(f"e{i}" for i in range(700))
+        predicates = ("p0", "p1", "p2")
+        triples: dict[Triple, None] = {}
+        while len(triples) < 2000:
+            triples[
+                Triple(rng.choice(entities), rng.choice(predicates), rng.choice(entities))
+            ] = None
+        kg = KnowledgeGraph(entities, predicates, tuple(triples))
+        start = time.perf_counter()
+        built = [
+            build(kg)
+            for build in (gram_out, gram_in, line_adjacency_out, line_adjacency_in)
+        ]
+        elapsed = time.perf_counter() - start
+        assert elapsed < 3.0
+        shared_heads = sum(len(f) ** 2 for f in kg.head_fibres.values())
+        shared_tails = sum(len(f) ** 2 for f in kg.tail_fibres.values())
+        assert [sum(matrix.entries) for matrix in built] == [
+            shared_heads, shared_tails, shared_heads - 2000, shared_tails - 2000
+        ]
+
+
 class TestRank:
     def test_fan_head_rank(self, fan_kg):
         # Elimination by hand leaves two independent rows (A and D).
@@ -192,8 +294,6 @@ class TestSpectrum:
         assert spectrum_report(kg, use_tails=True).max_deviation < TOL
 
     def test_two_hundred_square_under_a_second(self):
-        import time
-
         rng = Random(0)
         rows = [[0] * 200 for _ in range(200)]
         for i in range(200):
