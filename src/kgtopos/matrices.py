@@ -7,6 +7,7 @@ only enters through the numeric eigensolver used as a cross-check.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -57,11 +58,9 @@ class IntMatrix:
         ]
 
     def transpose(self) -> "IntMatrix":
-        return IntMatrix(
-            self.cols,
-            self.rows,
-            tuple(self.get(i, j) for j in range(self.cols) for i in range(self.rows)),
-        )
+        """Row j of the transpose is column j of self, one stride slice."""
+        columns = (self.entries[j :: self.cols] for j in range(self.cols))
+        return IntMatrix(self.cols, self.rows, tuple(chain.from_iterable(columns)))
 
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
         """Exact product, accumulated row by row: each nonzero entry a of
@@ -89,7 +88,11 @@ class IntMatrix:
         )
 
     def is_symmetric(self) -> bool:
-        return self.rows == self.cols and self == self.transpose()
+        """Square, and row i equals column i for every i."""
+        n, e = self.rows, self.entries
+        return n == self.cols and all(
+            e[i * n : (i + 1) * n] == e[i::n] for i in range(n)
+        )
 
     def to_csv(self) -> str:
         """One row per line, comma-separated integers, trailing newline."""

@@ -1,20 +1,28 @@
-"""Sieves, coverage-generated Grothendieck topologies, and site checks.
+"""Sieves, Grothendieck topologies on free categories, and site checks.
 
-Topologies are produced by fixed-point saturation over the finite sieve
-lattice of each object: starting from generating families plus maximal
-sieves, the covering sets are closed under pullback stability and the
-local-character (transitivity) axiom until nothing changes.  All outputs
-therefore satisfy the three topology axioms by construction, and
-verify_topology_axioms re-checks them exhaustively.
+A free category has closed forms for both named topologies (Mac Lane and
+Moerdijk III.2 and III.4; Johnstone, *Elephant* C2.1).  A sieve on b
+other than the maximal one is a tuple of sieves, one on the head a of
+each triple t: a -> b, and pulling back along t reads off component t.
+So the path topology is J(b) = {max} + prod_{t: a -> b} J(a), with
+J = {max} at sources, and the atomic topology is {max} at every object,
+since an acyclic graph's free category has only identities as
+isomorphisms.  path_topology and atomic_topology build these directly.
+
+generate_topology, the fixed-point saturation of a coverage over the
+finite sieve lattice, is kept as the oracle that `verify` compares both
+closed forms with; verify_topology_axioms re-checks the axioms
+exhaustively.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import product
 from typing import Iterable, Mapping
 
 from .errors import SizeCapError, TopologyError
-from .freecat import FreeCategory, Functor, Path, compose, path_key
+from .freecat import FreeCategory, Path, compose, path_key
 
 DEFAULT_SIEVE_CAP = 12
 
@@ -63,6 +71,15 @@ def pullback_sieve(cat: FreeCategory, sieve: Sieve, g: Path) -> Sieve:
     return Sieve(g.source, members)
 
 
+def _require_sieve_cap(cat: FreeCategory, obj: str, cap: int) -> None:
+    count = len(cat.morphisms_into(obj))
+    if count > cap:
+        raise SizeCapError(
+            f"{count} morphisms into {obj} exceeds the sieve cap {cap}; "
+            "use a smaller graph or raise the cap"
+        )
+
+
 def enumerate_sieves(
     cat: FreeCategory, obj: str, cap: int = DEFAULT_SIEVE_CAP
 ) -> list[Sieve]:
@@ -73,14 +90,10 @@ def enumerate_sieves(
     `cap` morphisms point into obj.
     """
     cat.require_complete("enumerate_sieves")
+    _require_sieve_cap(cat, obj, cap)
     incoming = sorted(
         cat.morphisms_into(obj), key=lambda p: (len(p.arrows), p.arrows)
     )
-    if len(incoming) > cap:
-        raise SizeCapError(
-            f"{len(incoming)} morphisms into {obj} exceeds the sieve cap {cap}; "
-            "use a smaller graph or raise the cap"
-        )
     position = {p: i for i, p in enumerate(incoming)}
     # Bitmask of morphisms forced into any sieve containing morphism i.
     required = []
@@ -160,6 +173,7 @@ def generate_topology(
 ) -> Topology:
     """Smallest topology whose covering sieves include those generated by
     the coverage, computed by saturation over the finite sieve lattice.
+    The closed-form topologies are checked against it in `verify`.
 
     Empty generating families are rejected; unknown objects in the
     coverage are an error.
@@ -209,18 +223,12 @@ def generate_topology(
     return Topology({obj: frozenset(covering[obj]) for obj in cat.objects})
 
 
-def isomorphisms_into(cat: FreeCategory, obj: str) -> list[Path]:
-    """Morphisms into obj admitting a two-sided inverse."""
-    isos = []
-    for p in cat.morphisms_into(obj):
-        for q in cat.hom(p.target, p.source):
-            if (
-                compose(p, q) == cat.identity(p.source)
-                and compose(q, p) == cat.identity(p.target)
-            ):
-                isos.append(p)
-                break
-    return isos
+def _require_sieve_lattices(cat: FreeCategory, sieve_cap: int) -> None:
+    """The guards generate_topology meets first, in its order and with its
+    text, so a closed form refuses exactly the inputs saturation refuses."""
+    cat.require_complete("generate_topology")
+    for obj in cat.objects:
+        _require_sieve_cap(cat, obj, sieve_cap)
 
 
 def atomic_topology(
@@ -231,10 +239,10 @@ def atomic_topology(
     On the free category of an acyclic graph the only isomorphisms are
     identities, so exactly the maximal sieves cover.
     """
-    coverage = {
-        obj: [[iso] for iso in isomorphisms_into(cat, obj)] for obj in cat.objects
-    }
-    return generate_topology(cat, coverage, sieve_cap)
+    _require_sieve_lattices(cat, sieve_cap)
+    return Topology(
+        {obj: frozenset({maximal_sieve(cat, obj)}) for obj in cat.objects}
+    )
 
 
 def path_coverage(cat: FreeCategory) -> dict[str, list[list[Path]]]:
@@ -249,13 +257,33 @@ def path_coverage(cat: FreeCategory) -> dict[str, list[list[Path]]]:
 def path_topology(
     cat: FreeCategory, sieve_cap: int = DEFAULT_SIEVE_CAP
 ) -> Topology:
-    """Topology of relational propagation along incoming paths.
+    """Topology of relational propagation along incoming paths: the
+    smallest topology in which the triples into each object cover it.
 
-    Each object with incoming triples gets the single generating family
-    of all of them, so the minimal covering sieve at an object collects
-    every nonidentity path into it.
+    J(b) is the maximal sieve plus, for each choice of a covering sieve
+    S_t on the head of every triple t into b, the sieve of all h.t with
+    h in S_t.  Objects are visited in order of their longest incoming
+    path, so J of every head is known when its tails are reached.
     """
-    return generate_topology(cat, path_coverage(cat), sieve_cap)
+    _require_sieve_lattices(cat, sieve_cap)
+    covering: dict[str, frozenset[Sieve]] = {}
+    depth = {
+        obj: max(len(p) for p in cat.morphisms_into(obj)) for obj in cat.objects
+    }
+    for obj in sorted(cat.objects, key=depth.__getitem__):
+        # components[k] lists the possible components along the k-th triple.
+        components = [
+            [frozenset(compose(h, t) for h in s.members) for s in covering[t.source]]
+            for t in map(cat.generator_path, cat.kg.tail_fibres[obj])
+        ]
+        sieves = {maximal_sieve(cat, obj)}
+        if components:
+            sieves.update(
+                Sieve(obj, frozenset().union(*choice))
+                for choice in product(*components)
+            )
+        covering[obj] = frozenset(sieves)
+    return Topology({obj: covering[obj] for obj in cat.objects})
 
 
 def build_site(
@@ -323,32 +351,6 @@ def check_inclusion(inner: Topology, outer: Topology) -> bool:
     return all(
         inner.covering[obj] <= outer.covering[obj] for obj in inner.covering
     )
-
-
-@dataclass(frozen=True)
-class SiteMorphismReport:
-    passed: bool
-    violations: tuple[str, ...] = field(default_factory=tuple)
-
-
-def check_site_morphism(
-    functor: Functor, source_site: Site, target_site: Site
-) -> SiteMorphismReport:
-    """Check that the functor sends covering sieves to families generating
-    covering sieves in the target."""
-    violations: list[str] = []
-    target_cat = target_site.category
-    for obj in source_site.category.objects:
-        for sieve in source_site.topology.covering_sieves(obj):
-            image_obj = functor.object_map[obj]
-            image = [functor.morphism_map[p] for p in sieve.sorted_members()]
-            generated = sieve_generated_by(target_cat, image_obj, image)
-            if not target_site.topology.covers(generated):
-                violations.append(
-                    f"image of covering sieve {sieve.keys()} on {obj} "
-                    f"generates a non-covering sieve on {image_obj}"
-                )
-    return SiteMorphismReport(not violations, tuple(violations))
 
 
 def topology_to_dict(site: Site, name: str | None = None) -> dict:

@@ -3,7 +3,8 @@
 Each check compares an implementation against an independent route:
 matrix identities against direct recomputation from triples, component
 partitions against fibre grouping, spectra against a dense eigensolver,
-morphism counts against walk counting by matrix powers, hom-set
+morphism counts against walk counting by matrix powers, closed-form
+topologies against saturation over the sieve lattice, hom-set
 cardinalities against brute-force enumeration, and so on.  Checks are
 seeded and deterministic; size-gated checks report 'skipped' with a
 reason instead of silently passing.
@@ -17,11 +18,13 @@ from random import Random
 
 from . import matrices as mx
 from . import linegraph as lg
-from .errors import InfiniteCategoryError, SizeCapError
+from .errors import InfiniteCategoryError, KgToposError, SizeCapError
 from .freecat import (
     FiniteCategory,
     FreeCategory,
+    Path,
     build_free_category,
+    compose,
     compose_functors,
     extend_functor,
     identity_functor,
@@ -58,9 +61,11 @@ from .sheaves import (
 from .sites import (
     DEFAULT_SIEVE_CAP,
     Site,
+    Topology,
     atomic_topology,
     check_inclusion,
     generate_topology,
+    path_coverage,
     path_topology,
     verify_topology_axioms,
 )
@@ -108,7 +113,8 @@ class VerifyReport:
 
 
 def _run(name: str, fn) -> CheckResult:
-    """Run one check; fn returns a list of failure strings."""
+    """Run one check; fn returns a list of failure strings.  A size cap
+    skips the check; any other library error fails it with its text."""
     start = time.perf_counter()
     try:
         failures = fn()
@@ -116,6 +122,8 @@ def _run(name: str, fn) -> CheckResult:
         detail = "" if not failures else "; ".join(failures[:5])
     except SizeCapError as exc:
         status, detail = "skipped", f"size cap: {exc}"
+    except KgToposError as exc:
+        status, detail = "fail", str(exc)
     elapsed = time.perf_counter() - start
     return CheckResult(name, status, detail, elapsed)
 
@@ -343,6 +351,38 @@ def check_functoriality_of_homs(kg: KnowledgeGraph, rng: Random) -> list[str]:
     return failures
 
 
+def _isomorphisms_into(cat: FreeCategory, obj: str) -> list[Path]:
+    """Morphisms into obj admitting a two-sided inverse."""
+    isos = []
+    for p in cat.morphisms_into(obj):
+        for q in cat.hom(p.target, p.source):
+            if (
+                compose(p, q) == cat.identity(p.source)
+                and compose(q, p) == cat.identity(p.target)
+            ):
+                isos.append(p)
+                break
+    return isos
+
+
+def check_topologies_against_saturation(
+    cat: FreeCategory, path: Topology, atomic: Topology, sieve_cap: int
+) -> list[str]:
+    """The closed-form topologies against saturation of the coverages
+    that define them: all triples into each object, and isomorphisms."""
+    failures = []
+    isomorphism_coverage = {
+        obj: [[iso] for iso in _isomorphisms_into(cat, obj)] for obj in cat.objects
+    }
+    for name, topology, coverage in (
+        ("path", path, path_coverage(cat)),
+        ("atomic", atomic, isomorphism_coverage),
+    ):
+        if topology != generate_topology(cat, coverage, sieve_cap):
+            failures.append(f"{name} topology differs from saturation of its coverage")
+    return failures
+
+
 # --- random property suites -------------------------------------------
 
 
@@ -407,6 +447,10 @@ def suite_topologies(
             )
             path = path_topology(cat, sieve_cap)
             atomic = atomic_topology(cat, sieve_cap)
+            for failure in check_topologies_against_saturation(
+                cat, path, atomic, sieve_cap
+            ):
+                failures.append(f"case {case}: {failure}")
             for name, topology in (("path", path), ("atomic", atomic)):
                 report = verify_topology_axioms(Site(cat, topology), sieve_cap)
                 for violation in report.violations:
@@ -644,7 +688,7 @@ def graph_checks(
     path_site, atomic_site = Site(cat, path), Site(cat, atomic)
 
     def axioms() -> list[str]:
-        failures = []
+        failures = check_topologies_against_saturation(cat, path, atomic, sieve_cap)
         for name, site in (("path", path_site), ("atomic", atomic_site)):
             failures.extend(
                 f"{name}: {v}"

@@ -369,6 +369,33 @@ class TestVerify:
         assert "SKIPPED freecat.walk_count" in result.output
         assert "PASS" in result.output  # matrix-level checks still ran
 
+    def test_library_error_in_a_check_is_a_fail(self, runner, monkeypatch):
+        # Emptying one row of each fibre larger than two makes the line
+        # adjacency non-symmetric, so spectrum_numeric raises SymmetryError
+        # inside the incidence/line suite: a FAIL line, not exit 2.
+        from kgtopos import matrices as mx
+
+        real = mx._fibre_operator
+
+        def planted(fibres, m, diagonal):
+            entries = list(real(fibres, m, diagonal).entries)
+            for fibre in fibres.values():
+                if len(fibre) > 2:
+                    i = fibre[-1]
+                    entries[i * m : (i + 1) * m] = [0] * m
+            return mx.IntMatrix(m, m, tuple(entries))
+
+        monkeypatch.setattr(mx, "_fibre_operator", planted)
+        result = runner.invoke(main, ["verify", "--random", "--cases", "20"])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert "error:" not in result.output and "Traceback" not in result.output
+        suite_line = next(
+            line for line in result.output.splitlines() if "suite.incidence_line" in line
+        )
+        assert suite_line.startswith("FAIL    suite.incidence_line[20]")
+        assert suite_line.endswith("-- spectrum_numeric requires a symmetric matrix")
+
     def test_check_failures_exit_1(self, runner, monkeypatch):
         from kgtopos import cli as cli_module
         from kgtopos.verify import CheckResult, VerifyReport

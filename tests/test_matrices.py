@@ -136,6 +136,18 @@ def naive_product(a, b):
     ]
 
 
+@st.composite
+def signed_matrices(draw):
+    """A signed matrix with either dimension 0..5; square draws are
+    mirrored across the diagonal half of the time, so both answers of
+    is_symmetric come up."""
+    n, k = draw(st.integers(0, 5)), draw(st.integers(0, 5))
+    entries = draw(st.lists(st.integers(-3, 3), min_size=n * k, max_size=n * k))
+    if n == k and draw(st.booleans()):
+        entries = [entries[min(i, j) * n + max(i, j)] for i in range(n) for j in range(n)]
+    return IntMatrix(n, k, tuple(entries))
+
+
 def with_isolated_entities(kg, count):
     """kg plus `count` entities that head and tail no triple."""
     extra = tuple(f"isolated{i}" for i in range(count))
@@ -157,6 +169,26 @@ class TestMatmul:
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ValueError):
             IntMatrix.zeros(2, 3) @ IntMatrix.zeros(2, 3)
+
+
+class TestTranspose:
+    @settings(max_examples=150, deadline=None)
+    @given(signed_matrices())
+    @example(IntMatrix(0, 0, ()))
+    @example(IntMatrix(0, 3, ()))
+    @example(IntMatrix(4, 0, ()))
+    def test_against_entry_definition(self, a):
+        t = a.transpose()
+        assert (t.rows, t.cols) == (a.cols, a.rows)
+        assert all(
+            t.get(j, i) == a.get(i, j) for i in range(a.rows) for j in range(a.cols)
+        )
+        assert a.is_symmetric() == (
+            a.rows == a.cols
+            and all(
+                a.get(i, j) == a.get(j, i) for i in range(a.rows) for j in range(a.cols)
+            )
+        )
 
 
 class TestFibreOperators:

@@ -1,11 +1,16 @@
+import json
+import time
 from itertools import combinations
+from pathlib import Path
 from random import Random
 
 import pytest
+from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kgtopos import (
+    CategoryNotClosedError,
     Site,
     SizeCapError,
     Topology,
@@ -14,22 +19,22 @@ from kgtopos import (
     build_free_category,
     build_site,
     check_inclusion,
-    check_site_morphism,
     compose,
     enumerate_sieves,
     generate_topology,
-    induced_functor,
     parse_kg,
     path_topology,
     pullback_sieve,
     sieve_generated_by,
     verify_topology_axioms,
 )
-from kgtopos.freecat import identity_functor
+from kgtopos import sites
+from kgtopos import verify as verify_module
+from kgtopos.cli import main
 from kgtopos.randgen import random_small_category
-from kgtopos.sites import maximal_sieve, topology_to_dict
+from kgtopos.sites import maximal_sieve, path_coverage, topology_to_dict
 
-from helpers import swap_hom
+FAN = str(Path(__file__).parent / "data" / "fan.txt")
 
 
 def brute_force_sieves(cat, obj):
@@ -275,29 +280,114 @@ class TestInclusion:
             check_inclusion(fan_path_site.topology, other.topology)
 
 
-class TestSiteMorphism:
-    def test_identity_from_atomic_to_path(self, fan_cat, fan_path_site, fan_atomic_site):
-        report = check_site_morphism(
-            identity_functor(fan_cat), fan_atomic_site, fan_path_site
-        )
-        assert report.passed
+def isomorphism_coverage(cat):
+    return {
+        obj: [[iso] for iso in verify_module._isomorphisms_into(cat, obj)]
+        for obj in cat.objects
+    }
 
-    def test_swap_preserves_path_covers(self, fan_kg, fan_cat, fan_path_site):
-        functor = induced_functor(swap_hom(fan_kg), fan_cat, fan_cat)
-        report = check_site_morphism(functor, fan_path_site, fan_path_site)
-        assert report.passed
 
-    def test_target_missing_the_cover_fails_with_witness(
-        self, fan_cat, fan_path_site, fan_atomic_site
-    ):
-        # The image of the two-source covering sieve on B is not covering
-        # for the atomic topology, so the identity functor is not a site
-        # morphism in this direction.
-        report = check_site_morphism(
-            identity_functor(fan_cat), fan_path_site, fan_atomic_site
+def layered_dag_text(width, layers):
+    """`layers` layers of `width` entities, each pointing at every entity
+    of the next layer."""
+    names = [[f"L{k}n{i}" for i in range(width)] for k in range(layers)]
+    edges = [(a, b) for upper, lower in zip(names, names[1:]) for a in upper for b in lower]
+    return "".join(f"{a} r{n} {b}\n" for n, (a, b) in enumerate(edges))
+
+
+def raised(fn):
+    with pytest.raises(Exception) as info:
+        fn()
+    return type(info.value), str(info.value)
+
+
+class TestClosedForm:
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 10**9))
+    def test_matches_saturation(self, seed):
+        cat = random_small_category(
+            Random(seed), max_entities=6, max_triples=7, max_morphisms=60, sieve_cap=10
         )
-        assert not report.passed
-        assert any("B" in violation for violation in report.violations)
+        assert path_topology(cat, 10) == generate_topology(cat, path_coverage(cat), 10)
+        assert atomic_topology(cat, 10) == generate_topology(
+            cat, isomorphism_coverage(cat), 10
+        )
+
+    def test_sieve_cap_parity(self):
+        # Thirteen morphisms into T and into U; the first object over the
+        # cap in entity order is the one reported.
+        text = "".join(f"s{i} r T\n" for i in range(12)) + "".join(
+            f"u{i} r U\n" for i in range(12)
+        )
+        cat = build_free_category(parse_kg(text))
+        expected = raised(lambda: generate_topology(cat, path_coverage(cat), 12))
+        assert expected == (
+            SizeCapError,
+            "13 morphisms into T exceeds the sieve cap 12; "
+            "use a smaller graph or raise the cap",
+        )
+        assert raised(lambda: path_topology(cat, 12)) == expected
+        assert raised(lambda: atomic_topology(cat, 12)) == expected
+
+    def test_truncated_category_parity(self):
+        cat = build_free_category(parse_kg("A r B\nB s C\n"), max_length=1)
+        expected = raised(lambda: generate_topology(cat, path_coverage(cat)))
+        assert expected[0] is CategoryNotClosedError
+        assert raised(lambda: path_topology(cat)) == expected
+        assert raised(lambda: atomic_topology(cat)) == expected
+
+    def test_layered_dag_covers_within_budget(self):
+        # Five layers of two: 31 morphisms into each sink, whose sieve
+        # lattice saturation would scan as 2^31 bitmasks.
+        runner = CliRunner()
+        with runner.isolated_filesystem():
+            with open("dag.txt", "w") as handle:
+                handle.write(layered_dag_text(2, 5))
+            start = time.perf_counter()
+            result = runner.invoke(
+                main, ["covers", "dag.txt", "--topology", "path", "--sieve-cap", "31"]
+            )
+            elapsed = time.perf_counter() - start
+        assert result.exit_code == 0
+        covering = json.loads(result.output)["covering"]
+        assert {obj: len(covering[obj]) for obj in ("L4n0", "L4n1")} == {
+            "L4n0": 677,
+            "L4n1": 677,
+        }
+        assert elapsed < 1.0
+
+    def test_planted_missing_sieve_fails_verify(self, monkeypatch):
+        # Dropping the covering sieve {t1, t3} on B keeps the axioms
+        # intact on the fan, so only the saturation oracle can see it.
+        real = sites.path_topology
+
+        def planted(cat, sieve_cap=sites.DEFAULT_SIEVE_CAP):
+            topology = real(cat, sieve_cap)
+            covering = dict(topology.covering)
+            for obj in cat.objects:
+                non_maximal = [
+                    s for s in topology.covering_sieves(obj)
+                    if s != maximal_sieve(cat, obj)
+                ]
+                if non_maximal:
+                    covering[obj] = covering[obj] - {non_maximal[-1]}
+                    break
+            return Topology(covering)
+
+        monkeypatch.setattr(verify_module, "path_topology", planted)
+        result = CliRunner().invoke(
+            main,
+            ["verify", FAN, "--random", "--cases", "8", "--seed", "3"],
+        )
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert "Traceback" not in result.output
+        failed = [
+            line.split()[1] for line in result.output.splitlines()
+            if line.startswith("FAIL")
+        ]
+        assert "sites.axioms" in failed
+        assert "suite.topologies[2]" in failed
 
 
 class TestExport:
