@@ -64,6 +64,10 @@ class SymmetryError(KgToposError):
     """A matrix expected to be symmetric is not."""
 
 
+class SpectrumSizeError(KgToposError):
+    """An exact and a numeric eigenvalue multiset differ in size."""
+
+
 class PresheafError(KgToposError):
     """Presheaf data violates functoriality. Carries the offending path pair."""
 

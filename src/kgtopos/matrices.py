@@ -8,11 +8,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain
+from math import gcd
+from operator import itemgetter
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import SymmetryError
+from .errors import SpectrumSizeError, SymmetryError
 from .kg import KnowledgeGraph
 
 
@@ -161,30 +163,56 @@ def line_adjacency_in(kg: KnowledgeGraph) -> IntMatrix:
     return _fibre_operator(kg.tail_fibres, kg.triple_count, 0)
 
 
+def _eliminate(
+    row: dict[int, int], pivot_row: dict[int, int], col: int
+) -> dict[int, int]:
+    """p·row − a·pivot_row with p, a the two entries in column `col`
+    (first divided by their gcd), then divided by the gcd of its entries.
+
+    The result is zero in `col` and is the primitive integer multiple of
+    the rational reduced row, so entries stay bounded by minors of the
+    input instead of growing with every step.
+    """
+    p, a = pivot_row[col], row[col]
+    g = gcd(p, a)
+    p, a = p // g, a // g
+    out = {j: p * x for j, x in row.items()}
+    for j, y in pivot_row.items():
+        x = out.get(j, 0) - a * y
+        if x:
+            out[j] = x
+        else:
+            del out[j]
+    g = gcd(*out.values())
+    if g > 1:
+        out = {j: x // g for j, x in out.items()}
+    return out
+
+
 def rank_exact(matrix: IntMatrix) -> int:
-    """Rank over the rationals by fraction-free (Bareiss) elimination."""
-    rows = matrix.to_rows()
-    n_rows, n_cols = matrix.rows, matrix.cols
-    rank = 0
-    prev_pivot = 1
-    for col in range(n_cols):
-        pivot_row = next(
-            (i for i in range(rank, n_rows) if rows[i][col] != 0), None
+    """Rank over the rationals by fraction-free elimination on sparse rows.
+
+    Rows are {column: value} maps of their nonzero entries. Each row is
+    reduced only against the pivot row of its leading column, as long as
+    that column has one; a row left nonzero becomes the pivot row of its
+    leading column. Pivot rows lead in distinct columns, so their number
+    is the rank. A row never touches a pivot whose column it is zero in,
+    so an incidence matrix (one nonzero per column) costs O(nnz).
+    """
+    cols, entries = matrix.cols, matrix.entries
+    pivots: dict[int, dict[int, int]] = {}
+    for i in range(matrix.rows):
+        row = dict(
+            filter(itemgetter(1), enumerate(entries[i * cols : (i + 1) * cols]))
         )
-        if pivot_row is None:
-            continue
-        rows[rank], rows[pivot_row] = rows[pivot_row], rows[rank]
-        pivot = rows[rank][col]
-        for i in range(rank + 1, n_rows):
-            factor = rows[i][col]
-            for j in range(col, n_cols):
-                # Bareiss update: division by the previous pivot is exact.
-                rows[i][j] = (pivot * rows[i][j] - factor * rows[rank][j]) // prev_pivot
-        prev_pivot = pivot
-        rank += 1
-        if rank == n_rows:
-            break
-    return rank
+        while row:
+            lead = min(row)
+            pivot_row = pivots.get(lead)
+            if pivot_row is None:
+                pivots[lead] = row
+                break
+            row = _eliminate(row, pivot_row, lead)
+    return len(pivots)
 
 
 def spectrum_formula(kg: KnowledgeGraph, *, use_tails: bool = False) -> list[int]:
@@ -214,7 +242,8 @@ def spectrum_numeric(matrix: IntMatrix, exact: Iterable[int]) -> SpectrumReport:
     """Dense symmetric eigensolve of `matrix`, matched against `exact`.
 
     The deviation is the elementwise distance between the two sorted
-    multisets; raises SymmetryError for non-symmetric input.
+    multisets; raises SymmetryError for non-symmetric input and
+    SpectrumSizeError when the multisets differ in size.
     """
     if not matrix.is_symmetric():
         raise SymmetryError("spectrum_numeric requires a symmetric matrix")
@@ -222,7 +251,7 @@ def spectrum_numeric(matrix: IntMatrix, exact: Iterable[int]) -> SpectrumReport:
     numeric = sorted(float(x) for x in np.linalg.eigvalsh(dense))
     exact_sorted = sorted(int(x) for x in exact)
     if len(exact_sorted) != len(numeric):
-        raise ValueError(
+        raise SpectrumSizeError(
             f"multiset sizes differ: {len(exact_sorted)} exact vs {len(numeric)} numeric"
         )
     deviation = max(

@@ -156,8 +156,9 @@ def check_column_sums(kg: KnowledgeGraph) -> list[str]:
         ("head", mx.head_incidence(kg)),
         ("tail", mx.tail_incidence(kg)),
     ):
-        for j in range(matrix.cols):
-            total = sum(matrix.get(i, j) for i in range(matrix.rows))
+        entries, cols = matrix.entries, matrix.cols
+        for j in range(cols):
+            total = sum(entries[j::cols])
             if total != 1:
                 failures.append(f"{name} incidence column {j} sums to {total}")
     return failures
@@ -177,7 +178,7 @@ def check_gram(kg: KnowledgeGraph) -> list[str]:
             failures.append(f"gram_{name} is not symmetric")
         if any(x not in (0, 1) for x in gram.entries):
             failures.append(f"gram_{name} has entries outside 0/1")
-        if any(gram.get(i, i) != 1 for i in range(gram.rows)):
+        if any(x != 1 for x in gram.entries[:: gram.cols + 1]):
             failures.append(f"gram_{name} diagonal is not all ones")
     return failures
 
@@ -212,6 +213,49 @@ def check_rank(kg: KnowledgeGraph) -> list[str]:
     return failures
 
 
+def _rank_bareiss(matrix: mx.IntMatrix) -> int:
+    """Oracle for rank_exact: dense fraction-free (Bareiss) elimination,
+    O(rows² · cols), rewriting every row below each pivot."""
+    rows = matrix.to_rows()
+    n_rows, n_cols = matrix.rows, matrix.cols
+    rank = 0
+    prev_pivot = 1
+    for col in range(n_cols):
+        pivot_row = next(
+            (i for i in range(rank, n_rows) if rows[i][col] != 0), None
+        )
+        if pivot_row is None:
+            continue
+        rows[rank], rows[pivot_row] = rows[pivot_row], rows[rank]
+        pivot = rows[rank][col]
+        for i in range(rank + 1, n_rows):
+            factor = rows[i][col]
+            for j in range(col, n_cols):
+                # Bareiss update: division by the previous pivot is exact.
+                rows[i][j] = (pivot * rows[i][j] - factor * rows[rank][j]) // prev_pivot
+        prev_pivot = pivot
+        rank += 1
+        if rank == n_rows:
+            break
+    return rank
+
+
+def check_rank_against_bareiss(rng: Random) -> list[str]:
+    """rank_exact against Bareiss on one dense integer matrix of at most
+    6 x 8 with entries in -3..3; incidence matrices alone cannot tell a
+    rank from a count of nonzero rows."""
+    rows, cols = rng.randint(1, 6), rng.randint(1, 8)
+    matrix = mx.IntMatrix(
+        rows, cols, tuple(rng.randint(-3, 3) for _ in range(rows * cols))
+    )
+    got, expected = mx.rank_exact(matrix), _rank_bareiss(matrix)
+    if got != expected:
+        return [
+            f"rank_exact {got} != Bareiss rank {expected} on a {rows}x{cols} matrix"
+        ]
+    return []
+
+
 def check_spectrum(kg: KnowledgeGraph) -> list[str]:
     failures = []
     for use_tails in (False, True):
@@ -232,14 +276,15 @@ def check_scc_theorem(kg: KnowledgeGraph) -> list[str]:
 
 def check_line_digraph_consistency(kg: KnowledgeGraph) -> list[str]:
     failures = []
+    m = kg.triple_count
     for name, build, matrix in (
         ("out", lg.build_out_line(kg), mx.line_adjacency_out(kg)),
         ("in", lg.build_in_line(kg), mx.line_adjacency_in(kg)),
     ):
-        for i in range(kg.triple_count):
+        for i in range(m):
             row = set(build.adjacency[i])
             from_matrix = {
-                j for j in range(kg.triple_count) if matrix.get(i, j) == 1
+                j for j, x in enumerate(matrix.entries[i * m : (i + 1) * m]) if x == 1
             }
             if row != from_matrix:
                 failures.append(f"{name}-line digraph row {i} differs from matrix")
@@ -386,91 +431,103 @@ def check_topologies_against_saturation(
 # --- random property suites -------------------------------------------
 
 
+def _suite(name: str, cases: int, run_case) -> list[CheckResult]:
+    """One CheckResult for `cases` seeded cases; run_case(case, failures)
+    appends its failure strings.  A library error other than a size cap
+    ends only its own case and becomes that case's failure."""
+
+    def body() -> list[str]:
+        failures: list[str] = []
+        for case in range(cases):
+            try:
+                run_case(case, failures)
+            except SizeCapError:
+                raise
+            except KgToposError as exc:
+                failures.append(f"case {case}: {exc}")
+        return failures
+
+    return [_run(f"{name}[{cases}]", body)]
+
+
 def suite_incidence_line(
     seed: int, cases: int = 200, max_entities: int = 20, max_triples: int = 60
 ) -> list[CheckResult]:
-    def body() -> list[str]:
-        failures = []
-        for case in range(cases):
-            rng = _case_rng("incidence", seed, case)
-            kg = random_kg(rng, max_entities, max_triples)
-            for check in (
-                check_column_sums,
-                check_gram,
-                check_line_operator_identity,
-                check_rank,
-                check_spectrum,
-                check_scc_theorem,
-                check_line_digraph_consistency,
-            ):
-                for failure in check(kg):
-                    failures.append(f"case {case}: {failure}")
-        return failures
+    def run_case(case: int, failures: list[str]) -> None:
+        for failure in check_rank_against_bareiss(_case_rng("rank", seed, case)):
+            failures.append(f"case {case}: {failure}")
+        rng = _case_rng("incidence", seed, case)
+        kg = random_kg(rng, max_entities, max_triples)
+        for check in (
+            check_column_sums,
+            check_gram,
+            check_line_operator_identity,
+            check_rank,
+            check_spectrum,
+            check_scc_theorem,
+            check_line_digraph_consistency,
+        ):
+            for failure in check(kg):
+                failures.append(f"case {case}: {failure}")
 
-    return [_run(f"suite.incidence_line[{cases}]", body)]
+    return _suite("suite.incidence_line", cases, run_case)
 
 
 def suite_categories(seed: int, cases: int = 100) -> list[CheckResult]:
-    def body() -> list[str]:
-        failures = []
-        for case in range(cases):
-            rng = _case_rng("categories", seed, case)
-            cat = random_small_category(
-                rng, max_entities=8, max_triples=10, max_morphisms=250
-            )
-            for failure in check_walk_count(cat):
-                failures.append(f"case {case}: {failure}")
-            for failure in check_fibres_match_partitions(cat.kg):
-                failures.append(f"case {case}: {failure}")
-            for failure in check_extend_functor(cat, rng):
-                failures.append(f"case {case}: {failure}")
-            for failure in check_functoriality_of_homs(cat.kg, rng):
-                failures.append(f"case {case}: {failure}")
-        return failures
+    def run_case(case: int, failures: list[str]) -> None:
+        rng = _case_rng("categories", seed, case)
+        cat = random_small_category(
+            rng, max_entities=8, max_triples=10, max_morphisms=250
+        )
+        for failure in check_walk_count(cat):
+            failures.append(f"case {case}: {failure}")
+        for failure in check_fibres_match_partitions(cat.kg):
+            failures.append(f"case {case}: {failure}")
+        for failure in check_extend_functor(cat, rng):
+            failures.append(f"case {case}: {failure}")
+        for failure in check_functoriality_of_homs(cat.kg, rng):
+            failures.append(f"case {case}: {failure}")
 
-    return [_run(f"suite.categories[{cases}]", body)]
+    return _suite("suite.categories", cases, run_case)
 
 
 def suite_topologies(
     seed: int, cases: int = 50, sieve_cap: int = DEFAULT_SIEVE_CAP
 ) -> list[CheckResult]:
-    def body() -> list[str]:
-        failures = []
-        for case in range(cases):
-            rng = _case_rng("topologies", seed, case)
-            cat = random_small_category(
-                rng,
-                max_entities=6,
-                max_triples=7,
-                max_morphisms=60,
-                sieve_cap=min(10, sieve_cap),
-            )
-            path = path_topology(cat, sieve_cap)
-            atomic = atomic_topology(cat, sieve_cap)
-            for failure in check_topologies_against_saturation(
-                cat, path, atomic, sieve_cap
-            ):
-                failures.append(f"case {case}: {failure}")
-            for name, topology in (("path", path), ("atomic", atomic)):
-                report = verify_topology_axioms(Site(cat, topology), sieve_cap)
-                for violation in report.violations:
-                    failures.append(f"case {case} ({name}): {violation}")
-            if not check_inclusion(atomic, path):
-                failures.append(f"case {case}: atomic topology not inside path topology")
-            regenerated = generate_topology(
-                cat,
-                {
-                    obj: [s.sorted_members() for s in path.covering_sieves(obj)]
-                    for obj in cat.objects
-                    if path.covering_sieves(obj)
-                },
-                sieve_cap,
-            )
-            if regenerated != path:
-                failures.append(f"case {case}: saturation is not idempotent")
-        return failures
+    def run_case(case: int, failures: list[str]) -> None:
+        rng = _case_rng("topologies", seed, case)
+        cat = random_small_category(
+            rng,
+            max_entities=6,
+            max_triples=7,
+            max_morphisms=60,
+            sieve_cap=min(10, sieve_cap),
+        )
+        path = path_topology(cat, sieve_cap)
+        atomic = atomic_topology(cat, sieve_cap)
+        for failure in check_topologies_against_saturation(
+            cat, path, atomic, sieve_cap
+        ):
+            failures.append(f"case {case}: {failure}")
+        for name, topology in (("path", path), ("atomic", atomic)):
+            report = verify_topology_axioms(Site(cat, topology), sieve_cap)
+            for violation in report.violations:
+                failures.append(f"case {case} ({name}): {violation}")
+        if not check_inclusion(atomic, path):
+            failures.append(f"case {case}: atomic topology not inside path topology")
+        regenerated = generate_topology(
+            cat,
+            {
+                obj: [s.sorted_members() for s in path.covering_sieves(obj)]
+                for obj in cat.objects
+                if path.covering_sieves(obj)
+            },
+            sieve_cap,
+        )
+        if regenerated != path:
+            failures.append(f"case {case}: saturation is not idempotent")
 
-    return [_run(f"suite.topologies[{cases}]", body)]
+    return _suite("suite.topologies", cases, run_case)
 
 
 def _is_sheaf_by_scan(presheaf: Presheaf, site: Site) -> SheafCheck:
@@ -514,34 +571,31 @@ def _tiny_site(rng: Random) -> Site:
 
 
 def suite_sheafification(seed: int, cases: int = 30) -> list[CheckResult]:
-    def body() -> list[str]:
-        failures = []
-        for case in range(cases):
-            rng = _case_rng("sheafification", seed, case)
-            site = _tiny_site(rng)
-            presheaf = random_presheaf(rng, site.category, max_sections=3)
-            result = sheafify(presheaf, site)
-            if not _is_sheaf_against_scan(
-                result.sheaf, site, failures, f"case {case} (sheafified)"
-            ):
-                failures.append(f"case {case}: sheafified presheaf fails the sheaf condition")
-            again = sheafify(result.sheaf, site)
-            counts = {o: len(s) for o, s in result.sheaf.sections.items()}
-            counts_again = {o: len(s) for o, s in again.sheaf.sections.items()}
-            if counts != counts_again:
-                failures.append(f"case {case}: sheafification not idempotent on counts")
-            if _is_sheaf_against_scan(presheaf, site, failures, f"case {case}"):
-                for obj in site.category.objects:
-                    component = result.unit.components[obj]
-                    if len(set(component.values())) != len(
-                        presheaf.sections[obj]
-                    ) or len(component) != len(result.sheaf.sections[obj]):
-                        failures.append(
-                            f"case {case}: unit not bijective at {obj} on a sheaf"
-                        )
-        return failures
+    def run_case(case: int, failures: list[str]) -> None:
+        rng = _case_rng("sheafification", seed, case)
+        site = _tiny_site(rng)
+        presheaf = random_presheaf(rng, site.category, max_sections=3)
+        result = sheafify(presheaf, site)
+        if not _is_sheaf_against_scan(
+            result.sheaf, site, failures, f"case {case} (sheafified)"
+        ):
+            failures.append(f"case {case}: sheafified presheaf fails the sheaf condition")
+        again = sheafify(result.sheaf, site)
+        counts = {o: len(s) for o, s in result.sheaf.sections.items()}
+        counts_again = {o: len(s) for o, s in again.sheaf.sections.items()}
+        if counts != counts_again:
+            failures.append(f"case {case}: sheafification not idempotent on counts")
+        if _is_sheaf_against_scan(presheaf, site, failures, f"case {case}"):
+            for obj in site.category.objects:
+                component = result.unit.components[obj]
+                if len(set(component.values())) != len(
+                    presheaf.sections[obj]
+                ) or len(component) != len(result.sheaf.sections[obj]):
+                    failures.append(
+                        f"case {case}: unit not bijective at {obj} on a sheaf"
+                    )
 
-    return [_run(f"suite.sheafification[{cases}]", body)]
+    return _suite("suite.sheafification", cases, run_case)
 
 
 def _small_path_sheaf(rng: Random, site: Site, section_cap: int = 2):
@@ -560,57 +614,51 @@ def _small_path_sheaf(rng: Random, site: Site, section_cap: int = 2):
 
 
 def suite_adjunction(seed: int, cases: int = 20) -> list[CheckResult]:
-    def body() -> list[str]:
-        failures = []
-        for case in range(cases):
-            rng = _case_rng("adjunction", seed, case)
-            site = _tiny_site(rng)
-            atomic_side = random_presheaf(rng, site.category, max_sections=2)
-            path_side = _small_path_sheaf(rng, site, section_cap=2)
-            report = check_adjunction(atomic_side, path_side, site, section_cap=2)
-            if not report.passed:
-                failures.append(
-                    f"case {case}: hom counts {report.left_count} vs "
-                    f"{report.right_count}, bijective={report.bijective}, "
-                    f"{'; '.join(report.details)}"
-                )
-        return failures
+    def run_case(case: int, failures: list[str]) -> None:
+        rng = _case_rng("adjunction", seed, case)
+        site = _tiny_site(rng)
+        atomic_side = random_presheaf(rng, site.category, max_sections=2)
+        path_side = _small_path_sheaf(rng, site, section_cap=2)
+        report = check_adjunction(atomic_side, path_side, site, section_cap=2)
+        if not report.passed:
+            failures.append(
+                f"case {case}: hom counts {report.left_count} vs "
+                f"{report.right_count}, bijective={report.bijective}, "
+                f"{'; '.join(report.details)}"
+            )
 
-    return [_run(f"suite.adjunction[{cases}]", body)]
+    return _suite("suite.adjunction", cases, run_case)
 
 
 def suite_omega(seed: int, cases: int = 10) -> list[CheckResult]:
-    def body() -> list[str]:
-        failures = []
-        for case in range(cases):
-            rng = _case_rng("omega", seed, case)
-            cat = random_small_category(
-                rng, max_entities=4, max_triples=3, max_morphisms=20, sieve_cap=6
-            )
-            for name, topology in (
-                ("path", path_topology(cat)),
-                ("atomic", atomic_topology(cat)),
+    def run_case(case: int, failures: list[str]) -> None:
+        rng = _case_rng("omega", seed, case)
+        cat = random_small_category(
+            rng, max_entities=4, max_triples=3, max_morphisms=20, sieve_cap=6
+        )
+        for name, topology in (
+            ("path", path_topology(cat)),
+            ("atomic", atomic_topology(cat)),
+        ):
+            site = Site(cat, topology)
+            classifier = omega(site)
+            if not _is_sheaf_against_scan(
+                classifier, site, failures, f"case {case} (omega, {name})"
             ):
-                site = Site(cat, topology)
-                classifier = omega(site)
-                if not _is_sheaf_against_scan(
-                    classifier, site, failures, f"case {case} (omega, {name})"
-                ):
-                    failures.append(f"case {case}: omega ({name}) is not a sheaf")
-                terminal = terminal_presheaf(cat)
-                subsheaves = count_subsheaves(terminal, site)
-                cap = max(
-                    (len(v) for v in classifier.sections.values()), default=1
+                failures.append(f"case {case}: omega ({name}) is not a sheaf")
+            terminal = terminal_presheaf(cat)
+            subsheaves = count_subsheaves(terminal, site)
+            cap = max(
+                (len(v) for v in classifier.sections.values()), default=1
+            )
+            homs = enumerate_nat_transformations(terminal, classifier, cap)
+            if subsheaves != len(homs):
+                failures.append(
+                    f"case {case}: {subsheaves} subsheaves of the terminal "
+                    f"({name}) but {len(homs)} maps into omega"
                 )
-                homs = enumerate_nat_transformations(terminal, classifier, cap)
-                if subsheaves != len(homs):
-                    failures.append(
-                        f"case {case}: {subsheaves} subsheaves of the terminal "
-                        f"({name}) but {len(homs)} maps into omega"
-                    )
-        return failures
 
-    return [_run(f"suite.omega[{cases}]", body)]
+    return _suite("suite.omega", cases, run_case)
 
 
 # --- whole-graph verification -----------------------------------------

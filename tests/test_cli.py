@@ -372,10 +372,21 @@ class TestVerify:
     def test_library_error_in_a_check_is_a_fail(self, runner, monkeypatch):
         # Emptying one row of each fibre larger than two makes the line
         # adjacency non-symmetric, so spectrum_numeric raises SymmetryError
-        # inside the incidence/line suite: a FAIL line, not exit 2.
+        # inside the incidence/line suite: that case's failure, not exit 2,
+        # with the failures collected before it kept and later cases run.
         from kgtopos import matrices as mx
+        from kgtopos import verify as verify_module
 
         real = mx._fibre_operator
+        real_run = verify_module._run
+        collected: dict[str, list[str]] = {}
+
+        def collecting_run(name, fn):
+            def wrapped():
+                collected[name] = fn()
+                return collected[name]
+
+            return real_run(name, wrapped)
 
         def planted(fibres, m, diagonal):
             entries = list(real(fibres, m, diagonal).entries)
@@ -386,6 +397,7 @@ class TestVerify:
             return mx.IntMatrix(m, m, tuple(entries))
 
         monkeypatch.setattr(mx, "_fibre_operator", planted)
+        monkeypatch.setattr(verify_module, "_run", collecting_run)
         result = runner.invoke(main, ["verify", "--random", "--cases", "20"])
         assert result.exit_code == 1
         assert isinstance(result.exception, SystemExit)
@@ -394,7 +406,15 @@ class TestVerify:
             line for line in result.output.splitlines() if "suite.incidence_line" in line
         )
         assert suite_line.startswith("FAIL    suite.incidence_line[20]")
-        assert suite_line.endswith("-- spectrum_numeric requires a symmetric matrix")
+        assert "-- case 0: gram_out differs from H^T H;" in suite_line
+        failures = collected["suite.incidence_line[20]"]
+        raised = [
+            f for f in failures if f.endswith(": spectrum_numeric requires a symmetric matrix")
+        ]
+        case = raised[0].split(":")[0]
+        assert case.startswith("case ")
+        assert failures.index(f"{case}: gram_out differs from H^T H") < failures.index(raised[0])
+        assert len(raised) > 1  # one per case at most, so later cases still ran
 
     def test_check_failures_exit_1(self, runner, monkeypatch):
         from kgtopos import cli as cli_module

@@ -191,6 +191,42 @@ class TestTranspose:
         )
 
 
+def seeded_multigraph() -> KnowledgeGraph:
+    """2000 distinct triples over 700 entities and 3 predicates, seed 2000."""
+    rng = Random(2000)
+    entities = tuple(f"e{i}" for i in range(700))
+    predicates = ("p0", "p1", "p2")
+    triples: dict[Triple, None] = {}
+    while len(triples) < 2000:
+        triples[
+            Triple(rng.choice(entities), rng.choice(predicates), rng.choice(entities))
+        ] = None
+    return KnowledgeGraph(entities, predicates, tuple(triples))
+
+
+@st.composite
+def integer_matrices(draw, max_dim=12):
+    """Sparse or dense integer matrices up to max_dim x max_dim, with
+    planted zero rows, zero columns and dependent rows."""
+    rows, cols = draw(st.integers(0, max_dim)), draw(st.integers(0, max_dim))
+    values = draw(
+        st.sampled_from([st.integers(-4, 4), st.sampled_from([0] * 8 + [-2, -1, 1, 3])])
+    )
+    entries = draw(st.lists(values, min_size=rows * cols, max_size=rows * cols))
+    matrix = [entries[i * cols : (i + 1) * cols] for i in range(rows)]
+    if rows >= 3 and draw(st.booleans()):
+        a, b = draw(st.integers(-3, 3)), draw(st.integers(-3, 3))
+        matrix[-1] = [a * x + b * y for x, y in zip(matrix[0], matrix[1])]
+    for i in draw(st.sets(st.integers(0, max_dim - 1), max_size=3)):
+        if i < rows:
+            matrix[i] = [0] * cols
+    for j in draw(st.sets(st.integers(0, max_dim - 1), max_size=3)):
+        if j < cols:
+            for row in matrix:
+                row[j] = 0
+    return IntMatrix(rows, cols, tuple(x for row in matrix for x in row))
+
+
 class TestFibreOperators:
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 10**9), st.integers(0, 3))
@@ -223,15 +259,7 @@ class TestFibreOperators:
         assert verify.check_gram(fan_kg) == ["gram_out differs from H^T H"]
 
     def test_two_thousand_triples_within_budget(self):
-        rng = Random(2000)
-        entities = tuple(f"e{i}" for i in range(700))
-        predicates = ("p0", "p1", "p2")
-        triples: dict[Triple, None] = {}
-        while len(triples) < 2000:
-            triples[
-                Triple(rng.choice(entities), rng.choice(predicates), rng.choice(entities))
-            ] = None
-        kg = KnowledgeGraph(entities, predicates, tuple(triples))
+        kg = seeded_multigraph()
         start = time.perf_counter()
         built = [
             build(kg)
@@ -283,6 +311,32 @@ class TestRank:
         kg = random_kg(Random(seed), max_entities=10, max_triples=25)
         assert rank_exact(head_incidence(kg)) == len(set(kg.heads))
         assert rank_exact(tail_incidence(kg)) == len(set(kg.tails))
+
+    @settings(max_examples=200, deadline=None)
+    @given(integer_matrices())
+    @example(IntMatrix.zeros(0, 5))
+    @example(IntMatrix.zeros(5, 0))
+    @example(IntMatrix.zeros(0, 0))
+    def test_sparse_elimination_against_bareiss_and_fractions(self, matrix):
+        expected = rank_over_q(matrix.to_rows())
+        assert rank_exact(matrix) == verify._rank_bareiss(matrix) == expected
+
+    def test_two_thousand_triples_rank_within_budget(self):
+        # One nonzero per column: elimination never reduces a row, O(nnz).
+        kg = seeded_multigraph()
+        start = time.perf_counter()
+        assert verify.check_rank(kg) == []
+        assert time.perf_counter() - start < 3.0
+
+    def test_dense_sign_matrix_within_budget(self):
+        # Guards against coefficient growth: each reduced row is divided by
+        # the gcd of its entries, so they stay the size of the minors.
+        rng = Random(100)
+        matrix = IntMatrix(100, 100, tuple(rng.choice((-1, 1)) for _ in range(10_000)))
+        start = time.perf_counter()
+        rank = rank_exact(matrix)
+        assert time.perf_counter() - start < 2.0
+        assert rank == verify._rank_bareiss(matrix)
 
 
 class TestSpectrum:
