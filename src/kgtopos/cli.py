@@ -284,7 +284,7 @@ def global_cmd(graph, presheaf, topology, max_path_length, sieve_cap) -> None:
 def omega_cmd(graph, topology, max_path_length, sieve_cap) -> None:
     """Emit the subobject classifier of the site."""
     site = build_site(_read_graph(graph), topology, max_path_length, sieve_cap)
-    classifier = build_omega(site, sieve_cap)
+    classifier = build_omega(site)
     _emit_json(
         {
             "section_counts": {

@@ -103,24 +103,24 @@ class IntMatrix:
         )
 
 
-def head_incidence(kg: KnowledgeGraph) -> IntMatrix:
-    """n x m matrix with entry (i, j) = 1 iff entity i heads triple j."""
+def _incidence(kg: KnowledgeGraph, ends: tuple[str, ...]) -> IntMatrix:
+    """n x m matrix with entry (i, j) = 1 iff entity i is ends[j]."""
     idx = kg.entity_index
     n, m = kg.entity_count, kg.triple_count
     entries = [0] * (n * m)
-    for j, t in enumerate(kg.triples):
-        entries[idx[t.head] * m + j] = 1
+    for j, end in enumerate(ends):
+        entries[idx[end] * m + j] = 1
     return IntMatrix(n, m, tuple(entries))
+
+
+def head_incidence(kg: KnowledgeGraph) -> IntMatrix:
+    """n x m matrix with entry (i, j) = 1 iff entity i heads triple j."""
+    return _incidence(kg, kg.heads)
 
 
 def tail_incidence(kg: KnowledgeGraph) -> IntMatrix:
     """n x m matrix with entry (i, j) = 1 iff entity i is the tail of triple j."""
-    idx = kg.entity_index
-    n, m = kg.entity_count, kg.triple_count
-    entries = [0] * (n * m)
-    for j, t in enumerate(kg.triples):
-        entries[idx[t.tail] * m + j] = 1
-    return IntMatrix(n, m, tuple(entries))
+    return _incidence(kg, kg.tails)
 
 
 def _fibre_operator(

@@ -12,6 +12,9 @@ saturated topology the covering sieves on an object are closed under
 intersection, so the colimit defining the plus construction is simply
 the set of matching families on the minimum covering sieve; that is how
 it is computed here, with deterministically ordered representatives.
+
+The subobject classifier's closed sieves come from the fold that builds
+the path topology; the sieve-lattice scan is left to the oracles.
 """
 
 from __future__ import annotations
@@ -24,17 +27,15 @@ from typing import Iterable, Mapping
 from .errors import (
     GluingError,
     NaturalityError,
-    PresheafError,
     SchemaError,
     SizeCapError,
     UniquenessError,
 )
 from .freecat import FreeCategory, Path, compose, path_key
 from .sites import (
-    DEFAULT_SIEVE_CAP,
     Sieve,
     Site,
-    enumerate_sieves,
+    _fold_over_triples,
     pullback_sieve,
     sieve_generated_by,
 )
@@ -334,6 +335,20 @@ class SheafCheck:
     def __bool__(self) -> bool:
         return self.is_sheaf
 
+    @classmethod
+    def refuted(cls, family: MatchingFamily, glued: list[str]) -> SheafCheck:
+        """The failure witnessed by a matching family on a covering sieve
+        whose amalgamations `glued` are not exactly one."""
+        return cls(
+            False,
+            {
+                "object": family.sieve.obj,
+                "sieve": family.sieve.keys(),
+                "family": {path_key(p): v for p, v in family.assignment.items()},
+                "amalgamations": glued,
+            },
+        )
+
 
 def is_sheaf(presheaf: Presheaf, site: Site) -> SheafCheck:
     """Exactly one amalgamation for every matching family on every
@@ -354,17 +369,7 @@ def is_sheaf(presheaf: Presheaf, site: Site) -> SheafCheck:
                 trace = tuple(family.assignment[f] for f in members)
                 glued = by_trace.get(trace, [])
                 if len(glued) != 1:
-                    return SheafCheck(
-                        False,
-                        {
-                            "object": obj,
-                            "sieve": sieve.keys(),
-                            "family": {
-                                path_key(p): v for p, v in family.assignment.items()
-                            },
-                            "amalgamations": glued,
-                        },
-                    )
+                    return SheafCheck.refuted(family, glued)
     return SheafCheck(True)
 
 
@@ -392,35 +397,15 @@ def glue(presheaf: Presheaf, family: MatchingFamily) -> str:
 
 def global_sections(presheaf: Presheaf) -> list[dict[str, str]]:
     """All object-indexed families of sections commuting with every
-    restriction, in deterministic order."""
-    cat = presheaf.cat
-    kg = cat.kg
-    objects = list(cat.objects)
-    results: list[dict[str, str]] = []
-    chosen: dict[str, str] = {}
-
-    def consistent(obj: str) -> bool:
-        for i in kg.head_fibres[obj] + kg.tail_fibres[obj]:
-            t = kg.triples[i]
-            if t.head in chosen and t.tail in chosen:
-                if presheaf.restrictions[i][chosen[t.tail]] != chosen[t.head]:
-                    return False
-        return True
-
-    def search(k: int) -> None:
-        if k == len(objects):
-            results.append(dict(chosen))
-            return
-        obj = objects[k]
-        for s in presheaf.sections[obj]:
-            chosen[obj] = s
-            if consistent(obj):
-                search(k + 1)
-            del chosen[obj]
-
-    search(0)
-    del search  # breaks the search -> closure -> search cycle
-    return results
+    restriction, in deterministic order: the maps from the terminal
+    presheaf, Hom(1, P), read at its one section."""
+    cap = max([1, *(len(labels) for labels in presheaf.sections.values())])
+    return [
+        {obj: component["*"] for obj, component in point.components.items()}
+        for point in enumerate_nat_transformations(
+            terminal_presheaf(presheaf.cat), presheaf, cap
+        )
+    ]
 
 
 @dataclass(frozen=True)
@@ -499,11 +484,7 @@ def enumerate_nat_transformations(
 
     def candidate_maps(obj: str) -> Iterable[dict[str, str]]:
         domain = f.sections[obj]
-        codomain = g.sections[obj]
-        if not domain:
-            yield {}
-            return
-        for values in product(codomain, repeat=len(domain)):
+        for values in product(g.sections[obj], repeat=len(domain)):
             yield dict(zip(domain, values))
 
     def search(k: int) -> None:
@@ -664,46 +645,23 @@ def sieve_label(sieve: Sieve) -> str:
     return "{" + ";".join(sieve.keys()) + "}"
 
 
-def is_closed_sieve(site: Site, sieve: Sieve) -> bool:
-    """J-closed: any morphism whose pullback of the sieve covers already
-    belongs to the sieve."""
-    cat = site.category
-    for g in cat.morphisms_into(sieve.obj):
-        if g not in sieve.members and site.topology.covers(
-            pullback_sieve(cat, sieve, g)
-        ):
-            return False
-    return True
+def omega(site: Site) -> Presheaf:
+    """Subobject classifier: closed sieves with pullback as restriction.
 
-
-def omega(site: Site, sieve_cap: int = DEFAULT_SIEVE_CAP) -> Presheaf:
-    """Subobject classifier: closed sieves with pullback as restriction."""
-    cat = site.category
-    closed: dict[str, list[Sieve]] = {}
-    for obj in cat.objects:
-        closed[obj] = [
-            s
-            for s in enumerate_sieves(cat, obj, sieve_cap)
-            if is_closed_sieve(site, s)
-        ]
-        closed[obj].sort(key=lambda s: (len(s.members), s.keys()))
-    sections = {
-        obj: tuple(sieve_label(s) for s in closed[obj]) for obj in cat.objects
-    }
+    A sieve other than the maximal one is closed iff it does not cover
+    and its pullback along every triple into its object is closed."""
+    cat, topology = site.category, site.topology
+    closed = _fold_over_triples(cat, lambda s: not topology.covers(s))
+    for sieves in closed.values():
+        sieves.sort(key=lambda s: (len(s.members), s.keys()))
+    sections = {obj: tuple(map(sieve_label, closed[obj])) for obj in cat.objects}
     restrictions: dict[int, dict[str, str]] = {}
     for i, t in enumerate(cat.kg.triples):
         gen = cat.generator_path(i)
-        table = {}
-        for s in closed[t.tail]:
-            pulled = pullback_sieve(cat, s, gen)
-            table[sieve_label(s)] = sieve_label(pulled)
-        known = set(sections[t.head])
-        missing = [v for v in table.values() if v not in known]
-        if missing:
-            raise PresheafError(
-                f"pullback along triple {i} left the closed-sieve lattice: {missing}"
-            )
-        restrictions[i] = table
+        restrictions[i] = {
+            sieve_label(s): sieve_label(pullback_sieve(cat, s, gen))
+            for s in closed[t.tail]
+        }
     return Presheaf(cat, sections, restrictions)
 
 

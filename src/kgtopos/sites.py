@@ -7,19 +7,19 @@ each triple t: a -> b, and pulling back along t reads off component t.
 So the path topology is J(b) = {max} + prod_{t: a -> b} J(a), with
 J = {max} at sources, and the atomic topology is {max} at every object,
 since an acyclic graph's free category has only identities as
-isomorphisms.  path_topology and atomic_topology build these directly.
+isomorphisms.  path_topology and atomic_topology build these directly;
+`sheaves.omega` builds the closed sieves by the same fold.
 
-generate_topology, the fixed-point saturation of a coverage over the
-finite sieve lattice, is kept as the oracle that `verify` compares both
-closed forms with; verify_topology_axioms re-checks the axioms
-exhaustively.
+enumerate_sieves, the scan of the whole sieve lattice, serves only the
+oracles: generate_topology, the saturation of a coverage that `verify`
+compares both closed forms with, and verify_topology_axioms.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import product
-from typing import Iterable, Mapping
+from typing import Callable, Iterable, Mapping
 
 from .errors import SizeCapError, TopologyError
 from .freecat import FreeCategory, Path, compose, path_key
@@ -254,6 +254,29 @@ def path_coverage(cat: FreeCategory) -> dict[str, list[list[Path]]]:
     }
 
 
+def _fold_over_triples(
+    cat: FreeCategory, admit: Callable[[Sieve], bool]
+) -> dict[str, list[Sieve]]:
+    """Per object b, the maximal sieve and then every admitted sieve
+    {h.t : h in S_t} built from one sieve S_t kept at the head of each
+    triple t into b; at a source the only candidate is the empty sieve.
+    Objects are visited in order of their longest incoming path, so the
+    sieves kept at every head are known when its tails are reached."""
+    kept: dict[str, list[Sieve]] = {}
+    depth = {obj: max(map(len, cat.morphisms_into(obj))) for obj in cat.objects}
+    for obj in sorted(cat.objects, key=depth.__getitem__):
+        # components[k] lists the possible components along the k-th triple.
+        components = [
+            [frozenset(compose(h, t) for h in s.members) for s in kept[t.source]]
+            for t in map(cat.generator_path, cat.kg.tail_fibres[obj])
+        ]
+        candidates = (
+            Sieve(obj, frozenset().union(*choice)) for choice in product(*components)
+        )
+        kept[obj] = [maximal_sieve(cat, obj), *filter(admit, candidates)]
+    return kept
+
+
 def path_topology(
     cat: FreeCategory, sieve_cap: int = DEFAULT_SIEVE_CAP
 ) -> Topology:
@@ -262,28 +285,12 @@ def path_topology(
 
     J(b) is the maximal sieve plus, for each choice of a covering sieve
     S_t on the head of every triple t into b, the sieve of all h.t with
-    h in S_t.  Objects are visited in order of their longest incoming
-    path, so J of every head is known when its tails are reached.
+    h in S_t.
     """
     _require_sieve_lattices(cat, sieve_cap)
-    covering: dict[str, frozenset[Sieve]] = {}
-    depth = {
-        obj: max(len(p) for p in cat.morphisms_into(obj)) for obj in cat.objects
-    }
-    for obj in sorted(cat.objects, key=depth.__getitem__):
-        # components[k] lists the possible components along the k-th triple.
-        components = [
-            [frozenset(compose(h, t) for h in s.members) for s in covering[t.source]]
-            for t in map(cat.generator_path, cat.kg.tail_fibres[obj])
-        ]
-        sieves = {maximal_sieve(cat, obj)}
-        if components:
-            sieves.update(
-                Sieve(obj, frozenset().union(*choice))
-                for choice in product(*components)
-            )
-        covering[obj] = frozenset(sieves)
-    return Topology({obj: covering[obj] for obj in cat.objects})
+    # At a source only the maximal sieve covers, so its empty candidate is refused.
+    covering = _fold_over_triples(cat, lambda s: bool(cat.kg.tail_fibres[s.obj]))
+    return Topology({obj: frozenset(covering[obj]) for obj in cat.objects})
 
 
 def build_site(

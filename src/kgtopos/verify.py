@@ -4,7 +4,8 @@ Each check compares an implementation against an independent route:
 matrix identities against direct recomputation from triples, component
 partitions against fibre grouping, spectra against a dense eigensolver,
 morphism counts against walk counting by matrix powers, closed-form
-topologies against saturation over the sieve lattice, hom-set
+topologies against saturation over the sieve lattice, the subobject
+classifier against a closedness scan of that lattice, hom-set
 cardinalities against brute-force enumeration, and so on.  Checks are
 seeded and deterministic; size-gated checks report 'skipped' with a
 reason instead of silently passing.
@@ -29,7 +30,6 @@ from .freecat import (
     extend_functor,
     identity_functor,
     induced_functor,
-    path_key,
 )
 from .kg import (
     KnowledgeGraph,
@@ -52,21 +52,25 @@ from .sheaves import (
     check_adjunction,
     count_subsheaves,
     enumerate_matching_families,
-    enumerate_nat_transformations,
+    global_sections,
     is_sheaf,
     omega,
     sheafify,
+    sieve_label,
     terminal_presheaf,
 )
 from .sites import (
     DEFAULT_SIEVE_CAP,
+    Sieve,
     Site,
     Topology,
     atomic_topology,
     check_inclusion,
+    enumerate_sieves,
     generate_topology,
     path_coverage,
     path_topology,
+    pullback_sieve,
     verify_topology_axioms,
 )
 
@@ -428,6 +432,42 @@ def check_topologies_against_saturation(
     return failures
 
 
+def _closed_sieves_by_scan(
+    site: Site, sieve_cap: int = DEFAULT_SIEVE_CAP
+) -> dict[str, list[Sieve]]:
+    """Oracle for omega: every sieve of the lattice scan that is J-closed
+    (no morphism outside it pulls it back to a covering sieve), in
+    omega's section order."""
+    cat, topology = site.category, site.topology
+
+    def closed(s: Sieve) -> bool:
+        return not any(
+            g not in s.members and topology.covers(pullback_sieve(cat, s, g))
+            for g in cat.morphisms_into(s.obj)
+        )
+
+    return {
+        obj: sorted(
+            filter(closed, enumerate_sieves(cat, obj, sieve_cap)),
+            key=lambda s: (len(s.members), s.keys()),
+        )
+        for obj in cat.objects
+    }
+
+
+def check_omega_against_scan(
+    classifier: Presheaf, site: Site, sieve_cap: int = DEFAULT_SIEVE_CAP
+) -> list[str]:
+    """omega's sections, object by object and in order, against the
+    closed sieves found by scanning the sieve lattice."""
+    scanned = _closed_sieves_by_scan(site, sieve_cap)
+    return [
+        f"omega sections at {obj} differ from the closed-sieve scan"
+        for obj in site.category.objects
+        if classifier.sections[obj] != tuple(map(sieve_label, scanned[obj]))
+    ]
+
+
 # --- random property suites -------------------------------------------
 
 
@@ -538,17 +578,7 @@ def _is_sheaf_by_scan(presheaf: Presheaf, site: Site) -> SheafCheck:
             for family in enumerate_matching_families(presheaf, sieve):
                 glued = amalgamations(presheaf, family)
                 if len(glued) != 1:
-                    return SheafCheck(
-                        False,
-                        {
-                            "object": obj,
-                            "sieve": sieve.keys(),
-                            "family": {
-                                path_key(p): v for p, v in family.assignment.items()
-                            },
-                            "amalgamations": glued,
-                        },
-                    )
+                    return SheafCheck.refuted(family, glued)
     return SheafCheck(True)
 
 
@@ -642,16 +672,14 @@ def suite_omega(seed: int, cases: int = 10) -> list[CheckResult]:
         ):
             site = Site(cat, topology)
             classifier = omega(site)
+            for failure in check_omega_against_scan(classifier, site):
+                failures.append(f"case {case} ({name}): {failure}")
             if not _is_sheaf_against_scan(
                 classifier, site, failures, f"case {case} (omega, {name})"
             ):
                 failures.append(f"case {case}: omega ({name}) is not a sheaf")
-            terminal = terminal_presheaf(cat)
-            subsheaves = count_subsheaves(terminal, site)
-            cap = max(
-                (len(v) for v in classifier.sections.values()), default=1
-            )
-            homs = enumerate_nat_transformations(terminal, classifier, cap)
+            subsheaves = count_subsheaves(terminal_presheaf(cat), site)
+            homs = global_sections(classifier)
             if subsheaves != len(homs):
                 failures.append(
                     f"case {case}: {subsheaves} subsheaves of the terminal "
@@ -715,18 +743,17 @@ def graph_checks(
     results.append(
         _run("freecat.fibres", lambda: check_fibres_match_partitions(kg))
     )
+    reason = None
     if cat is None or not cat.complete:
         reason = "free category unavailable or truncated"
-        for name in ("sites.axioms", "sites.inclusion", "sheaf.omega", "sheaf.adjunction"):
-            results.append(CheckResult(name, "skipped", reason, 0.0))
-        return results
-    if cat.total_morphisms > SITE_CHECK_MORPHISM_LIMIT or any(
+    elif cat.total_morphisms > SITE_CHECK_MORPHISM_LIMIT or any(
         len(cat.morphisms_into(obj)) > sieve_cap for obj in cat.objects
     ):
         reason = (
             f"category has {cat.total_morphisms} morphisms; site and sheaf "
             f"checks are gated at {SITE_CHECK_MORPHISM_LIMIT} and sieve cap {sieve_cap}"
         )
+    if reason is not None:
         for name in ("sites.axioms", "sites.inclusion", "sheaf.omega", "sheaf.adjunction"):
             results.append(CheckResult(name, "skipped", reason, 0.0))
         return results
@@ -757,7 +784,12 @@ def graph_checks(
     def omega_check() -> list[str]:
         failures = []
         for name, site in (("path", path_site), ("atomic", atomic_site)):
-            if not is_sheaf(omega(site, sieve_cap), site):
+            classifier = omega(site)
+            failures.extend(
+                f"{name}: {failure}"
+                for failure in check_omega_against_scan(classifier, site, sieve_cap)
+            )
+            if not is_sheaf(classifier, site):
                 failures.append(f"omega on the {name} site fails the sheaf condition")
         return failures
 

@@ -5,6 +5,7 @@ from itertools import product
 from random import Random
 
 import pytest
+from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -38,10 +39,16 @@ from kgtopos import (
     sieve_generated_by,
     terminal_presheaf,
 )
+from kgtopos.cli import main
 from kgtopos.randgen import random_presheaf, random_small_category
-from kgtopos.sheaves import count_subsheaves, enumerate_subpresheaves, restrict
-from kgtopos.sites import atomic_topology, path_topology
-from kgtopos.verify import _is_sheaf_by_scan
+from kgtopos.sheaves import (
+    count_subsheaves,
+    enumerate_subpresheaves,
+    restrict,
+    sieve_label,
+)
+from kgtopos.sites import atomic_topology, path_topology, pullback_sieve
+from kgtopos.verify import _closed_sieves_by_scan, _is_sheaf_by_scan
 
 
 def tiny_site(seed, **kwargs) -> Site:
@@ -325,7 +332,7 @@ class TestIsSheaf:
         text = "".join(f"{a} r{n} {b}\n" for n, (a, b) in enumerate(edges))
         site = build_site(parse_kg(text), "path", sieve_cap=15)
         start = time.perf_counter()
-        classifier = omega(site, sieve_cap=15)
+        classifier = omega(site)
         check = is_sheaf(classifier, site)
         elapsed = time.perf_counter() - start
         assert check
@@ -676,6 +683,51 @@ class TestOmega:
     def test_omega_is_sheaf(self, fan_path_site, fan_atomic_site):
         assert is_sheaf(omega(fan_path_site), fan_path_site)
         assert is_sheaf(omega(fan_atomic_site), fan_atomic_site)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 10**9))
+    def test_fold_matches_closed_sieve_scan(self, seed):
+        # Sections in order and restriction tables, on both topologies.
+        cat = random_small_category(
+            Random(seed), max_entities=5, max_triples=6, max_morphisms=40, sieve_cap=8
+        )
+        for topology in (path_topology(cat), atomic_topology(cat)):
+            site = Site(cat, topology)
+            classifier, scanned = omega(site), _closed_sieves_by_scan(site)
+            assert list(classifier.sections.items()) == [
+                (obj, tuple(map(sieve_label, scanned[obj]))) for obj in cat.objects
+            ]
+            assert classifier.restrictions == {
+                i: {
+                    sieve_label(s): sieve_label(
+                        pullback_sieve(cat, s, cat.generator_path(i))
+                    )
+                    for s in scanned[t.tail]
+                }
+                for i, t in enumerate(cat.kg.triples)
+            }
+
+    @pytest.mark.parametrize(
+        "topology, counts",
+        [("path", [2] * 25), ("atomic", list(range(2, 27)))],
+        ids=["path", "atomic"],
+    )
+    def test_omega_on_long_chain_within_budget(self, tmp_path, topology, counts):
+        # 25 morphisms into the chain's end.  On a 2-vCPU host the sieve
+        # lattice scan took about 13 s per topology here.
+        graph = tmp_path / "chain.txt"
+        graph.write_text("".join(f"A{k} r{k} A{k + 1}\n" for k in range(24)))
+        start = time.perf_counter()
+        result = CliRunner().invoke(
+            main,
+            ["sheaf", "omega", str(graph), "--topology", topology, "--sieve-cap", "25"],
+        )
+        elapsed = time.perf_counter() - start
+        assert result.exit_code == 0, result.output
+        report = json.loads(result.output)
+        assert report["is_sheaf"]
+        assert list(report["section_counts"].values()) == counts
+        assert elapsed < 2.0, f"sheaf omega ({topology}) took {elapsed:.1f} s"
 
     def test_classifies_subsheaves_of_terminal(self, fan_path_site, fan_atomic_site):
         for site in (fan_path_site, fan_atomic_site):
