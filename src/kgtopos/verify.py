@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from functools import partial
 from random import Random
 
 from . import matrices as mx
@@ -39,6 +40,7 @@ from .kg import (
     serialize_kg,
 )
 from .randgen import (
+    SAMPLE_ATTEMPTS,
     random_acyclic_hom,
     random_kg,
     random_presheaf,
@@ -63,7 +65,6 @@ from .sites import (
     DEFAULT_SIEVE_CAP,
     Sieve,
     Site,
-    Topology,
     atomic_topology,
     check_inclusion,
     enumerate_sieves,
@@ -206,14 +207,13 @@ def check_line_operator_identity(kg: KnowledgeGraph) -> list[str]:
 
 def check_rank(kg: KnowledgeGraph) -> list[str]:
     failures = []
-    heads = len(set(kg.heads))
-    tails = len(set(kg.tails))
-    got_h = mx.rank_exact(mx.head_incidence(kg))
-    got_t = mx.rank_exact(mx.tail_incidence(kg))
-    if got_h != heads:
-        failures.append(f"rank of head incidence {got_h} != distinct heads {heads}")
-    if got_t != tails:
-        failures.append(f"rank of tail incidence {got_t} != distinct tails {tails}")
+    for name, matrix, ends in (
+        ("head", mx.head_incidence(kg), kg.heads),
+        ("tail", mx.tail_incidence(kg), kg.tails),
+    ):
+        got, want = mx.rank_exact(matrix), len(set(ends))
+        if got != want:
+            failures.append(f"rank of {name} incidence {got} != distinct {name}s {want}")
     return failures
 
 
@@ -293,6 +293,19 @@ def check_line_digraph_consistency(kg: KnowledgeGraph) -> list[str]:
             if row != from_matrix:
                 failures.append(f"{name}-line digraph row {i} differs from matrix")
     return failures
+
+
+# The incidence and line checks, run on the given graph and on every
+# incidence/line suite case.
+_INCIDENCE_LINE_CHECKS = (
+    ("incidence.column_sums", check_column_sums),
+    ("incidence.gram", check_gram),
+    ("incidence.line_operator_identity", check_line_operator_identity),
+    ("incidence.rank", check_rank),
+    ("incidence.spectrum", check_spectrum),
+    ("line.scc_theorem", check_scc_theorem),
+    ("line.matrix_consistency", check_line_digraph_consistency),
+)
 
 
 def expected_morphism_count(kg: KnowledgeGraph) -> int:
@@ -414,24 +427,6 @@ def _isomorphisms_into(cat: FreeCategory, obj: str) -> list[Path]:
     return isos
 
 
-def check_topologies_against_saturation(
-    cat: FreeCategory, path: Topology, atomic: Topology, sieve_cap: int
-) -> list[str]:
-    """The closed-form topologies against saturation of the coverages
-    that define them: all triples into each object, and isomorphisms."""
-    failures = []
-    isomorphism_coverage = {
-        obj: [[iso] for iso in _isomorphisms_into(cat, obj)] for obj in cat.objects
-    }
-    for name, topology, coverage in (
-        ("path", path, path_coverage(cat)),
-        ("atomic", atomic, isomorphism_coverage),
-    ):
-        if topology != generate_topology(cat, coverage, sieve_cap):
-            failures.append(f"{name} topology differs from saturation of its coverage")
-    return failures
-
-
 def _closed_sieves_by_scan(
     site: Site, sieve_cap: int = DEFAULT_SIEVE_CAP
 ) -> dict[str, list[Sieve]]:
@@ -455,121 +450,6 @@ def _closed_sieves_by_scan(
     }
 
 
-def check_omega_against_scan(
-    classifier: Presheaf, site: Site, sieve_cap: int = DEFAULT_SIEVE_CAP
-) -> list[str]:
-    """omega's sections, object by object and in order, against the
-    closed sieves found by scanning the sieve lattice."""
-    scanned = _closed_sieves_by_scan(site, sieve_cap)
-    return [
-        f"omega sections at {obj} differ from the closed-sieve scan"
-        for obj in site.category.objects
-        if classifier.sections[obj] != tuple(map(sieve_label, scanned[obj]))
-    ]
-
-
-# --- random property suites -------------------------------------------
-
-
-def _suite(name: str, cases: int, run_case) -> list[CheckResult]:
-    """One CheckResult for `cases` seeded cases; run_case(case, failures)
-    appends its failure strings.  A library error other than a size cap
-    ends only its own case and becomes that case's failure."""
-
-    def body() -> list[str]:
-        failures: list[str] = []
-        for case in range(cases):
-            try:
-                run_case(case, failures)
-            except SizeCapError:
-                raise
-            except KgToposError as exc:
-                failures.append(f"case {case}: {exc}")
-        return failures
-
-    return [_run(f"{name}[{cases}]", body)]
-
-
-def suite_incidence_line(
-    seed: int, cases: int = 200, max_entities: int = 20, max_triples: int = 60
-) -> list[CheckResult]:
-    def run_case(case: int, failures: list[str]) -> None:
-        for failure in check_rank_against_bareiss(_case_rng("rank", seed, case)):
-            failures.append(f"case {case}: {failure}")
-        rng = _case_rng("incidence", seed, case)
-        kg = random_kg(rng, max_entities, max_triples)
-        for check in (
-            check_column_sums,
-            check_gram,
-            check_line_operator_identity,
-            check_rank,
-            check_spectrum,
-            check_scc_theorem,
-            check_line_digraph_consistency,
-        ):
-            for failure in check(kg):
-                failures.append(f"case {case}: {failure}")
-
-    return _suite("suite.incidence_line", cases, run_case)
-
-
-def suite_categories(seed: int, cases: int = 100) -> list[CheckResult]:
-    def run_case(case: int, failures: list[str]) -> None:
-        rng = _case_rng("categories", seed, case)
-        cat = random_small_category(
-            rng, max_entities=8, max_triples=10, max_morphisms=250
-        )
-        for failure in check_walk_count(cat):
-            failures.append(f"case {case}: {failure}")
-        for failure in check_fibres_match_partitions(cat.kg):
-            failures.append(f"case {case}: {failure}")
-        for failure in check_extend_functor(cat, rng):
-            failures.append(f"case {case}: {failure}")
-        for failure in check_functoriality_of_homs(cat.kg, rng):
-            failures.append(f"case {case}: {failure}")
-
-    return _suite("suite.categories", cases, run_case)
-
-
-def suite_topologies(
-    seed: int, cases: int = 50, sieve_cap: int = DEFAULT_SIEVE_CAP
-) -> list[CheckResult]:
-    def run_case(case: int, failures: list[str]) -> None:
-        rng = _case_rng("topologies", seed, case)
-        cat = random_small_category(
-            rng,
-            max_entities=6,
-            max_triples=7,
-            max_morphisms=60,
-            sieve_cap=min(10, sieve_cap),
-        )
-        path = path_topology(cat, sieve_cap)
-        atomic = atomic_topology(cat, sieve_cap)
-        for failure in check_topologies_against_saturation(
-            cat, path, atomic, sieve_cap
-        ):
-            failures.append(f"case {case}: {failure}")
-        for name, topology in (("path", path), ("atomic", atomic)):
-            report = verify_topology_axioms(Site(cat, topology), sieve_cap)
-            for violation in report.violations:
-                failures.append(f"case {case} ({name}): {violation}")
-        if not check_inclusion(atomic, path):
-            failures.append(f"case {case}: atomic topology not inside path topology")
-        regenerated = generate_topology(
-            cat,
-            {
-                obj: [s.sorted_members() for s in path.covering_sieves(obj)]
-                for obj in cat.objects
-                if path.covering_sieves(obj)
-            },
-            sieve_cap,
-        )
-        if regenerated != path:
-            failures.append(f"case {case}: saturation is not idempotent")
-
-    return _suite("suite.topologies", cases, run_case)
-
-
 def _is_sheaf_by_scan(presheaf: Presheaf, site: Site) -> SheafCheck:
     """Oracle for is_sheaf: every matching family's amalgamations found
     by scanning every section against every sieve member."""
@@ -583,49 +463,98 @@ def _is_sheaf_by_scan(presheaf: Presheaf, site: Site) -> SheafCheck:
 
 
 def _is_sheaf_against_scan(
-    presheaf: Presheaf, site: Site, failures: list[str], label: str
+    presheaf: Presheaf, site: Site, failures: list[str], what: str
 ) -> SheafCheck:
     """is_sheaf, appending a failure when the scan oracle's SheafCheck,
     counterexample included, differs."""
     check = is_sheaf(presheaf, site)
     if check != _is_sheaf_by_scan(presheaf, site):
-        failures.append(f"{label}: is_sheaf disagrees with the amalgamation scan")
+        failures.append(f"is_sheaf disagrees with the amalgamation scan on {what}")
     return check
 
 
-def _tiny_site(rng: Random) -> Site:
-    cat = random_small_category(
-        rng, max_entities=4, max_triples=4, max_morphisms=30, sieve_cap=8
+# --- site, omega and adjunction bodies ----------------------------------
+# Each runs once per graph in graph_checks and once per case in a suite;
+# the brute-force oracles run only in the suites.
+
+
+def _sites(cat: FreeCategory, sieve_cap: int = DEFAULT_SIEVE_CAP) -> tuple[Site, Site]:
+    """The path and the atomic site on cat, each topology built once."""
+    return (
+        Site(cat, path_topology(cat, sieve_cap)),
+        Site(cat, atomic_topology(cat, sieve_cap)),
     )
-    return Site(cat, path_topology(cat))
 
 
-def suite_sheafification(seed: int, cases: int = 30) -> list[CheckResult]:
-    def run_case(case: int, failures: list[str]) -> None:
-        rng = _case_rng("sheafification", seed, case)
-        site = _tiny_site(rng)
-        presheaf = random_presheaf(rng, site.category, max_sections=3)
-        result = sheafify(presheaf, site)
-        if not _is_sheaf_against_scan(
-            result.sheaf, site, failures, f"case {case} (sheafified)"
-        ):
-            failures.append(f"case {case}: sheafified presheaf fails the sheaf condition")
-        again = sheafify(result.sheaf, site)
-        counts = {o: len(s) for o, s in result.sheaf.sections.items()}
-        counts_again = {o: len(s) for o, s in again.sheaf.sections.items()}
-        if counts != counts_again:
-            failures.append(f"case {case}: sheafification not idempotent on counts")
-        if _is_sheaf_against_scan(presheaf, site, failures, f"case {case}"):
-            for obj in site.category.objects:
-                component = result.unit.components[obj]
-                if len(set(component.values())) != len(
-                    presheaf.sections[obj]
-                ) or len(component) != len(result.sheaf.sections[obj]):
-                    failures.append(
-                        f"case {case}: unit not bijective at {obj} on a sheaf"
-                    )
+def _per_site(sites: tuple[Site, Site], check, *args) -> list[str]:
+    """check(site, *args) on the path and the atomic site, each failure
+    named after its topology."""
+    return [
+        f"{name}: {failure}"
+        for name, site in zip(("path", "atomic"), sites)
+        for failure in check(site, *args)
+    ]
 
-    return _suite("suite.sheafification", cases, run_case)
+
+def check_topologies(path: Site, atomic: Site, sieve_cap: int) -> list[str]:
+    """Each closed-form topology against saturation of the coverage that
+    defines it (all triples into each object; isomorphisms) and against
+    the topology axioms."""
+    cat = path.category
+    isomorphism_coverage = {
+        obj: [[iso] for iso in _isomorphisms_into(cat, obj)] for obj in cat.objects
+    }
+    failures = []
+    for name, site, coverage in (
+        ("path", path, path_coverage(cat)),
+        ("atomic", atomic, isomorphism_coverage),
+    ):
+        if site.topology != generate_topology(cat, coverage, sieve_cap):
+            failures.append(f"{name} topology differs from saturation of its coverage")
+        failures.extend(
+            f"{name}: {v}" for v in verify_topology_axioms(site, sieve_cap).violations
+        )
+    return failures
+
+
+def check_site_inclusion(path: Site, atomic: Site) -> list[str]:
+    if check_inclusion(atomic.topology, path.topology):
+        return []
+    return ["atomic covering sieves are not all path-covering"]
+
+
+def check_omega(site: Site, sieve_cap: int = DEFAULT_SIEVE_CAP) -> list[str]:
+    """omega's sections against the closed-sieve scan, and the sheaf
+    condition on omega."""
+    classifier = omega(site)
+    scanned = _closed_sieves_by_scan(site, sieve_cap)
+    failures = [
+        f"omega sections at {obj} differ from the closed-sieve scan"
+        for obj in site.category.objects
+        if classifier.sections[obj] != tuple(map(sieve_label, scanned[obj]))
+    ]
+    if not is_sheaf(classifier, site):
+        failures.append("omega fails the sheaf condition")
+    return failures
+
+
+def check_omega_with_brute_force(site: Site) -> list[str]:
+    """check_omega, then is_sheaf on omega against the amalgamation scan
+    and the subsheaves of the terminal presheaf 1 against Hom(1, omega).
+    These scans visit about |omega(b)|^2 pairs of a matching family and a
+    section at b, and the 2^n subsets of the n objects, so only the
+    suites run them, on their tiny categories."""
+    failures = check_omega(site)
+    classifier = omega(site)
+    _is_sheaf_against_scan(classifier, site, failures, "omega")
+    subsheaves = count_subsheaves(terminal_presheaf(site.category), site)
+    homs = global_sections(classifier)
+    if subsheaves != len(homs):
+        failures.append(
+            f"{subsheaves} subsheaves of the terminal presheaf "
+            f"but {len(homs)} maps into omega"
+        )
+    return failures
 
 
 def _small_path_sheaf(rng: Random, site: Site, section_cap: int = 2):
@@ -643,53 +572,167 @@ def _small_path_sheaf(rng: Random, site: Site, section_cap: int = 2):
     return sheafify(terminal_presheaf(site.category), site).sheaf
 
 
+def check_sheaf_adjunction(rng: Random, path_site: Site, section_cap: int) -> list[str]:
+    """The hom-set bijection of the adjunction between the transports,
+    for a random presheaf and a small path sheaf drawn from rng."""
+    atomic_side = random_presheaf(rng, path_site.category, max_sections=2)
+    path_side = _small_path_sheaf(rng, path_site, section_cap)
+    report = check_adjunction(atomic_side, path_side, path_site, section_cap)
+    if report.passed:
+        return []
+    return [
+        f"hom counts {report.left_count} vs {report.right_count}, "
+        f"bijective={report.bijective}: " + "; ".join(report.details)
+    ]
+
+
+# --- random property suites -------------------------------------------
+
+
+def _suite(name: str, cases: int, run_case) -> list[CheckResult]:
+    """One CheckResult for `cases` seeded cases; run_case(case, failures)
+    appends its failure strings, each reported as `case k: <failure>`.
+    A library error other than a size cap ends only its own case and
+    becomes that case's last failure, after those it had collected."""
+
+    def body() -> list[str]:
+        failures: list[str] = []
+        for case in range(cases):
+            found: list[str] = []
+            try:
+                run_case(case, found)
+            except SizeCapError:
+                raise
+            except KgToposError as exc:
+                found.append(str(exc))
+            failures.extend(f"case {case}: {failure}" for failure in found)
+        return failures
+
+    return [_run(f"{name}[{cases}]", body)]
+
+
+def suite_incidence_line(
+    seed: int, cases: int = 200, max_entities: int = 20, max_triples: int = 60
+) -> list[CheckResult]:
+    def run_case(case: int, failures: list[str]) -> None:
+        failures.extend(check_rank_against_bareiss(_case_rng("rank", seed, case)))
+        kg = random_kg(_case_rng("incidence", seed, case), max_entities, max_triples)
+        for _, check in _INCIDENCE_LINE_CHECKS:
+            failures.extend(check(kg))
+
+    return _suite("suite.incidence_line", cases, run_case)
+
+
+def suite_categories(seed: int, cases: int = 100) -> list[CheckResult]:
+    def run_case(case: int, failures: list[str]) -> None:
+        rng = _case_rng("categories", seed, case)
+        cat = random_small_category(
+            rng, max_entities=8, max_triples=10, max_morphisms=250
+        )
+        failures.extend(check_walk_count(cat))
+        failures.extend(check_fibres_match_partitions(cat.kg))
+        failures.extend(check_extend_functor(cat, rng))
+        failures.extend(check_functoriality_of_homs(cat.kg, rng))
+
+    return _suite("suite.categories", cases, run_case)
+
+
+def suite_topologies(
+    seed: int, cases: int = 50, sieve_cap: int = DEFAULT_SIEVE_CAP
+) -> list[CheckResult]:
+    def run_case(case: int, failures: list[str]) -> None:
+        cat = random_small_category(
+            _case_rng("topologies", seed, case),
+            max_entities=6,
+            max_triples=7,
+            max_morphisms=60,
+            sieve_cap=min(10, sieve_cap),
+        )
+        sites = _sites(cat, sieve_cap)
+        failures.extend(check_topologies(*sites, sieve_cap))
+        failures.extend(check_site_inclusion(*sites))
+        # A second saturation, so the graph's sites.axioms leaves it out.
+        path = sites[0].topology
+        own = {
+            obj: [s.sorted_members() for s in path.covering_sieves(obj)]
+            for obj in cat.objects
+        }
+        if generate_topology(cat, own, sieve_cap) != path:
+            failures.append("saturation is not idempotent")
+
+    return _suite("suite.topologies", cases, run_case)
+
+
+def _tiny_site(rng: Random) -> Site:
+    cat = random_small_category(
+        rng, max_entities=4, max_triples=4, max_morphisms=30, sieve_cap=8
+    )
+    return Site(cat, path_topology(cat))
+
+
+def suite_sheafification(seed: int, cases: int = 30) -> list[CheckResult]:
+    def run_case(case: int, failures: list[str]) -> None:
+        rng = _case_rng("sheafification", seed, case)
+        site = _tiny_site(rng)
+        presheaf = random_presheaf(rng, site.category, max_sections=3)
+        result = sheafify(presheaf, site)
+        if not _is_sheaf_against_scan(
+            result.sheaf, site, failures, "the sheafified presheaf"
+        ):
+            failures.append("sheafified presheaf fails the sheaf condition")
+        again = sheafify(result.sheaf, site)
+        counts = {o: len(s) for o, s in result.sheaf.sections.items()}
+        counts_again = {o: len(s) for o, s in again.sheaf.sections.items()}
+        if counts != counts_again:
+            failures.append("sheafification not idempotent on counts")
+        if _is_sheaf_against_scan(presheaf, site, failures, "the presheaf"):
+            for obj in site.category.objects:
+                component = result.unit.components[obj]
+                if len(set(component.values())) != len(
+                    presheaf.sections[obj]
+                ) or len(component) != len(result.sheaf.sections[obj]):
+                    failures.append(f"unit not bijective at {obj} on a sheaf")
+
+    return _suite("suite.sheafification", cases, run_case)
+
+
 def suite_adjunction(seed: int, cases: int = 20) -> list[CheckResult]:
     def run_case(case: int, failures: list[str]) -> None:
         rng = _case_rng("adjunction", seed, case)
-        site = _tiny_site(rng)
-        atomic_side = random_presheaf(rng, site.category, max_sections=2)
-        path_side = _small_path_sheaf(rng, site, section_cap=2)
-        report = check_adjunction(atomic_side, path_side, site, section_cap=2)
-        if not report.passed:
-            failures.append(
-                f"case {case}: hom counts {report.left_count} vs "
-                f"{report.right_count}, bijective={report.bijective}, "
-                f"{'; '.join(report.details)}"
-            )
+        failures.extend(check_sheaf_adjunction(rng, _tiny_site(rng), section_cap=2))
 
     return _suite("suite.adjunction", cases, run_case)
 
 
-def suite_omega(seed: int, cases: int = 10) -> list[CheckResult]:
-    def run_case(case: int, failures: list[str]) -> None:
-        rng = _case_rng("omega", seed, case)
+def _category_with_a_triple(rng: Random) -> FreeCategory:
+    """A small category redrawn from rng until it has a triple: without
+    one, omega is {max, empty} at every object whatever builds it."""
+    for _ in range(SAMPLE_ATTEMPTS):
         cat = random_small_category(
             rng, max_entities=4, max_triples=3, max_morphisms=20, sieve_cap=6
         )
-        for name, topology in (
-            ("path", path_topology(cat)),
-            ("atomic", atomic_topology(cat)),
-        ):
-            site = Site(cat, topology)
-            classifier = omega(site)
-            for failure in check_omega_against_scan(classifier, site):
-                failures.append(f"case {case} ({name}): {failure}")
-            if not _is_sheaf_against_scan(
-                classifier, site, failures, f"case {case} (omega, {name})"
-            ):
-                failures.append(f"case {case}: omega ({name}) is not a sheaf")
-            subsheaves = count_subsheaves(terminal_presheaf(cat), site)
-            homs = global_sections(classifier)
-            if subsheaves != len(homs):
-                failures.append(
-                    f"case {case}: {subsheaves} subsheaves of the terminal "
-                    f"({name}) but {len(homs)} maps into omega"
-                )
+        if cat.kg.triple_count:
+            return cat
+    raise SizeCapError(f"no category with a triple in {SAMPLE_ATTEMPTS} draws")
+
+
+def suite_omega(seed: int, cases: int = 10) -> list[CheckResult]:
+    def run_case(case: int, failures: list[str]) -> None:
+        cat = _category_with_a_triple(_case_rng("omega", seed, case))
+        failures.extend(_per_site(_sites(cat), check_omega_with_brute_force))
 
     return _suite("suite.omega", cases, run_case)
 
 
 # --- whole-graph verification -----------------------------------------
+
+
+def _gated(reason: str | None, checks) -> list[CheckResult]:
+    """Each (name, body) of checks run, or all SKIPPED with the gate's
+    reason when it has one."""
+    if reason:
+        return [CheckResult(name, "skipped", reason, 0.0) for name, _ in checks]
+    return [_run(name, body) for name, body in checks]
 
 
 def graph_checks(
@@ -699,52 +742,17 @@ def graph_checks(
     section_cap: int = DEFAULT_SECTION_CAP,
 ) -> list[CheckResult]:
     """Every applicable structural check on one graph, size-gated."""
-    results = [
-        _run("kg.roundtrip", lambda: check_roundtrip(kg)),
-        _run("incidence.column_sums", lambda: check_column_sums(kg)),
-        _run("incidence.gram", lambda: check_gram(kg)),
-        _run(
-            "incidence.line_operator_identity",
-            lambda: check_line_operator_identity(kg),
-        ),
-        _run("incidence.rank", lambda: check_rank(kg)),
-        _run("incidence.spectrum", lambda: check_spectrum(kg)),
-        _run("line.scc_theorem", lambda: check_scc_theorem(kg)),
-        _run("line.matrix_consistency", lambda: check_line_digraph_consistency(kg)),
-    ]
-    cat = None
-    start = time.perf_counter()
+    results = [_run("kg.roundtrip", partial(check_roundtrip, kg))]
+    results += [_run(name, partial(check, kg)) for name, check in _INCIDENCE_LINE_CHECKS]
     try:
         cat = build_free_category(kg, max_path_length)
+        reason = None if cat.complete else "hom-sets truncated by the length bound"
     except InfiniteCategoryError as exc:
-        results.append(
-            CheckResult(
-                "freecat.walk_count",
-                "skipped",
-                f"free category unavailable: {exc}",
-                time.perf_counter() - start,
-            )
-        )
-    if cat is not None:
-        if cat.complete:
-            results.append(
-                _run("freecat.walk_count", lambda: check_walk_count(cat))
-            )
-        else:
-            results.append(
-                CheckResult(
-                    "freecat.walk_count",
-                    "skipped",
-                    "hom-sets truncated by the length bound",
-                    0.0,
-                )
-            )
+        cat, reason = None, f"free category unavailable: {exc}"
+    results += _gated(reason, [("freecat.walk_count", partial(check_walk_count, cat))])
     # The fibre index needs no category, so cyclic graphs get it too.
-    results.append(
-        _run("freecat.fibres", lambda: check_fibres_match_partitions(kg))
-    )
-    reason = None
-    if cat is None or not cat.complete:
+    results.append(_run("freecat.fibres", partial(check_fibres_match_partitions, kg)))
+    if reason:
         reason = "free category unavailable or truncated"
     elif cat.total_morphisms > SITE_CHECK_MORPHISM_LIMIT or any(
         len(cat.morphisms_into(obj)) > sieve_cap for obj in cat.objects
@@ -753,62 +761,14 @@ def graph_checks(
             f"category has {cat.total_morphisms} morphisms; site and sheaf "
             f"checks are gated at {SITE_CHECK_MORPHISM_LIMIT} and sieve cap {sieve_cap}"
         )
-    if reason is not None:
-        for name in ("sites.axioms", "sites.inclusion", "sheaf.omega", "sheaf.adjunction"):
-            results.append(CheckResult(name, "skipped", reason, 0.0))
-        return results
-
-    path = path_topology(cat, sieve_cap)
-    atomic = atomic_topology(cat, sieve_cap)
-    path_site, atomic_site = Site(cat, path), Site(cat, atomic)
-
-    def axioms() -> list[str]:
-        failures = check_topologies_against_saturation(cat, path, atomic, sieve_cap)
-        for name, site in (("path", path_site), ("atomic", atomic_site)):
-            failures.extend(
-                f"{name}: {v}"
-                for v in verify_topology_axioms(site, sieve_cap).violations
-            )
-        return failures
-
-    results.append(_run("sites.axioms", axioms))
-    results.append(
-        _run(
-            "sites.inclusion",
-            lambda: []
-            if check_inclusion(atomic, path)
-            else ["atomic covering sieves are not all path-covering"],
-        )
-    )
-
-    def omega_check() -> list[str]:
-        failures = []
-        for name, site in (("path", path_site), ("atomic", atomic_site)):
-            classifier = omega(site)
-            failures.extend(
-                f"{name}: {failure}"
-                for failure in check_omega_against_scan(classifier, site, sieve_cap)
-            )
-            if not is_sheaf(classifier, site):
-                failures.append(f"omega on the {name} site fails the sheaf condition")
-        return failures
-
-    results.append(_run("sheaf.omega", omega_check))
-
-    def adjunction_check() -> list[str]:
-        rng = Random(f"graph-adjunction:{kg.triple_count}")
-        atomic_side = random_presheaf(rng, cat, max_sections=2)
-        path_side = _small_path_sheaf(rng, path_site, section_cap)
-        report = check_adjunction(atomic_side, path_side, path_site, section_cap)
-        if report.passed:
-            return []
-        return [
-            f"hom counts {report.left_count} vs {report.right_count}: "
-            + "; ".join(report.details)
-        ]
-
-    results.append(_run("sheaf.adjunction", adjunction_check))
-    return results
+    sites = None if reason else _sites(cat, sieve_cap)
+    rng = Random(f"graph-adjunction:{kg.triple_count}")
+    return results + _gated(reason, [
+        ("sites.axioms", lambda: check_topologies(*sites, sieve_cap)),
+        ("sites.inclusion", lambda: check_site_inclusion(*sites)),
+        ("sheaf.omega", lambda: _per_site(sites, check_omega, sieve_cap)),
+        ("sheaf.adjunction", lambda: check_sheaf_adjunction(rng, sites[0], section_cap)),
+    ])
 
 
 def run_verification(

@@ -1,4 +1,5 @@
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -360,6 +361,30 @@ class TestVerify:
         result = runner.invoke(main, ["verify", str(wide)])
         assert result.exit_code == 0
         assert "SKIPPED sites.axioms" in result.output
+
+    def test_site_and_sheaf_checks_run_inside_the_site_gate(self, runner, tmp_path):
+        # Nine disjoint triples pass the site gate, and every site and sheaf
+        # check runs on them.  sheaf.omega stays fast: the subsheaf count
+        # over the 2^18 sets of objects runs only in suite.omega.
+        edges = tmp_path / "edges.txt"
+        edges.write_text("".join(f"a{i} r b{i}\n" for i in range(9)))
+        result = runner.invoke(main, ["verify", str(edges), "--format", "json"])
+        assert result.exit_code == 0
+        checks = {c["name"]: c for c in json.loads(result.output)["checks"]}
+        for name in (
+            "sites.axioms", "sites.inclusion", "sheaf.omega", "sheaf.adjunction"
+        ):
+            assert checks[name]["status"] == "pass"
+        assert checks["sheaf.omega"]["seconds"] < 1.0
+
+    def test_fan_random_transcript_matches_golden(self, runner, monkeypatch):
+        # Check names, their order, statuses and the summary line; seconds
+        # are masked as perfbench masks them.
+        monkeypatch.delenv("KGTOPOS_SEED", raising=False)
+        result = runner.invoke(main, ["verify", FAN, "--random", "--cases", "20"])
+        assert result.exit_code == 0
+        masked = re.sub(r"\(\d+\.\d+s\)", "(s)", result.output)
+        assert masked == (DATA / "verify_fan_random20.txt").read_text()
 
     def test_cyclic_graph_skips_category_checks(self, runner, tmp_path):
         loop = tmp_path / "loop.txt"

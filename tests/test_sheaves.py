@@ -47,8 +47,34 @@ from kgtopos.sheaves import (
     restrict,
     sieve_label,
 )
-from kgtopos.sites import atomic_topology, path_topology, pullback_sieve
+from kgtopos.sites import (
+    Topology,
+    atomic_topology,
+    maximal_sieve,
+    path_topology,
+    pullback_sieve,
+)
 from kgtopos.verify import _closed_sieves_by_scan, _is_sheaf_by_scan
+
+
+def local_sheaf_condition(presheaf: Presheaf, site: Site) -> bool:
+    """At every object b with a covering sieve other than the maximal one,
+    x -> (P(t)(x)) over the triples t: a -> b is a bijection from P(b)
+    to the product of the P(a); read off the triples alone, with no
+    dispatch on the kind of site."""
+    cat, kg = site.category, site.category.kg
+    for obj in cat.objects:
+        if set(site.topology.covering_sieves(obj)) <= {maximal_sieve(cat, obj)}:
+            continue
+        into = kg.tail_fibres[obj]
+        images = [
+            tuple(presheaf.restrictions[i][x] for i in into)
+            for x in presheaf.sections[obj]
+        ]
+        targets = product(*(presheaf.sections[kg.triples[i].head] for i in into))
+        if sorted(images) != sorted(targets):
+            return False
+    return True
 
 
 def tiny_site(seed, **kwargs) -> Site:
@@ -319,6 +345,36 @@ class TestIsSheaf:
             rng, site.category, max_sections=3, min_sections=min_sections
         )
         assert is_sheaf(presheaf, site) == _is_sheaf_by_scan(presheaf, site)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 10**9), st.integers(0, 1))
+    def test_local_sheaf_condition(self, seed, min_sections):
+        # The condition a local is_sheaf would decide by, pinned against
+        # today's is_sheaf on the path site, the atomic site and the
+        # unsaturated coverage by the triples into each object.
+        rng = Random(seed)
+        cat = random_small_category(
+            rng, max_entities=4, max_triples=4, max_morphisms=30, sieve_cap=8
+        )
+        presheaf = random_presheaf(
+            rng, cat, max_sections=3, min_sections=min_sections
+        )
+        triples_into = {
+            obj: [cat.generator_path(i) for i in cat.kg.tail_fibres[obj]]
+            for obj in cat.objects
+        }
+        coverage = Topology({
+            obj: frozenset(
+                {maximal_sieve(cat, obj)}
+                | ({sieve_generated_by(cat, obj, into)} if into else set())
+            )
+            for obj, into in triples_into.items()
+        })
+        for topology in (path_topology(cat), atomic_topology(cat), coverage):
+            site = Site(cat, topology)
+            assert bool(is_sheaf(presheaf, site)) == local_sheaf_condition(
+                presheaf, site
+            )
 
     def test_omega_on_layered_dag_within_budget(self):
         # Four layers of two entities, each entity pointing at both of

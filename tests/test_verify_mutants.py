@@ -9,8 +9,9 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
+from kgtopos import linegraph as lg
 from kgtopos import matrices as mx
-from kgtopos import sheaves
+from kgtopos import sheaves, verify
 from kgtopos.cli import main
 
 FAN = str(Path(__file__).parent / "data" / "fan.txt")
@@ -44,6 +45,34 @@ def _drop_empty_sieve_at_sources(real):
     )
 
 
+def _always_a_sheaf(real):
+    return lambda presheaf, site: sheaves.SheafCheck(True)
+
+
+def _merge_first_two_components(real):
+    def merged(g):
+        blocks = real(g).blocks
+        if len(blocks) < 2:
+            return real(g)
+        return lg.Partition.from_blocks([blocks[0] + blocks[1], *blocks[2:]])
+
+    return merged
+
+
+def _empty_a_row_of_large_fibres(real):
+    # The fan's fibres hold two triples each, so only the random graphs
+    # of suite.incidence_line see this.
+    def planted(fibres, m, diagonal):
+        entries = list(real(fibres, m, diagonal).entries)
+        for fibre in fibres.values():
+            if len(fibre) > 2:
+                i = fibre[-1]
+                entries[i * m : (i + 1) * m] = [0] * m
+        return mx.IntMatrix(m, m, tuple(entries))
+
+    return planted
+
+
 def _statuses(output: str) -> dict[str, str]:
     """Check name (suite size stripped) -> status, from verify's text output."""
     statuses = {}
@@ -53,49 +82,70 @@ def _statuses(output: str) -> dict[str, str]:
     return statuses
 
 
+RANDOM_20 = [FAN, "--random", "--cases", "20"]
+
+
 @pytest.mark.parametrize(
-    "module, attribute, mutant, args, failing, passing",
+    "targets, mutant, args, failing, passing",
     [
         (
-            mx,
-            "rank_exact",
+            [(mx, "rank_exact")],
             _rank_off_by_one,
-            [FAN, "--random", "--cases", "20"],
+            RANDOM_20,
             ["incidence.rank", "suite.incidence_line"],
             [],
         ),
         (
-            mx,
-            "rank_exact",
+            [(mx, "rank_exact")],
             _nonzero_rows,
-            [FAN, "--random", "--cases", "20"],
+            RANDOM_20,
             ["suite.incidence_line"],
             ["incidence.rank"],
         ),
         (
-            mx,
-            "spectrum_formula",
+            [(mx, "spectrum_formula")],
             _drop_one_eigenvalue,
             [FAN],
             ["incidence.spectrum"],
             [],
         ),
-        # Four suite.omega cases: case 3 is the first with a triple.
         (
-            sheaves,
-            "_fold_over_triples",
+            [(sheaves, "_fold_over_triples")],
             _keep_covering_sieves,
-            [FAN, "--random", "--cases", "80"],
+            RANDOM_20,
             ["sheaf.omega", "suite.omega"],
             [],
         ),
         (
-            sheaves,
-            "_fold_over_triples",
+            [(sheaves, "_fold_over_triples")],
             _drop_empty_sieve_at_sources,
-            [FAN, "--random", "--cases", "80"],
+            RANDOM_20,
             ["sheaf.omega", "suite.omega"],
             [],
+        ),
+        # Omega is a sheaf, so among the omega checks only the subsheaves of
+        # 1 against Hom(1, omega) catch this, and that scan of every subset
+        # of objects runs in suite.omega alone.
+        (
+            [(sheaves, "is_sheaf"), (verify, "is_sheaf")],
+            _always_a_sheaf,
+            RANDOM_20,
+            ["suite.omega", "suite.sheafification"],
+            [],
+        ),
+        (
+            [(lg, "scc")],
+            _merge_first_two_components,
+            RANDOM_20,
+            ["line.scc_theorem", "suite.incidence_line"],
+            [],
+        ),
+        (
+            [(mx, "_fibre_operator")],
+            _empty_a_row_of_large_fibres,
+            RANDOM_20,
+            ["suite.incidence_line"],
+            ["incidence.gram"],
         ),
     ],
     ids=[
@@ -104,12 +154,16 @@ def _statuses(output: str) -> dict[str, str]:
         "spectrum-drops-an-eigenvalue",
         "omega-keeps-covering-sieves",
         "omega-drops-empty-sieve-at-sources",
+        "is-sheaf-always-passes",
+        "scc-merges-two-components",
+        "fibre-operator-empties-a-row",
     ],
 )
 def test_planted_fault_fails_its_checks(
-    monkeypatch, module, attribute, mutant, args, failing, passing
+    monkeypatch, targets, mutant, args, failing, passing
 ):
-    monkeypatch.setattr(module, attribute, mutant(getattr(module, attribute)))
+    for module, attribute in targets:
+        monkeypatch.setattr(module, attribute, mutant(getattr(module, attribute)))
     result = CliRunner().invoke(main, ["verify", *args])
     assert result.exit_code == 1
     assert isinstance(result.exception, SystemExit)
