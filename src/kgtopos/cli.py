@@ -13,7 +13,6 @@ from __future__ import annotations
 import json
 import os
 import sys
-from itertools import islice
 from pathlib import Path as FilePath
 
 import click
@@ -22,6 +21,7 @@ from . import matrices as mx
 from . import linegraph as lg
 from .errors import KgParseError, KgToposError, SchemaError, SizeCapError
 from .freecat import build_free_category
+from .jsonout import write_json
 from .kg import KnowledgeGraph, parse_kg
 from .sheaves import (
     DEFAULT_SECTION_CAP,
@@ -38,7 +38,6 @@ from .sites import DEFAULT_SIEVE_CAP, build_site, topology_to_dict
 from .verify import run_verification
 
 INPUT_ERROR, SIZE_ERROR = 2, 3
-JSON_BATCH_CHUNKS = 8192
 
 
 def _read_graph(path: str) -> KnowledgeGraph:
@@ -59,12 +58,9 @@ def _read_json(path: str) -> dict:
 
 
 def _emit_json(data: dict) -> None:
-    """Write json.dumps(data, indent=2) and a newline, in batches of
-    encoder chunks, so the whole document is never one string."""
-    chunks = json.JSONEncoder(indent=2).iterencode(data)
-    while batch := list(islice(chunks, JSON_BATCH_CHUNKS)):
-        sys.stdout.write("".join(batch))
-    sys.stdout.write("\n")
+    """Write json.dumps(data, indent=2) and a newline to stdout, chunk by
+    chunk; iterators in `data` are streamed as arrays."""
+    write_json(data, sys.stdout.write)
 
 
 class KgToposGroup(click.Group):
@@ -111,6 +107,8 @@ def site_options(fn):
     return topology_option(max_path_length_option(sieve_cap_option(fn)))
 
 
+# The dense builder of each matrix `matrices` prints; the command streams
+# the same rows from `mx.matrix_rows`, one at a time.
 MATRIX_BUILDERS = {
     "head": mx.head_incidence,
     "tail": mx.tail_incidence,
@@ -137,16 +135,14 @@ def matrices(graph: str, selected: str | None, fmt: str) -> None:
     kg = _read_graph(graph)
     names = [selected] if selected else list(MATRIX_BUILDERS)
     if fmt == "json":
-        _emit_json(
-            {name.replace("-", "_"): MATRIX_BUILDERS[name](kg).to_rows() for name in names}
-        )
+        _emit_json({name.replace("-", "_"): mx.matrix_rows(kg, name) for name in names})
         return
     for k, name in enumerate(names):
         if len(names) > 1:
             if k:
                 sys.stdout.write("\n")
             sys.stdout.write(f"# {name}\n")
-        sys.stdout.write(MATRIX_BUILDERS[name](kg).to_csv())
+        sys.stdout.writelines(map(mx.csv_row, mx.matrix_rows(kg, name)))
 
 
 @main.command()
@@ -156,21 +152,20 @@ def matrices(graph: str, selected: str | None, fmt: str) -> None:
 def line(graph: str, direction: str, fmt: str) -> None:
     """Emit the out- or in-line digraph of GRAPH."""
     kg = _read_graph(graph)
+    if fmt == "csv":
+        rows = mx.matrix_rows(kg, f"adjacency-{direction}")
+        sys.stdout.writelines(map(mx.csv_row, rows))
+        return
     digraph = lg.build_out_line(kg) if direction == "out" else lg.build_in_line(kg)
     if fmt == "dot":
         sys.stdout.write(lg.to_dot(digraph, kg, name=f"{direction}_line"))
-    elif fmt == "csv":
-        matrix = (
-            mx.line_adjacency_out(kg) if direction == "out" else mx.line_adjacency_in(kg)
-        )
-        sys.stdout.write(matrix.to_csv())
     else:
         _emit_json(
             {
                 "direction": direction,
                 "vertices": [str(t) for t in kg.triples],
-                "adjacency": [list(row) for row in digraph.adjacency],
-                "components": [list(b) for b in lg.scc(digraph).blocks],
+                "adjacency": digraph.adjacency,
+                "components": lg.scc(digraph).blocks,
             }
         )
 
@@ -180,7 +175,7 @@ def line(graph: str, direction: str, fmt: str) -> None:
 @max_path_length_option
 def freecat(graph: str, max_path_length: int | None) -> None:
     """Emit the path category of GRAPH as JSON."""
-    sys.stdout.write(build_free_category(_read_graph(graph), max_path_length).to_json())
+    _emit_json(build_free_category(_read_graph(graph), max_path_length).to_dict())
 
 
 @main.command()

@@ -8,7 +8,6 @@ the entity digraph to be acyclic or an explicit length bound.
 
 from __future__ import annotations
 
-import json
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
@@ -146,9 +145,6 @@ class FreeCategory:
             "complete": self.complete,
             "hom_sets": homs,
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2) + "\n"
 
 
 def build_free_category(

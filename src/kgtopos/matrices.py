@@ -10,9 +10,7 @@ from dataclasses import dataclass
 from itertools import chain
 from math import gcd
 from operator import itemgetter
-from typing import Iterable, Sequence
-
-import numpy as np
+from typing import Iterable, Iterator, Sequence
 
 from .errors import SpectrumSizeError, SymmetryError
 from .kg import KnowledgeGraph
@@ -98,49 +96,91 @@ class IntMatrix:
 
     def to_csv(self) -> str:
         """One row per line, comma-separated integers, trailing newline."""
-        return "".join(
-            ",".join(str(x) for x in row) + "\n" for row in self.to_rows()
-        )
+        return "".join(map(csv_row, self.to_rows()))
 
 
-def _incidence(kg: KnowledgeGraph, ends: tuple[str, ...]) -> IntMatrix:
-    """n x m matrix with entry (i, j) = 1 iff entity i is ends[j]."""
-    idx = kg.entity_index
-    n, m = kg.entity_count, kg.triple_count
-    entries = [0] * (n * m)
-    for j, end in enumerate(ends):
-        entries[idx[end] * m + j] = 1
-    return IntMatrix(n, m, tuple(entries))
+def csv_row(row: Iterable[int]) -> str:
+    """One matrix row as a CSV line: comma-separated integers, newline."""
+    return ",".join(map(repr, row)) + "\n"
+
+
+Fibres = dict[str, tuple[int, ...]]
+
+
+def _indicator(fibre: tuple[int, ...], m: int) -> list[int]:
+    row = [0] * m
+    for j in fibre:
+        row[j] = 1
+    return row
+
+
+def _incidence_rows(fibres: Fibres, m: int) -> Iterator[list[int]]:
+    """Rows of an incidence matrix: row i is the indicator of the fibre
+    of entity i."""
+    for fibre in fibres.values():
+        yield _indicator(fibre, m)
+
+
+def _fibre_rows(fibres: Fibres, m: int, diagonal: int) -> Iterator[list[int]]:
+    """Rows of an m x m fibre operator: row i is the indicator of the
+    fibre holding triple i, with entry i set to `diagonal`.
+
+    Each row costs O(m) for the row plus the size of its fibre, and only
+    one row is alive at a time.
+    """
+    holder: list[tuple[int, ...]] = [()] * m
+    for fibre in fibres.values():
+        for i in fibre:
+            holder[i] = fibre
+    for i, fibre in enumerate(holder):
+        row = _indicator(fibre, m)
+        row[i] = diagonal
+        yield row
+
+
+def _incidence(fibres: Fibres, m: int) -> IntMatrix:
+    """n x m matrix with entry (i, j) = 1 iff triple j is in entity i's fibre."""
+    rows = _incidence_rows(fibres, m)
+    return IntMatrix(len(fibres), m, tuple(chain.from_iterable(rows)))
+
+
+def _fibre_operator(fibres: Fibres, m: int, diagonal: int) -> IntMatrix:
+    """m x m matrix whose row i is the indicator of the fibre holding
+    triple i, with every diagonal entry set to `diagonal`."""
+    rows = _fibre_rows(fibres, m, diagonal)
+    return IntMatrix(m, m, tuple(chain.from_iterable(rows)))
+
+
+# Matrix name -> (use tail fibres, diagonal); incidence matrices have none.
+_MATRICES = {
+    "head": (False, None),
+    "tail": (True, None),
+    "gram-out": (False, 1),
+    "gram-in": (True, 1),
+    "adjacency-out": (False, 0),
+    "adjacency-in": (True, 0),
+}
+
+
+def matrix_rows(kg: KnowledgeGraph, name: str) -> Iterator[list[int]]:
+    """The rows of the named matrix ("head", "tail", "gram-out",
+    "gram-in", "adjacency-out" or "adjacency-in"), one at a time, from
+    the same row source as the dense builders."""
+    use_tails, diagonal = _MATRICES[name]
+    fibres = kg.tail_fibres if use_tails else kg.head_fibres
+    if diagonal is None:
+        return _incidence_rows(fibres, kg.triple_count)
+    return _fibre_rows(fibres, kg.triple_count, diagonal)
 
 
 def head_incidence(kg: KnowledgeGraph) -> IntMatrix:
     """n x m matrix with entry (i, j) = 1 iff entity i heads triple j."""
-    return _incidence(kg, kg.heads)
+    return _incidence(kg.head_fibres, kg.triple_count)
 
 
 def tail_incidence(kg: KnowledgeGraph) -> IntMatrix:
     """n x m matrix with entry (i, j) = 1 iff entity i is the tail of triple j."""
-    return _incidence(kg, kg.tails)
-
-
-def _fibre_operator(
-    fibres: dict[str, tuple[int, ...]], m: int, diagonal: int
-) -> IntMatrix:
-    """m x m matrix whose row i is the indicator of the fibre holding
-    triple i, with every diagonal entry set to `diagonal`.
-
-    Every triple of a fibre shares one indicator row, so the cost is
-    O(m^2) for the output plus O(sum of fibre sizes) for the rows.
-    """
-    entries = [0] * (m * m)
-    for fibre in fibres.values():
-        row = [0] * m
-        for j in fibre:
-            row[j] = 1
-        for i in fibre:
-            entries[i * m : (i + 1) * m] = row
-            entries[i * m + i] = diagonal
-    return IntMatrix(m, m, tuple(entries))
+    return _incidence(kg.tail_fibres, kg.triple_count)
 
 
 def gram_out(kg: KnowledgeGraph) -> IntMatrix:
@@ -245,6 +285,8 @@ def spectrum_numeric(matrix: IntMatrix, exact: Iterable[int]) -> SpectrumReport:
     multisets; raises SymmetryError for non-symmetric input and
     SpectrumSizeError when the multisets differ in size.
     """
+    import numpy as np  # the eigensolver oracle alone needs numpy
+
     if not matrix.is_symmetric():
         raise SymmetryError("spectrum_numeric requires a symmetric matrix")
     dense = np.array(matrix.to_rows(), dtype=float).reshape(matrix.rows, matrix.cols)

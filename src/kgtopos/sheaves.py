@@ -19,7 +19,6 @@ the path topology; the sieve-lattice scan is left to the oracles.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from itertools import product
 from typing import Iterable, Mapping
@@ -98,9 +97,6 @@ class Presheaf:
                 for i, t in enumerate(self.cat.kg.triples)
             },
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2) + "\n"
 
 
 def restrict(presheaf: Presheaf, p: Path) -> dict[str, str]:

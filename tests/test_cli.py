@@ -1,10 +1,14 @@
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
+import kgtopos
 from kgtopos.cli import main
 
 DATA = Path(__file__).parent / "data"
@@ -16,6 +20,14 @@ UNDERSIZED = str(DATA / "undersized_presheaf.json")
 @pytest.fixture()
 def runner():
     return CliRunner()
+
+
+def test_import_does_not_load_numpy():
+    # numpy is only the eigensolver oracle's; no command pays for it at start-up.
+    src = str(Path(kgtopos.__file__).parents[1])
+    code = "import sys, kgtopos.cli; sys.exit('numpy' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=src)
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
 class TestMatrices:

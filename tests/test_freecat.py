@@ -1,4 +1,3 @@
-import json
 from random import Random
 
 import pytest
@@ -85,7 +84,7 @@ class TestBuild:
         assert [p.arrows for p in cat.hom("A", "B")] == [(0,), (1,)]
 
     def test_json_export_round_trip_shape(self, fan_cat):
-        data = json.loads(fan_cat.to_json())
+        data = fan_cat.to_dict()
         assert data["objects"] == ["A", "B", "C", "D"]
         assert data["hom_sets"]["A->B"] == [[0]]
         assert data["complete"] is True

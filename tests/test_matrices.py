@@ -1,4 +1,7 @@
+import os
 import time
+import tracemalloc
+from contextlib import redirect_stdout
 from fractions import Fraction
 from random import Random
 
@@ -26,6 +29,7 @@ from kgtopos import (
     spectrum_report,
     tail_incidence,
 )
+from kgtopos.cli import main
 from kgtopos.randgen import random_kg
 
 TOL = 1e-9
@@ -272,6 +276,39 @@ class TestFibreOperators:
         assert [sum(matrix.entries) for matrix in built] == [
             shared_heads, shared_tails, shared_heads - 2000, shared_tails - 2000
         ]
+
+
+@pytest.fixture()
+def multigraph_file(tmp_path):
+    path = tmp_path / "graph.txt"
+    triples = seeded_multigraph().triples
+    path.write_text("".join(f"{t.head} {t.predicate} {t.tail}\n" for t in triples))
+    return path
+
+
+def run_matrices(graph, *options):
+    with open(os.devnull, "w") as sink, redirect_stdout(sink):
+        assert main(["matrices", str(graph), *options], standalone_mode=False) is None
+
+
+class TestStreamedOutput:
+    """`matrices` at m = 2000, stdout sent to os.devnull: rows are written
+    one at a time, so neither time nor memory goes to m^2 tuples."""
+
+    def test_two_thousand_triples_json_within_budget(self, multigraph_file):
+        start = time.perf_counter()
+        run_matrices(multigraph_file, "--format", "json")
+        assert time.perf_counter() - start < 6.0
+
+    def test_gram_json_peak_memory_below_m_squared(self, multigraph_file):
+        # The dense gram alone is a 4 M-entry tuple, at least 32 MB.
+        tracemalloc.start()
+        try:
+            run_matrices(multigraph_file, "--gram-out", "--format", "json")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8_000_000
 
 
 class TestRank:

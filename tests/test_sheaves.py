@@ -159,7 +159,7 @@ class TestLoadPresheaf:
             load_presheaf(fan_cat, {"sections": {o: ["s"] for o in "ABCD"}, "restrictions": {}})
 
     def test_round_trip(self, fan_cat, fan_product_presheaf):
-        again = load_presheaf(fan_cat, json.loads(fan_product_presheaf.to_json()))
+        again = load_presheaf(fan_cat, fan_product_presheaf.to_dict())
         assert again == fan_product_presheaf
 
     @pytest.mark.parametrize(

@@ -11,7 +11,7 @@ from click.testing import CliRunner
 
 from kgtopos import linegraph as lg
 from kgtopos import matrices as mx
-from kgtopos import sheaves, verify
+from kgtopos import sheaves, sites, verify
 from kgtopos.cli import main
 
 FAN = str(Path(__file__).parent / "data" / "fan.txt")
@@ -63,12 +63,21 @@ def _empty_a_row_of_large_fibres(real):
     # The fan's fibres hold two triples each, so only the random graphs
     # of suite.incidence_line see this.
     def planted(fibres, m, diagonal):
-        entries = list(real(fibres, m, diagonal).entries)
-        for fibre in fibres.values():
-            if len(fibre) > 2:
-                i = fibre[-1]
-                entries[i * m : (i + 1) * m] = [0] * m
-        return mx.IntMatrix(m, m, tuple(entries))
+        emptied = {fibre[-1] for fibre in fibres.values() if len(fibre) > 2}
+        for i, row in enumerate(real(fibres, m, diagonal)):
+            yield [0] * m if i in emptied else row
+
+    return planted
+
+
+def _drop_a_member(real):
+    # Drops the shortest member of every nonempty pullback (the identity
+    # when the pullback is maximal), so the result need not be a sieve.
+    def planted(cat, sieve, g):
+        pulled = real(cat, sieve, g)
+        if not pulled.members:
+            return pulled
+        return sites.Sieve(pulled.obj, frozenset(pulled.sorted_members()[1:]))
 
     return planted
 
@@ -141,11 +150,19 @@ RANDOM_20 = [FAN, "--random", "--cases", "20"]
             [],
         ),
         (
-            [(mx, "_fibre_operator")],
+            [(mx, "_fibre_rows")],
             _empty_a_row_of_large_fibres,
             RANDOM_20,
             ["suite.incidence_line"],
             ["incidence.gram"],
+        ),
+        (
+            [(sites, "pullback_sieve"), (sheaves, "pullback_sieve"),
+             (verify, "pullback_sieve")],
+            _drop_a_member,
+            RANDOM_20,
+            ["sites.axioms", "sheaf.omega", "suite.topologies", "suite.omega"],
+            [],
         ),
     ],
     ids=[
@@ -157,6 +174,7 @@ RANDOM_20 = [FAN, "--random", "--cases", "20"]
         "is-sheaf-always-passes",
         "scc-merges-two-components",
         "fibre-operator-empties-a-row",
+        "pullback-sieve-drops-a-member",
     ],
 )
 def test_planted_fault_fails_its_checks(
