@@ -107,8 +107,9 @@ def site_options(fn):
     return topology_option(max_path_length_option(sieve_cap_option(fn)))
 
 
-# The dense builder of each matrix `matrices` prints; the command streams
-# the same rows from `mx.matrix_rows`, one at a time.
+# Matrix name -> its dense builder.  `matrices` prints the same rows,
+# streamed one at a time from `mx.matrix_rows`; perfbench's tracer
+# patches the builders in this table.
 MATRIX_BUILDERS = {
     "head": mx.head_incidence,
     "tail": mx.tail_incidence,

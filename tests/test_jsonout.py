@@ -75,6 +75,7 @@ class TestWriter:
     @example([[0, 1], [1, 0]])
     @example({"a": [], "b": {}, "c": (), "d": [True, 1], "e": [1.5, 2]})
     @example({"k": 1, "v": "s", 2: None, True: [None]})
+    @example({"nan": float("nan"), "inf": [float("inf"), -float("inf")], 1.5: 0.1})
     def test_matches_json_dumps(self, doc):
         assert written(doc) == stdlib(doc)
 
