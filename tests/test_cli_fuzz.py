@@ -77,6 +77,9 @@ def _run(args):
         repr(result.exception)
     )
     assert "Traceback" not in result.output
+    if result.exit_code in (2, 3):
+        # Errors are raised before the first byte: no partial stdout.
+        assert result.stdout == "", result.stdout
     return result
 
 
@@ -124,6 +127,8 @@ TRIPLE_LINES = st.lists(
 COMMANDS = st.sampled_from(
     [
         ["matrices"],
+        ["matrices", "--format", "json"],
+        ["line", "--format", "csv"],
         ["line", "--format", "json"],
         ["freecat", "--max-path-length", "2"],
         ["covers", "--sieve-cap", "6"],
