@@ -3,9 +3,12 @@
 Exit codes: 0 success, 1 check failure, 2 input error, 3 size-cap abort.
 Commands raise library errors; the root group's `invoke` is the one
 place where a KgToposError becomes `error: ...` on stderr and exit 3
-(SizeCapError) or 2 (any other).  All randomness is seeded; --seed
-falls back to the KGTOPOS_SEED environment variable and then to 0, and
-the seed used is always echoed in verification reports.
+(SizeCapError) or 2 (any other).  A closed stdout pipe (`kgtopos
+matrices g.txt | head`) is not an error: the rest of the output is
+dropped, nothing goes to stderr, and the exit code is 0.  All
+randomness is seeded; --seed falls back to the KGTOPOS_SEED environment
+variable and then to 0, and the seed used is always echoed in
+verification reports.
 """
 
 from __future__ import annotations
@@ -65,14 +68,22 @@ def _emit_json(data: dict) -> None:
 
 class KgToposGroup(click.Group):
     """Root group: maps every library error raised by a command to its
-    exit code."""
+    exit code, and a closed stdout pipe to a quiet exit."""
 
     def invoke(self, ctx: click.Context):
         try:
-            return super().invoke(ctx)
-        except KgToposError as exc:
-            click.echo(f"error: {exc}", err=True)
-            ctx.exit(SIZE_ERROR if isinstance(exc, SizeCapError) else INPUT_ERROR)
+            try:
+                return super().invoke(ctx)
+            except KgToposError as exc:
+                click.echo(f"error: {exc}", err=True)
+                ctx.exit(SIZE_ERROR if isinstance(exc, SizeCapError) else INPUT_ERROR)
+            finally:
+                sys.stdout.flush()  # so a closed pipe shows here, not at shutdown
+        except BrokenPipeError:
+            # The reader has gone: what is left of the output, and the
+            # flush at interpreter shutdown, go to devnull.
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            ctx.exit(0)
 
 
 @click.group(cls=KgToposGroup)

@@ -6,10 +6,11 @@ only enters through the numeric eigensolver used as a cross-check.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, compress
 from math import gcd
-from operator import itemgetter
+from operator import add
 from typing import Iterable, Iterator, Sequence
 
 from .errors import SpectrumSizeError, SymmetryError
@@ -44,10 +45,6 @@ class IntMatrix:
     def zeros(cls, rows: int, cols: int) -> "IntMatrix":
         return cls(rows, cols, (0,) * (rows * cols))
 
-    @classmethod
-    def identity(cls, n: int) -> "IntMatrix":
-        return cls(n, n, tuple(1 if i == j else 0 for i in range(n) for j in range(n)))
-
     def get(self, i: int, j: int) -> int:
         return self.entries[i * self.cols + j]
 
@@ -63,40 +60,67 @@ class IntMatrix:
         return IntMatrix(self.cols, self.rows, tuple(chain.from_iterable(columns)))
 
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
-        """Exact product, accumulated row by row: each nonzero entry a of
-        a row of self adds a times the matching row of other, so the cost
-        is O(nnz(self) * other.cols)."""
+        """Exact product, accumulated row by row: row i is the sum of
+        a times row k of other over the nonzero entries a = self[i][k],
+        which `compress` picks out, and each addition is one `map(add, ...)`
+        over a whole row. The cost is O(nnz(self) * other.cols), with the
+        inner loops in C."""
         if self.cols != other.rows:
             raise ValueError("dimension mismatch in matrix product")
-        other_rows = other.to_rows()
+        n, k = self.cols, other.cols
+        other_rows = [other.entries[j * k : (j + 1) * k] for j in range(other.rows)]
         entries: list[int] = []
-        for row in self.to_rows():
-            acc = [0] * other.cols
-            for a, other_row in zip(row, other_rows):
-                if a:
-                    acc = [x + a * y for x, y in zip(acc, other_row)]
-            entries.extend(acc)
-        return IntMatrix(self.rows, other.cols, tuple(entries))
+        for i in range(self.rows):
+            row = self.entries[i * n : (i + 1) * n]
+            entries.extend(_combination(compress(zip(row, other_rows), row), k))
+        return IntMatrix(self.rows, k, tuple(entries))
 
-    def __sub__(self, other: "IntMatrix") -> "IntMatrix":
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ValueError("dimension mismatch in matrix difference")
-        return IntMatrix(
-            self.rows,
-            self.cols,
-            tuple(a - b for a, b in zip(self.entries, other.entries)),
-        )
-
-    def is_symmetric(self) -> bool:
-        """Square, and row i equals column i for every i."""
-        n, e = self.rows, self.entries
-        return n == self.cols and all(
-            e[i * n : (i + 1) * n] == e[i::n] for i in range(n)
-        )
+    def gram_rows(self) -> Iterator[list[int]]:
+        """The rows of self^T self, one at a time: row i is the sum of
+        self[e][i] times row e of self. Column i is a stride slice of the
+        entries, so the transpose is never built."""
+        n, e = self.cols, self.entries
+        row_indices = tuple(range(self.rows))
+        for i in range(n):
+            column = e[i::n]
+            terms = compress(row_indices, column)
+            yield _combination(((column[r], e[r * n : (r + 1) * n]) for r in terms), n)
 
     def to_csv(self) -> str:
         """One row per line, comma-separated integers, trailing newline."""
         return "".join(map(csv_row, self.to_rows()))
+
+
+def _combination(terms: Iterable[tuple[int, Sequence[int]]], width: int) -> list[int]:
+    """The sum of a * row over the (a, row) terms, as a list of `width`."""
+    acc = None
+    for a, row in terms:
+        scaled = row if a == 1 else map(a.__mul__, row)
+        acc = list(scaled) if acc is None else list(map(add, acc, scaled))
+    return [0] * width if acc is None else acc
+
+
+def row_supports(rows: Iterable[Sequence[int]]) -> Iterator[dict[int, int]]:
+    """{column: entry} for the nonzero entries of each row, one row at a
+    time. `compress` picks the columns out of one shared tuple of column
+    indices, so no int is allocated per entry."""
+    columns: tuple[int, ...] = ()
+    for row in rows:
+        if len(row) > len(columns):
+            columns = tuple(range(len(row)))
+        nonzero = list(compress(columns, row))
+        yield dict(zip(nonzero, map(row.__getitem__, nonzero)))
+
+
+def is_symmetric_support(rows: Sequence[dict[int, int]]) -> bool:
+    """Whether the square matrix with these row supports equals its
+    transpose: each nonzero (i, j) is matched by an equal (j, i)."""
+    n = len(rows)
+    return all(
+        j < n and rows[j].get(i) == x
+        for i, row in enumerate(rows)
+        for j, x in row.items()
+    )
 
 
 def csv_row(row: Iterable[int]) -> str:
@@ -240,11 +264,9 @@ def rank_exact(matrix: IntMatrix) -> int:
     so an incidence matrix (one nonzero per column) costs O(nnz).
     """
     cols, entries = matrix.cols, matrix.entries
+    rows = (entries[i * cols : (i + 1) * cols] for i in range(matrix.rows))
     pivots: dict[int, dict[int, int]] = {}
-    for i in range(matrix.rows):
-        row = dict(
-            filter(itemgetter(1), enumerate(entries[i * cols : (i + 1) * cols]))
-        )
+    for row in row_supports(rows):
         while row:
             lead = min(row)
             pivot_row = pivots.get(lead)
@@ -278,19 +300,52 @@ class SpectrumReport:
     max_deviation: float
 
 
-def spectrum_numeric(matrix: IntMatrix, exact: Iterable[int]) -> SpectrumReport:
-    """Dense symmetric eigensolve of `matrix`, matched against `exact`.
+def _components(rows: Sequence[dict[int, int]]) -> list[list[int]]:
+    """Connected components of the graph of a symmetric matrix's nonzero
+    off-diagonal entries, each in order of discovery."""
+    seen = [False] * len(rows)
+    blocks = []
+    for start, done in enumerate(seen):
+        if done:
+            continue
+        seen[start] = True
+        block = [start]
+        for v in block:  # the block grows as it is walked
+            for w in rows[v]:
+                if not seen[w]:
+                    seen[w] = True
+                    block.append(w)
+        blocks.append(block)
+    return blocks
 
-    The deviation is the elementwise distance between the two sorted
-    multisets; raises SymmetryError for non-symmetric input and
-    SpectrumSizeError when the multisets differ in size.
+
+def block_spectrum(
+    rows: Iterable[Sequence[int]], n: int, exact: Iterable[int]
+) -> SpectrumReport:
+    """Eigenvalues of a symmetric n x n matrix given by its rows, block
+    by block.
+
+    A symmetric matrix is a direct sum of its diagonal blocks on the
+    connected components of its nonzero entries, so the eigenvalues of
+    the blocks, taken together, are exactly its spectrum. Blocks of one
+    size go to the eigensolver as one stack. Raises SymmetryError first,
+    then SpectrumSizeError when the multisets differ in size.
     """
     import numpy as np  # the eigensolver oracle alone needs numpy
 
-    if not matrix.is_symmetric():
+    supports = list(row_supports(rows))
+    if len(supports) != n or not is_symmetric_support(supports):
         raise SymmetryError("spectrum_numeric requires a symmetric matrix")
-    dense = np.array(matrix.to_rows(), dtype=float).reshape(matrix.rows, matrix.cols)
-    numeric = sorted(float(x) for x in np.linalg.eigvalsh(dense))
+    by_size: defaultdict[int, list[list[list[int]]]] = defaultdict(list)
+    for block in _components(supports):
+        by_size[len(block)].append(
+            [[supports[v].get(w, 0) for w in block] for v in block]
+        )
+    numeric = sorted(
+        float(x)
+        for stack in by_size.values()
+        for x in np.linalg.eigvalsh(np.array(stack, dtype=float)).ravel()
+    )
     exact_sorted = sorted(int(x) for x in exact)
     if len(exact_sorted) != len(numeric):
         raise SpectrumSizeError(
@@ -302,7 +357,22 @@ def spectrum_numeric(matrix: IntMatrix, exact: Iterable[int]) -> SpectrumReport:
     return SpectrumReport(tuple(exact_sorted), tuple(numeric), deviation)
 
 
+def spectrum_numeric(matrix: IntMatrix, exact: Iterable[int]) -> SpectrumReport:
+    """Blockwise symmetric eigensolve of `matrix`, matched against `exact`.
+
+    The deviation is the elementwise distance between the two sorted
+    multisets; raises SymmetryError for non-symmetric input and
+    SpectrumSizeError when the multisets differ in size.
+    """
+    return block_spectrum(matrix.to_rows(), matrix.cols, exact)
+
+
 def spectrum_report(kg: KnowledgeGraph, *, use_tails: bool = False) -> SpectrumReport:
-    """Formula-vs-eigensolver report for the out-line (or in-line) adjacency."""
-    adjacency = line_adjacency_in(kg) if use_tails else line_adjacency_out(kg)
-    return spectrum_numeric(adjacency, spectrum_formula(kg, use_tails=use_tails))
+    """Formula-vs-eigensolver report for the out-line (or in-line)
+    adjacency, read row by row from `matrix_rows`."""
+    name = "adjacency-in" if use_tails else "adjacency-out"
+    return block_spectrum(
+        matrix_rows(kg, name),
+        kg.triple_count,
+        spectrum_formula(kg, use_tails=use_tails),
+    )

@@ -70,6 +70,38 @@ def _empty_a_row_of_large_fibres(real):
     return planted
 
 
+def _stray_line_edge_across_fibres(real):
+    # One symmetric pair of 1s in the line adjacency between triple 0 and
+    # the first triple in another fibre: a line edge between triples
+    # with different heads (or tails).
+    def planted(fibres, m, diagonal):
+        rows = list(real(fibres, m, diagonal))
+        if diagonal == 0 and m:
+            own = next(fibre for fibre in fibres.values() if 0 in fibre)
+            j = next((j for j in range(m) if j not in own), None)
+            if j is not None:
+                rows[0][j] = rows[j][0] = 1
+        yield from rows
+
+    return planted
+
+
+def _move_a_row_entry(real):
+    # In the first line-adjacency row with a 1, that 1 moves to the first
+    # 0 off the diagonal, a triple in another fibre, so the row's count
+    # of 1s stays right.
+    def planted(fibres, m, diagonal):
+        rows = list(real(fibres, m, diagonal))
+        for i, row in enumerate(rows if diagonal == 0 else ()):
+            wrong = [j for j, x in enumerate(row) if x == 0 and j != i]
+            if 1 in row and wrong:
+                row[row.index(1)], row[wrong[0]] = 0, 1
+                break
+        yield from rows
+
+    return planted
+
+
 def _drop_a_member(real):
     # Drops the shortest member of every nonempty pullback (the identity
     # when the pullback is maximal), so the result need not be a sieve.
@@ -157,6 +189,22 @@ RANDOM_20 = [FAN, "--random", "--cases", "20"]
             ["incidence.gram"],
         ),
         (
+            [(mx, "_fibre_rows")],
+            _stray_line_edge_across_fibres,
+            RANDOM_20,
+            ["incidence.spectrum", "incidence.line_operator_identity",
+             "line.matrix_consistency", "suite.incidence_line"],
+            ["incidence.gram"],
+        ),
+        (
+            [(mx, "_fibre_rows")],
+            _move_a_row_entry,
+            RANDOM_20,
+            ["incidence.line_operator_identity", "incidence.spectrum",
+             "line.matrix_consistency", "suite.incidence_line"],
+            ["incidence.gram"],
+        ),
+        (
             [(sites, "pullback_sieve"), (sheaves, "pullback_sieve"),
              (verify, "pullback_sieve")],
             _drop_a_member,
@@ -174,6 +222,8 @@ RANDOM_20 = [FAN, "--random", "--cases", "20"]
         "is-sheaf-always-passes",
         "scc-merges-two-components",
         "fibre-operator-empties-a-row",
+        "stray-line-edge-across-fibres",
+        "row-entry-moved",
         "pullback-sieve-drops-a-member",
     ],
 )
