@@ -6,6 +6,9 @@ The sheaf condition is phrased with matching families on covering
 sieves, which needs no pullbacks in the underlying category: a matching
 family assigns a section to every member of a sieve compatibly with all
 precompositions, and a sheaf admits exactly one amalgamation per family.
+On a free category that condition is local, one bijection per object
+(see is_sheaf); the search over matching families finds a failure's
+witness and serves gluing.
 
 Sheafification applies the plus construction twice.  On a finite
 saturated topology the covering sieves on an object are closed under
@@ -21,6 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import product
+from math import prod
 from typing import Iterable, Mapping
 
 from .errors import (
@@ -349,6 +353,57 @@ class SheafCheck:
 def is_sheaf(presheaf: Presheaf, site: Site) -> SheafCheck:
     """Exactly one amalgamation for every matching family on every
     covering sieve; the first failure is reported with its witnesses.
+
+    Decided locally.  Every nonidentity path into b ends with exactly one
+    triple t: a -> b, so the matching families on the sieve of all those
+    paths are the tuples in prod_t P(a), and P is a sheaf for that sieve
+    iff x -> (P(t)(x))_t is a bijection P(b) -> prod_t P(a).  If each
+    covering sieve S on b other than the maximal one pulls back along
+    every such t to a covering or maximal sieve, as in any Grothendieck
+    topology, then, given that P is a sheaf for those pullbacks, P is a
+    sheaf for S iff the bijection holds at b.  By induction along the
+    paths, P is then a sheaf iff the bijection holds at every object
+    with such an S.  Where a pullback does not cover, and to report the
+    first failure, the matching families are searched (_first_failure).
+    """
+    cat = site.category
+    for obj in cat.objects:
+        proper = [
+            s for s in site.topology.covering[obj] if cat.identity(obj) not in s
+        ]
+        if proper and not (
+            _pullbacks_cover(site, obj, proper) and _restrictions_biject(presheaf, obj)
+        ):
+            return _first_failure(presheaf, site)
+    return SheafCheck(True)
+
+
+def _pullbacks_cover(site: Site, obj: str, sieves: list[Sieve]) -> bool:
+    """Each sieve pulled back along each triple into obj is maximal (the
+    triple is a member) or covering."""
+    cat = site.category
+    return all(
+        t in s or site.topology.covers(pullback_sieve(cat, s, t))
+        for t in map(cat.generator_path, cat.kg.tail_fibres[obj])
+        for s in sieves
+    )
+
+
+def _restrictions_biject(presheaf: Presheaf, obj: str) -> bool:
+    """x -> (P(t)(x)) over the triples t into obj is a bijection from
+    P(obj) onto the product of the sections at their heads."""
+    kg = presheaf.cat.kg
+    into = kg.tail_fibres[obj]
+    tables = [presheaf.restrictions[i] for i in into]
+    sections = presheaf.sections[obj]
+    traces = {tuple(table[x] for table in tables) for x in sections}
+    size = prod(len(presheaf.sections[kg.triples[i].head]) for i in into)
+    return len(traces) == len(sections) == size
+
+
+def _first_failure(presheaf: Presheaf, site: Site) -> SheafCheck:
+    """The sheaf condition by search: every matching family on every
+    covering sieve, in order, until one has other than one amalgamation.
 
     Per sieve, each section at the object is filed under its trace, the
     tuple of its restrictions along the members; a family's

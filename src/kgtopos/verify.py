@@ -18,6 +18,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from functools import partial
 from itertools import chain, compress, zip_longest
+from math import prod
 from random import Random
 
 from . import matrices as mx
@@ -33,6 +34,7 @@ from .freecat import (
     extend_functor,
     identity_functor,
     induced_functor,
+    path_key,
 )
 from .kg import (
     KnowledgeGraph,
@@ -52,6 +54,7 @@ from .sheaves import (
     DEFAULT_SECTION_CAP,
     Presheaf,
     SheafCheck,
+    SheafificationResult,
     amalgamations,
     check_adjunction,
     count_subsheaves,
@@ -59,6 +62,7 @@ from .sheaves import (
     global_sections,
     is_sheaf,
     omega,
+    restrict,
     sheafify,
     sieve_label,
     terminal_presheaf,
@@ -692,12 +696,70 @@ def _tiny_site(rng: Random) -> Site:
     return Site(cat, path_topology(cat))
 
 
+def check_sheafification_product(
+    presheaf: Presheaf, site: Site, result: SheafificationResult
+) -> list[str]:
+    """Sheafification for the path site read off the sources.  The paths
+    p: s -> b from sources form the smallest covering sieve on b, so a
+    section y of aP(b), restricted along each p and read back into P(s)
+    through the unit (bijective at sources), gives a tuple, and y ->
+    tuple must be a bijection onto the product of the P(s).  The unit
+    must send x in P(b) to the section whose tuple is (P(p)(x))_p.  The
+    labels m0, m1, ... must follow the plus construction's order: by the
+    sorted pairs of a path key and the first step's label of the tuple's
+    entry there, P(s) labelled in sorted order."""
+    cat, sheaf, unit = site.category, result.sheaf, result.unit.components
+    back, first_step = {}, {}
+    for obj in cat.objects:
+        if cat.kg.tail_fibres[obj]:
+            continue
+        back[obj] = {y: x for x, y in unit[obj].items()}
+        if len(back[obj]) != len(unit[obj]) or set(back[obj]) != set(
+            sheaf.sections[obj]
+        ):
+            return [f"unit not bijective at the source {obj}"]
+        first_step[obj] = {
+            x: f"m{k}" for k, x in enumerate(sorted(presheaf.sections[obj]))
+        }
+    failures = []
+    for obj in cat.objects:
+        paths = [p for p in cat.morphisms_into(obj) if p.source in back]
+        tables = [restrict(sheaf, p) for p in paths]
+        read = {
+            y: tuple(back[p.source][t[y]] for p, t in zip(paths, tables))
+            for y in sheaf.sections[obj]
+        }
+        size = prod(len(presheaf.sections[p.source]) for p in paths)
+        if len(set(read.values())) != len(read) or len(read) != size:
+            failures.append(
+                f"sections at {obj} are not the product over paths from sources"
+            )
+
+        def plus_key(y: str) -> list[tuple[str, str]]:
+            return sorted(
+                (path_key(p), first_step[p.source][x]) for p, x in zip(paths, read[y])
+            )
+
+        if sorted(sheaf.sections[obj], key=plus_key) != [
+            f"m{k}" for k in range(len(read))
+        ]:
+            failures.append(f"sections at {obj} are not labelled in plus order")
+        own = [restrict(presheaf, p) for p in paths]
+        if any(
+            read[unit[obj][x]] != tuple(t[x] for t in own)
+            for x in presheaf.sections[obj]
+        ):
+            failures.append(f"unit at {obj} differs from restriction to the sources")
+    return failures
+
+
 def suite_sheafification(seed: int, cases: int = 30) -> list[CheckResult]:
     def run_case(case: int, failures: list[str]) -> None:
         rng = _case_rng("sheafification", seed, case)
         site = _tiny_site(rng)
         presheaf = random_presheaf(rng, site.category, max_sections=3)
         result = sheafify(presheaf, site)
+        failures.extend(check_sheafification_product(presheaf, site, result))
         if not _is_sheaf_against_scan(
             result.sheaf, site, failures, "the sheafified presheaf"
         ):

@@ -2,7 +2,9 @@ import gc
 import json
 import time
 from itertools import product
+from pathlib import Path
 from random import Random
+from types import SimpleNamespace
 
 import pytest
 from click.testing import CliRunner
@@ -39,9 +41,12 @@ from kgtopos import (
     sieve_generated_by,
     terminal_presheaf,
 )
+from kgtopos import sheaves
 from kgtopos.cli import main
 from kgtopos.randgen import random_presheaf, random_small_category
 from kgtopos.sheaves import (
+    SheafificationResult,
+    _first_failure,
     count_subsheaves,
     enumerate_subpresheaves,
     restrict,
@@ -50,31 +55,38 @@ from kgtopos.sheaves import (
 from kgtopos.sites import (
     Topology,
     atomic_topology,
+    generate_topology,
     maximal_sieve,
+    path_coverage,
     path_topology,
     pullback_sieve,
 )
-from kgtopos.verify import _closed_sieves_by_scan, _is_sheaf_by_scan
+from kgtopos.verify import (
+    _closed_sieves_by_scan,
+    _is_sheaf_by_scan,
+    check_sheafification_product,
+)
+
+DATA = Path(__file__).parent / "data"
 
 
-def local_sheaf_condition(presheaf: Presheaf, site: Site) -> bool:
-    """At every object b with a covering sieve other than the maximal one,
-    x -> (P(t)(x)) over the triples t: a -> b is a bijection from P(b)
-    to the product of the P(a); read off the triples alone, with no
-    dispatch on the kind of site."""
-    cat, kg = site.category, site.category.kg
-    for obj in cat.objects:
-        if set(site.topology.covering_sieves(obj)) <= {maximal_sieve(cat, obj)}:
-            continue
-        into = kg.tail_fibres[obj]
-        images = [
-            tuple(presheaf.restrictions[i][x] for i in into)
-            for x in presheaf.sections[obj]
-        ]
-        targets = product(*(presheaf.sections[kg.triples[i].head] for i in into))
-        if sorted(images) != sorted(targets):
-            return False
-    return True
+def unsaturated(cat, coverage) -> Topology:
+    """The maximal sieves plus the sieves generated by the coverage's
+    families, with no saturation."""
+    return Topology({
+        obj: frozenset(
+            {maximal_sieve(cat, obj)}
+            | {sieve_generated_by(cat, obj, family) for family in coverage.get(obj, [])}
+        )
+        for obj in cat.objects
+    })
+
+
+def layered_dag_site() -> Site:
+    """Four layers of two entities, each pointing at both entities of
+    the next layer: 15 morphisms into each sink."""
+    kg = parse_kg((DATA / "layered_dag.txt").read_text())
+    return build_site(kg, "path", sieve_cap=15)
 
 
 def tiny_site(seed, **kwargs) -> Site:
@@ -348,10 +360,12 @@ class TestIsSheaf:
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 10**9), st.integers(0, 1))
-    def test_local_sheaf_condition(self, seed, min_sections):
-        # The condition a local is_sheaf would decide by, pinned against
-        # today's is_sheaf on the path site, the atomic site and the
-        # unsaturated coverage by the triples into each object.
+    def test_local_decision_matches_search(self, seed, min_sections):
+        # is_sheaf decides by the bijection at each object; the search
+        # must return the same SheafCheck, counterexample included, on
+        # the path and atomic sites, the unsaturated coverage by the
+        # triples into each object, random coverages (unsaturated, where
+        # pullbacks need not cover, and saturated) and empty section sets.
         rng = Random(seed)
         cat = random_small_category(
             rng, max_entities=4, max_triples=4, max_morphisms=30, sieve_cap=8
@@ -359,22 +373,33 @@ class TestIsSheaf:
         presheaf = random_presheaf(
             rng, cat, max_sections=3, min_sections=min_sections
         )
-        triples_into = {
-            obj: [cat.generator_path(i) for i in cat.kg.tail_fibres[obj]]
-            for obj in cat.objects
-        }
-        coverage = Topology({
-            obj: frozenset(
-                {maximal_sieve(cat, obj)}
-                | ({sieve_generated_by(cat, obj, into)} if into else set())
-            )
-            for obj, into in triples_into.items()
-        })
-        for topology in (path_topology(cat), atomic_topology(cat), coverage):
+        drawn = {}
+        for obj in cat.objects:
+            into = [p for p in cat.morphisms_into(obj) if p.arrows]
+            if into:
+                drawn[obj] = [
+                    rng.sample(into, rng.randint(1, len(into)))
+                    for _ in range(rng.randint(0, 2))
+                ]
+        for topology in (
+            path_topology(cat),
+            atomic_topology(cat),
+            unsaturated(cat, path_coverage(cat)),
+            unsaturated(cat, drawn),
+            generate_topology(cat, drawn, sieve_cap=8),
+        ):
             site = Site(cat, topology)
-            assert bool(is_sheaf(presheaf, site)) == local_sheaf_condition(
-                presheaf, site
-            )
+            assert is_sheaf(presheaf, site) == _first_failure(presheaf, site)
+
+    def test_unstable_coverage_is_searched(self, fan_cat, fan_path_site):
+        # On the fan, the sieve generated by A r1 B alone covers B, and
+        # nothing but the maximal sieve covers D, so its pullback along
+        # D r3 B, the empty sieve, does not cover: the bijection
+        # P(B) -> P(A) x P(D), which fails here, does not decide.
+        presheaf = constant_presheaf(fan_cat, ("x", "y"))
+        site = Site(fan_cat, unsaturated(fan_cat, {"B": [[fan_cat.generator_path(0)]]}))
+        assert is_sheaf(presheaf, site)
+        assert not is_sheaf(presheaf, fan_path_site)
 
     def test_omega_on_layered_dag_within_budget(self):
         # Four layers of two entities, each entity pointing at both of
@@ -382,11 +407,7 @@ class TestIsSheaf:
         # host the amalgamation scan took 16-20 s here, the trace lookup
         # about 1 s.
         layers = [[f"{name}{k}" for k in range(2)] for name in "abcd"]
-        edges = [
-            (a, b) for upper, lower in zip(layers, layers[1:]) for a in upper for b in lower
-        ]
-        text = "".join(f"{a} r{n} {b}\n" for n, (a, b) in enumerate(edges))
-        site = build_site(parse_kg(text), "path", sieve_cap=15)
+        site = layered_dag_site()
         start = time.perf_counter()
         classifier = omega(site)
         check = is_sheaf(classifier, site)
@@ -396,6 +417,39 @@ class TestIsSheaf:
             {len(classifier.sections[e]) for e in layer} for layer in layers
         ] == [{2}, {4}, {16}, {256}]
         assert elapsed < 8.0, f"omega + is_sheaf took {elapsed:.1f} s"
+
+    def test_no_search_on_a_sheaf(self, monkeypatch):
+        # On the layered DAG, where Omega has 256 sections at each sink,
+        # the search visited thousands of matching families per sheaf;
+        # the local bijections decide with none.
+        site = layered_dag_site()
+        product = load_presheaf(
+            site.category, json.loads((DATA / "layered_dag_product.json").read_text())
+        )
+        classifier = omega(site)
+        searched = []
+        real = sheaves.enumerate_matching_families
+        monkeypatch.setattr(
+            sheaves,
+            "enumerate_matching_families",
+            lambda *args: searched.append(args) or real(*args),
+        )
+        assert is_sheaf(classifier, site)
+        assert is_sheaf(product, site)
+        assert searched == []
+
+    def test_layered_dag_counterexample_unchanged(self):
+        # sheaf check's output on a non-sheaf, recorded before is_sheaf
+        # decided locally: the search still reports the same first failure.
+        result = CliRunner().invoke(
+            main,
+            [
+                "sheaf", "check", str(DATA / "layered_dag.txt"),
+                str(DATA / "layered_dag_undersized.json"), "--sieve-cap", "15",
+            ],
+        )
+        assert result.exit_code == 1
+        assert result.stdout == (DATA / "layered_dag_undersized_check.json").read_text()
 
 
 class TestNoReferenceCycles:
@@ -590,6 +644,92 @@ class TestSheafify:
         assert {o: len(s) for o, s in result.sheaf.sections.items()} == {
             o: len(s) for o, s in again.sheaf.sections.items()
         }
+
+
+def relabelled(result, obj: str, swap: dict[str, str]) -> SheafificationResult:
+    """The sheafification with the labels at obj renamed by swap, in
+    every restriction table and in the unit: an isomorphic result."""
+    sheaf = result.sheaf
+
+    def rename(o: str, label: str) -> str:
+        return swap.get(label, label) if o == obj else label
+
+    restrictions = {
+        i: {rename(t.tail, k): rename(t.head, v) for k, v in sheaf.restrictions[i].items()}
+        for i, t in enumerate(sheaf.cat.kg.triples)
+    }
+    components = {
+        o: {x: rename(o, y) for x, y in c.items()} for o, c in result.unit.components.items()
+    }
+    renamed = Presheaf(sheaf.cat, sheaf.sections, restrictions)
+    return SheafificationResult(
+        renamed, NatTransformation(result.unit.source, renamed, components)
+    )
+
+
+class TestSheafificationProduct:
+    """verify's oracle for sheafification on the path site: aP(b) is the
+    product of P over the paths into b from sources, labelled in the
+    plus construction's order."""
+
+    @pytest.fixture
+    def undersized(self, fan_path_site, undersized_presheaf_data):
+        presheaf = load_presheaf(fan_path_site.category, undersized_presheaf_data)
+        return presheaf, sheafify(presheaf, fan_path_site)
+
+    def test_sheafify_passes(self, fan_path_site, undersized):
+        presheaf, result = undersized
+        assert check_sheafification_product(presheaf, fan_path_site, result) == []
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(0, 10**9), st.integers(0, 1))
+    def test_random_presheaves_pass(self, seed, min_sections):
+        rng = Random(seed)
+        site = tiny_site(seed)
+        presheaf = random_presheaf(
+            rng, site.category, max_sections=3, min_sections=min_sections
+        )
+        result = sheafify(presheaf, site)
+        assert check_sheafification_product(presheaf, site, result) == []
+
+    def test_relabelled_result_fails_only_on_order(self, fan_path_site, undersized):
+        # Swapping m0 and m1 at B throughout is an isomorphism under P,
+        # so only the labels give it away.
+        presheaf, result = undersized
+        swapped = relabelled(result, "B", {"m0": "m1", "m1": "m0"})
+        assert check_sheafification_product(presheaf, fan_path_site, swapped) == [
+            "sections at B are not labelled in plus order"
+        ]
+
+    def test_collapsed_restriction_fails_the_product(self, fan_path_site, undersized):
+        # A r1 B sends both sections at B to m0: B's tuples collide.
+        presheaf, result = undersized
+        sheaf = result.sheaf
+        restrictions = {**sheaf.restrictions, 0: {y: "m0" for y in sheaf.sections["B"]}}
+        collapsed = Presheaf(sheaf.cat, sheaf.sections, restrictions)
+        unit = SimpleNamespace(components=result.unit.components)
+        failures = check_sheafification_product(
+            presheaf, fan_path_site, SheafificationResult(collapsed, unit)
+        )
+        assert "sections at B are not the product over paths from sources" in failures
+
+    def test_moved_unit_fails(self, fan_path_site, undersized):
+        presheaf, result = undersized
+        components = dict(result.unit.components)
+        (x, y), = components["B"].items()
+        components["B"] = {x: next(s for s in result.sheaf.sections["B"] if s != y)}
+        moved = SheafificationResult(result.sheaf, SimpleNamespace(components=components))
+        assert check_sheafification_product(presheaf, fan_path_site, moved) == [
+            "unit at B differs from restriction to the sources"
+        ]
+
+    def test_unit_not_bijective_at_a_source(self, fan_path_site, undersized):
+        presheaf, result = undersized
+        components = {**result.unit.components, "A": {"a1": "m0", "a2": "m0"}}
+        broken = SheafificationResult(result.sheaf, SimpleNamespace(components=components))
+        assert check_sheafification_product(presheaf, fan_path_site, broken) == [
+            "unit not bijective at the source A"
+        ]
 
 
 class TestTransports:
@@ -823,25 +963,16 @@ class TestSaturationInvariance:
     @given(st.integers(0, 10**9))
     def test_sheaves_for_coverage_equal_sheaves_for_topology(self, seed):
         # Saturating a coverage into a topology must not change which
-        # presheaves satisfy the sheaf condition.
-        from kgtopos.sites import (
-            Topology,
-            maximal_sieve,
-            path_coverage,
-            sieve_generated_by,
-        )
-
+        # presheaves satisfy the sheaf condition.  Decided by the search,
+        # which reads every covering sieve: is_sheaf decides both sites
+        # by the same bijections.
         rng = Random(seed)
         cat = random_small_category(
             rng, max_entities=5, max_triples=5, max_morphisms=30, sieve_cap=8
         )
         saturated = Site(cat, path_topology(cat))
-        base_covering = {obj: {maximal_sieve(cat, obj)} for obj in cat.objects}
-        for obj, families in path_coverage(cat).items():
-            for family in families:
-                base_covering[obj].add(sieve_generated_by(cat, obj, family))
-        base = Site(
-            cat, Topology({o: frozenset(s) for o, s in base_covering.items()})
-        )
+        base = Site(cat, unsaturated(cat, path_coverage(cat)))
         presheaf = random_presheaf(rng, cat, max_sections=3)
-        assert bool(is_sheaf(presheaf, base)) == bool(is_sheaf(presheaf, saturated))
+        assert bool(_first_failure(presheaf, base)) == bool(
+            _first_failure(presheaf, saturated)
+        )

@@ -49,6 +49,35 @@ def _always_a_sheaf(real):
     return lambda presheaf, site: sheaves.SheafCheck(True)
 
 
+def _injective_only(real):
+    # The local sheaf condition without its size test: distinct
+    # restriction tuples pass even when they miss part of the product.
+    def planted(presheaf, obj):
+        tables = [presheaf.restrictions[i] for i in presheaf.cat.kg.tail_fibres[obj]]
+        sections = presheaf.sections[obj]
+        return len({tuple(t[x] for t in tables) for x in sections}) == len(sections)
+
+    return planted
+
+
+def _swap_two_images(real):
+    # In the first restriction table of each plus step whose first two
+    # sections have different images, those images trade places.  Both
+    # steps swap, so the unit stays natural and the result stays a sheaf
+    # isomorphic to the right one; its labels are out of order.
+    def planted(presheaf, site):
+        plus, unit = real(presheaf, site)
+        for table in plus.restrictions.values():
+            pair = list(table)[:2]
+            if len(pair) == 2 and table[pair[0]] != table[pair[1]]:
+                first, second = pair
+                table[first], table[second] = table[second], table[first]
+                break
+        return plus, unit
+
+    return planted
+
+
 def _merge_first_two_components(real):
     def merged(g):
         blocks = real(g).blocks
@@ -175,6 +204,20 @@ RANDOM_20 = [FAN, "--random", "--cases", "20"]
             [],
         ),
         (
+            [(sheaves, "_restrictions_biject")],
+            _injective_only,
+            RANDOM_20,
+            ["suite.sheafification", "suite.omega"],
+            [],
+        ),
+        (
+            [(sheaves, "_plus")],
+            _swap_two_images,
+            RANDOM_20,
+            ["suite.sheafification"],
+            [],
+        ),
+        (
             [(lg, "scc")],
             _merge_first_two_components,
             RANDOM_20,
@@ -220,6 +263,8 @@ RANDOM_20 = [FAN, "--random", "--cases", "20"]
         "omega-keeps-covering-sieves",
         "omega-drops-empty-sieve-at-sources",
         "is-sheaf-always-passes",
+        "local-condition-drops-size-test",
+        "plus-swaps-two-images",
         "scc-merges-two-components",
         "fibre-operator-empties-a-row",
         "stray-line-edge-across-fibres",
