@@ -5,10 +5,11 @@ matrix identities against direct recomputation from triples, component
 partitions against fibre grouping, spectra against a blockwise eigensolver,
 morphism counts against walk counting by matrix powers, closed-form
 topologies against saturation over the sieve lattice, the subobject
-classifier against a closedness scan of that lattice, hom-set
-cardinalities against brute-force enumeration, and so on.  Checks are
-seeded and deterministic; size-gated checks report 'skipped' with a
-reason instead of silently passing.
+classifier against a closedness scan of that lattice, sheafification
+against the product over paths from sources, hom-set cardinalities
+against brute-force enumeration, and so on.  Checks are seeded and
+deterministic; size-gated checks report 'skipped' with a reason instead
+of silently passing.
 """
 
 from __future__ import annotations

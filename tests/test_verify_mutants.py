@@ -63,8 +63,9 @@ def _injective_only(real):
 def _swap_two_images(real):
     # In the first restriction table of each plus step whose first two
     # sections have different images, those images trade places.  Both
-    # steps swap, so the unit stays natural and the result stays a sheaf
-    # isomorphic to the right one; its labels are out of order.
+    # steps swap, so on the fan's random suites the unit stays natural
+    # and the result a sheaf isomorphic to the right one: only its
+    # labels are out of order.
     def planted(presheaf, site):
         plus, unit = real(presheaf, site)
         for table in plus.restrictions.values():
