@@ -68,10 +68,6 @@ class SpectrumSizeError(KgToposError):
     """An exact and a numeric eigenvalue multiset differ in size."""
 
 
-class PresheafError(KgToposError):
-    """Presheaf data violates functoriality. Carries the offending path pair."""
-
-
 class NaturalityError(KgToposError):
     """A family of component maps fails a naturality square."""
 

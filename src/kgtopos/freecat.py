@@ -3,7 +3,10 @@
 Objects are entities, generating morphisms are triples, and general
 morphisms are composable paths of triples composed diagrammatically
 (left to right).  Hom-sets are enumerated exhaustively, which requires
-the entity digraph to be acyclic or an explicit length bound.
+the entity digraph to be acyclic or an explicit length bound.  A functor
+between free categories is fixed by its images of objects and
+generators: extend_functor extends them, and induced_functor reads them
+off a graph homomorphism.
 """
 
 from __future__ import annotations
@@ -11,7 +14,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Hashable, Iterable, Mapping
+from typing import Iterable, Mapping
 
 from .errors import (
     CategoryLawError,
@@ -114,16 +117,6 @@ class FreeCategory:
     def morphisms_into(self, obj: str) -> tuple[Path, ...]:
         return self._into[obj]
 
-    # Duck-typed category surface shared with FiniteCategory.
-    def dom(self, p: Path) -> str:
-        return p.source
-
-    def cod(self, p: Path) -> str:
-        return p.target
-
-    def compose(self, p: Path, q: Path) -> Path:
-        return compose(p, q)
-
     def require_complete(self, operation: str) -> None:
         if not self.complete:
             raise CategoryNotClosedError(
@@ -194,141 +187,15 @@ def build_free_category(
 
 
 @dataclass(frozen=True)
-class FiniteCategory:
-    """A category given by an explicit composition table.
-
-    The category laws (typing, identities, associativity) are validated
-    exhaustively on construction.
-    """
-
-    objects: tuple[Hashable, ...]
-    morphisms: tuple[Hashable, ...]
-    dom_map: dict
-    cod_map: dict
-    identities: dict
-    composition: dict
-
-    def __post_init__(self):
-        self._validate()
-
-    def _validate(self) -> None:
-        morphs = set(self.morphisms)
-        for m in self.morphisms:
-            if m not in self.dom_map or m not in self.cod_map:
-                raise CategoryLawError(f"morphism {m!r} lacks dom or cod")
-        for obj in self.objects:
-            i = self.identities.get(obj)
-            if i is None or i not in morphs:
-                raise CategoryLawError(f"object {obj!r} lacks an identity morphism")
-            if self.dom_map[i] != obj or self.cod_map[i] != obj:
-                raise CategoryLawError(f"identity of {obj!r} has wrong endpoints")
-        for f in self.morphisms:
-            for g in self.morphisms:
-                composable = self.cod_map[f] == self.dom_map[g]
-                present = (f, g) in self.composition
-                if composable and not present:
-                    raise CategoryLawError(f"missing composite for {f!r};{g!r}")
-                if not composable and present:
-                    raise CategoryLawError(f"composite of non-composable {f!r};{g!r}")
-                if present:
-                    h = self.composition[(f, g)]
-                    if h not in morphs:
-                        raise CategoryLawError(f"composite {h!r} is not a morphism")
-                    if (
-                        self.dom_map[h] != self.dom_map[f]
-                        or self.cod_map[h] != self.cod_map[g]
-                    ):
-                        raise CategoryLawError(f"composite {f!r};{g!r} mistyped")
-        for m in self.morphisms:
-            left = self.composition[(self.identities[self.dom_map[m]], m)]
-            right = self.composition[(m, self.identities[self.cod_map[m]])]
-            if left != m or right != m:
-                raise CategoryLawError(f"identity law fails at {m!r}")
-        for f in self.morphisms:
-            for g in self.morphisms:
-                if self.cod_map[f] != self.dom_map[g]:
-                    continue
-                fg = self.composition[(f, g)]
-                for h in self.morphisms:
-                    if self.cod_map[g] != self.dom_map[h]:
-                        continue
-                    if self.composition[(fg, h)] != self.composition[
-                        (f, self.composition[(g, h)])
-                    ]:
-                        raise CategoryLawError(
-                            f"associativity fails on {f!r};{g!r};{h!r}"
-                        )
-
-    def identity(self, obj) -> Hashable:
-        return self.identities[obj]
-
-    def dom(self, m) -> Hashable:
-        return self.dom_map[m]
-
-    def cod(self, m) -> Hashable:
-        return self.cod_map[m]
-
-    def compose(self, f, g) -> Hashable:
-        if (f, g) not in self.composition:
-            raise CompositionError(f"{f!r} and {g!r} do not compose")
-        return self.composition[(f, g)]
-
-    def hom(self, a, b) -> tuple:
-        return tuple(
-            m
-            for m in self.morphisms
-            if self.dom_map[m] == a and self.cod_map[m] == b
-        )
-
-    @classmethod
-    def from_free_category(cls, cat: FreeCategory) -> "FiniteCategory":
-        cat.require_complete("FiniteCategory.from_free_category")
-        morphisms = tuple(cat.morphisms())
-        composition = {
-            (p, q): compose(p, q)
-            for p in morphisms
-            for q in morphisms
-            if p.target == q.source
-        }
-        return cls(
-            objects=cat.objects,
-            morphisms=morphisms,
-            dom_map={p: p.source for p in morphisms},
-            cod_map={p: p.target for p in morphisms},
-            identities={obj: cat.identity(obj) for obj in cat.objects},
-            composition=composition,
-        )
-
-    @classmethod
-    def indiscrete(cls, objects: Iterable[Hashable]) -> "FiniteCategory":
-        """Exactly one morphism between every ordered pair of objects."""
-        objs = tuple(objects)
-        morphisms = tuple((a, b) for a in objs for b in objs)
-        return cls(
-            objects=objs,
-            morphisms=morphisms,
-            dom_map={m: m[0] for m in morphisms},
-            cod_map={m: m[1] for m in morphisms},
-            identities={o: (o, o) for o in objs},
-            composition={
-                (f, g): (f[0], g[1])
-                for f in morphisms
-                for g in morphisms
-                if f[1] == g[0]
-            },
-        )
-
-
-@dataclass(frozen=True)
 class Functor:
-    """Structure-preserving map out of a free category.
+    """Structure-preserving map between free categories.
 
     Validated exhaustively on construction: identities, endpoints and all
     enumerated compositions are preserved.
     """
 
     source: FreeCategory
-    target: object  # FreeCategory or FiniteCategory
+    target: FreeCategory
     object_map: dict
     morphism_map: dict
 
@@ -340,46 +207,44 @@ class Functor:
 
     def law_failures(self) -> list[str]:
         failures: list[str] = []
-        tgt = self.target
         for obj in self.source.objects:
             image = self.morphism_map.get(self.source.identity(obj))
-            if image != tgt.identity(self.object_map[obj]):
+            if image != self.target.identity(self.object_map[obj]):
                 failures.append(f"identity at {obj} not preserved")
         for p in self.source.morphisms():
             image = self.morphism_map.get(p)
             if image is None:
                 failures.append(f"no image for path {path_key(p)}")
                 continue
-            if tgt.dom(image) != self.object_map[p.source] or tgt.cod(
-                image
-            ) != self.object_map[p.target]:
+            if (image.source, image.target) != (
+                self.object_map[p.source],
+                self.object_map[p.target],
+            ):
                 failures.append(f"endpoints of {path_key(p)} not preserved")
         for (_, b), paths in self.source.hom_sets.items():
             for p in paths:
                 for c in self.source.objects:
                     for q in self.source.hom(b, c):
-                        want = tgt.compose(self.morphism_map[p], self.morphism_map[q])
+                        want = compose(self.morphism_map[p], self.morphism_map[q])
                         if self.morphism_map.get(compose(p, q)) != want:
                             failures.append(
                                 f"composition {path_key(p)};{path_key(q)} not preserved"
                             )
         return failures
 
-    def apply(self, p: Path):
-        return self.morphism_map[p]
-
 
 def extend_functor(
     cat: FreeCategory,
-    object_assignment: Mapping,
-    generator_assignment: Mapping[int, Hashable],
-    target,
+    object_assignment: Mapping[str, str],
+    generator_assignment: Mapping[int, Path],
+    target: FreeCategory,
 ) -> Functor:
-    """The unique functor extending assignments on objects and generators.
+    """The unique functor extending assignments on objects and generators
+    (the universal property of the free category).
 
     Each enumerated path maps to the left-to-right composite of its
-    generators' images.  Raises TypingError when a generator image has
-    endpoints that disagree with the object assignment.
+    generators' images in `target`.  Raises TypingError when a generator
+    image has endpoints that disagree with the object assignment.
     """
     cat.require_complete("extend_functor")
     kg = cat.kg
@@ -390,15 +255,15 @@ def extend_functor(
         if i not in generator_assignment:
             raise TypingError(f"no generator assignment for triple {i} ({t})")
         image = generator_assignment[i]
-        if target.dom(image) != object_assignment[t.head]:
+        if image.source != object_assignment[t.head]:
             raise TypingError(f"generator {i} image has wrong domain")
-        if target.cod(image) != object_assignment[t.tail]:
+        if image.target != object_assignment[t.tail]:
             raise TypingError(f"generator {i} image has wrong codomain")
     morphism_map = {}
     for p in cat.morphisms():
         image = target.identity(object_assignment[p.source])
         for arrow in p.arrows:
-            image = target.compose(image, generator_assignment[arrow])
+            image = compose(image, generator_assignment[arrow])
         morphism_map[p] = image
     return Functor(cat, target, dict(object_assignment), morphism_map)
 
@@ -446,7 +311,7 @@ def induced_functor(
 
 
 def compose_functors(g: Functor, f: Functor) -> Functor:
-    """Composite g after f; both must be functors between free categories."""
+    """Composite g after f."""
     if f.target is not g.source and f.target != g.source:
         raise CompositionError("functor targets and sources do not match")
     return Functor(

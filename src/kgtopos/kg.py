@@ -220,12 +220,6 @@ def check_hom(f: KgHomomorphism) -> HomCheckResult:
     return HomCheckResult(not violations, violations)
 
 
-def identity_hom(kg: KnowledgeGraph) -> KgHomomorphism:
-    return KgHomomorphism(
-        kg, kg, {e: e for e in kg.entities}, {p: p for p in kg.predicates}
-    )
-
-
 def compose_homs(g: KgHomomorphism, f: KgHomomorphism) -> KgHomomorphism:
     """Componentwise composite g after f; requires target(f) == source(g)."""
     if f.target != g.source:

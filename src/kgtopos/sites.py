@@ -62,11 +62,18 @@ def maximal_sieve(cat: FreeCategory, obj: str) -> Sieve:
 
 
 def pullback_sieve(cat: FreeCategory, sieve: Sieve, g: Path) -> Sieve:
-    """g*S: morphisms whose composite with g lands in S; a sieve on dom(g)."""
+    """g*S = {h : h.g in S}, a sieve on dom(g).  Paths factor uniquely, so
+    it is read off S: the members whose arrows end with g's arrows, with
+    those arrows dropped."""
     if g.target != sieve.obj:
         raise ValueError("pullback morphism must end at the sieve's object")
+    if g.is_identity:
+        return sieve
+    k = len(g.arrows)
     members = frozenset(
-        h for h in cat.morphisms_into(g.source) if compose(h, g) in sieve.members
+        Path(s.source, g.source, s.arrows[:-k])
+        for s in sieve.members
+        if s.arrows[-k:] == g.arrows
     )
     return Sieve(g.source, members)
 

@@ -18,7 +18,7 @@ import time
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import partial
-from itertools import chain, compress, zip_longest
+from itertools import chain, compress, groupby, zip_longest
 from math import prod
 from random import Random
 
@@ -26,7 +26,6 @@ from . import matrices as mx
 from . import linegraph as lg
 from .errors import InfiniteCategoryError, KgToposError, SizeCapError
 from .freecat import (
-    FiniteCategory,
     FreeCategory,
     Path,
     build_free_category,
@@ -360,47 +359,50 @@ def check_walk_count(cat: FreeCategory) -> list[str]:
 
 
 def check_fibres_match_partitions(kg: KnowledgeGraph) -> list[str]:
-    """The cached fibre index against fibres recomputed by scanning
-    kg.heads and kg.tails once per entity."""
+    """The cached fibre index against fibres recomputed by one stable sort
+    of the triple indices by head (or tail), grouped by that end."""
     failures = []
     for name, index, ends in (
         ("head", kg.head_fibres, kg.heads),
         ("tail", kg.tail_fibres, kg.tails),
     ):
-        direct = {
-            e: tuple(i for i, end in enumerate(ends) if end == e)
-            for e in kg.entities
-        }
+        by_end = sorted(range(len(ends)), key=ends.__getitem__)
+        direct = dict.fromkeys(kg.entities, ())
+        direct.update(
+            (end, tuple(fibre)) for end, fibre in groupby(by_end, key=ends.__getitem__)
+        )
         if index != direct:
             failures.append(f"{name} fibre index differs from direct recomputation")
     return failures
 
 
-def _right_fold(cat: FreeCategory, target, object_map, generator_map, p):
-    image = target.identity(object_map[p.target])
+def _right_fold(object_map, generator_map, p: Path) -> Path:
+    image = Path(object_map[p.target], object_map[p.target], ())
     for arrow in reversed(p.arrows):
-        image = target.compose(generator_map[arrow], image)
+        image = compose(generator_map[arrow], image)
     return image
 
 
 def check_extend_functor(cat: FreeCategory, rng: Random) -> list[str]:
-    """Functor extension into an indiscrete target: construction validates
-    the laws; uniqueness is checked against an independent right fold."""
+    """Functor extension into the free category of a random homomorphic
+    image: each generator goes to the generator of its image triple.
+    Construction validates the laws, and every image is compared with an
+    independent right fold, so a well-typed but wrong image fails.  The
+    generator paths extend to the identity functor."""
     failures = []
-    k = rng.randint(1, 3)
-    target = FiniteCategory.indiscrete([f"X{i}" for i in range(k)])
-    object_map = {obj: f"X{rng.randrange(k)}" for obj in cat.objects}
+    f = random_acyclic_hom(rng, cat.kg)
+    target = build_free_category(f.target)
+    object_map = f.entity_map
     generator_map = {
-        i: (object_map[t.head], object_map[t.tail])
+        i: target.generator_path(f.target.triple_index[f.apply_triple(t)])
         for i, t in enumerate(cat.kg.triples)
     }
     functor = extend_functor(cat, object_map, generator_map, target)
-    for p in cat.morphisms():
-        if functor.morphism_map[p] != _right_fold(
-            cat, target, object_map, generator_map, p
-        ):
-            failures.append("left and right folds disagree; extension not unique")
-            break
+    if any(
+        functor.morphism_map[p] != _right_fold(object_map, generator_map, p)
+        for p in cat.morphisms()
+    ):
+        failures.append("left and right folds disagree; extension not unique")
     identity = extend_functor(
         cat,
         {obj: obj for obj in cat.objects},

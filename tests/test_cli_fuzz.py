@@ -2,8 +2,10 @@
 
 Every run must exit 0, 1, 2 or 3 with no Python traceback; documents the
 library rejects must exit 2, and a star graph past the sieve cap must
-exit 3 quickly instead of scanning sieves.  Example counts are small and
-every cap stays at most 12, so the module runs in a few seconds.
+exit 3 quickly instead of scanning sieves.  Generated chains, stars,
+two-layer DAGs and cycles go through every `sheaf` command.  Example
+counts are small and every cap stays at most 12, so the module runs in
+a few seconds.
 """
 
 import copy
@@ -17,6 +19,7 @@ from hypothesis import strategies as st
 
 from kgtopos import KgToposError, build_free_category, load_presheaf, parse_kg
 from kgtopos.cli import main
+from kgtopos.kg import find_entity_cycle
 
 DATA = Path(__file__).parent / "data"
 FAN = str(DATA / "fan.txt")
@@ -207,3 +210,52 @@ def test_star_past_the_sieve_cap_exits_3(tmp_path_factory, command, sieve_cap, e
     result = _run([*command, str(path), "--sieve-cap", str(sieve_cap)])
     assert result.exit_code == 3
     assert time.perf_counter() - start < 2.0
+
+
+@st.composite
+def generated_graphs(draw):
+    """A chain, a star, a two-layer DAG or one cycle, with at most 8
+    triples, as triple-file text."""
+    shape = draw(st.sampled_from(["chain", "star", "layers", "cycle"]))
+    n = draw(st.integers(1, 8))
+    if shape == "chain":
+        pairs = [(f"e{i}", f"e{i + 1}") for i in range(n)]
+    elif shape == "star":
+        pairs = [(f"s{i}", "T") for i in range(n)]
+    elif shape == "layers":
+        edges = [(f"a{i}", f"b{j}") for i in range(3) for j in range(3)]
+        pairs = draw(st.lists(st.sampled_from(edges), min_size=1, max_size=8, unique=True))
+    else:
+        pairs = [(f"c{i}", f"c{(i + 1) % n}") for i in range(n)]
+    return "".join(f"{head} r {tail}\n" for head, tail in pairs)
+
+
+@settings(max_examples=30, deadline=None)
+@given(text=generated_graphs())
+def test_generated_graphs_through_every_sheaf_command(tmp_path_factory, text):
+    # The constant presheaf is terminal, so on an acyclic graph every
+    # command succeeds; on a cycle every one refuses the infinite
+    # hom-sets with exit 2.
+    kg = parse_kg(text)
+    obj = kg.triples[-1].tail
+    folder = tmp_path_factory.mktemp("generated")
+    graph, presheaf, family = (folder / name for name in ("g.txt", "p.json", "f.json"))
+    graph.write_text(text)
+    presheaf.write_text(json.dumps({
+        "sections": {e: ["*"] for e in kg.entities},
+        "restrictions": {str(t): {"*": "*"} for t in kg.triples},
+    }))
+    family.write_text(json.dumps(
+        {"object": obj, "assignment": {str(i): "*" for i in kg.tail_fibres[obj]}}
+    ))
+    g, p = str(graph), str(presheaf)
+    expected = 0 if find_entity_cycle(kg) is None else 2
+    for args in (
+        ["check", g, p],
+        ["glue", g, p, "--family", str(family)],
+        ["sheafify", g, p],
+        ["global", g, p],
+        ["omega", g],
+        ["adjoint", g, p, "--other", p],
+    ):
+        assert _run(["sheaf", *args]).exit_code == expected, args

@@ -5,10 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kgtopos import (
-    CategoryLawError,
     CategoryNotClosedError,
     CompositionError,
-    FiniteCategory,
     InfiniteCategoryError,
     Path,
     TypingError,
@@ -16,7 +14,6 @@ from kgtopos import (
     compose,
     extend_functor,
     head_partition,
-    identity_hom,
     induced_functor,
     parse_kg,
     tail_partition,
@@ -26,7 +23,7 @@ from kgtopos.kg import compose_homs, find_entity_cycle
 from kgtopos.randgen import random_acyclic_hom, random_small_category
 from kgtopos.verify import expected_morphism_count
 
-from helpers import swap_hom
+from helpers import identity_hom, swap_hom
 
 
 class TestBuild:
@@ -158,30 +155,16 @@ class TestDomCod:
             assert fan_cat.hom(obj, obj) == (fan_cat.identity(obj),)
 
 
-class TestFiniteCategory:
-    def test_indiscrete_laws(self):
-        cat = FiniteCategory.indiscrete(["X", "Y"])
-        assert cat.compose(("X", "Y"), ("Y", "X")) == ("X", "X")
-
-    def test_from_free_category(self, fan_cat):
-        finite = FiniteCategory.from_free_category(fan_cat)
-        assert len(finite.morphisms) == 8
-
-    def test_broken_composition_rejected(self):
-        with pytest.raises(CategoryLawError):
-            FiniteCategory(
-                objects=("X",),
-                morphisms=("id", "f"),
-                dom_map={"id": "X", "f": "X"},
-                cod_map={"id": "X", "f": "X"},
-                identities={"X": "id"},
-                composition={
-                    ("id", "id"): "id",
-                    ("id", "f"): "f",
-                    ("f", "id"): "id",  # violates the identity law
-                    ("f", "f"): "f",
-                },
-            )
+def _image_assignment(cat, rng):
+    """Object and generator images in the free category of a random
+    homomorphic image of cat: each triple goes to its image triple."""
+    f = random_acyclic_hom(rng, cat.kg)
+    target = build_free_category(f.target)
+    generator_map = {
+        i: target.generator_path(f.target.triple_index[f.apply_triple(t)])
+        for i, t in enumerate(cat.kg.triples)
+    }
+    return target, f.entity_map, generator_map
 
 
 class TestExtendFunctor:
@@ -194,68 +177,59 @@ class TestExtendFunctor:
         )
         assert functor.morphism_map == identity_functor(fan_cat).morphism_map
 
-    def test_collapse_to_two_objects(self, fan_cat):
-        # All four generators land on the unique arrow X -> Y; checking the
+    def test_collapse_onto_one_triple(self, fan_cat):
+        # All four generators land on the one triple X r Y; checking the
         # four generator images by hand fixes the whole functor.
-        target = FiniteCategory.indiscrete(["X", "Y"])
+        target = build_free_category(parse_kg("X r Y\n"))
         functor = extend_functor(
             fan_cat,
             {"A": "X", "D": "X", "B": "Y", "C": "Y"},
-            {i: ("X", "Y") for i in range(4)},
+            {i: target.generator_path(0) for i in range(4)},
             target,
         )
         for i in range(4):
-            assert functor.apply(fan_cat.generator_path(i)) == ("X", "Y")
+            assert functor.morphism_map[fan_cat.generator_path(i)] == Path(
+                "X", "Y", (0,)
+            )
+        assert functor.morphism_map[fan_cat.identity("C")] == target.identity("Y")
 
     def test_typing_error(self, fan_cat):
-        target = FiniteCategory.indiscrete(["X", "Y"])
+        target = build_free_category(parse_kg("X r Y\n"))
+        images = {i: target.generator_path(0) for i in range(4)}
+        images[0] = target.identity("X")  # ends at X, not at B's image Y
         with pytest.raises(TypingError):
             extend_functor(
-                fan_cat,
-                {"A": "X", "D": "X", "B": "Y", "C": "Y"},
-                {0: ("Y", "X"), 1: ("X", "Y"), 2: ("X", "Y"), 3: ("X", "Y")},
-                target,
+                fan_cat, {"A": "X", "D": "X", "B": "Y", "C": "Y"}, images, target
             )
 
     def test_truncated_source_refused(self):
         cat = build_free_category(parse_kg("A r B\nB s A\n"), max_length=2)
+        target = build_free_category(parse_kg("X r X\n"), max_length=1)
         with pytest.raises(CategoryNotClosedError):
             extend_functor(
                 cat,
                 {obj: "X" for obj in cat.objects},
-                {i: ("X", "X") for i in range(2)},
-                FiniteCategory.indiscrete(["X"]),
+                {i: target.generator_path(0) for i in range(2)},
+                target,
             )
 
     def test_uniqueness_against_right_fold(self):
         rng = Random(7)
         cat = random_small_category(rng, max_entities=6, max_triples=8)
-        k = 3
-        target = FiniteCategory.indiscrete([f"X{i}" for i in range(k)])
-        object_map = {obj: f"X{rng.randrange(k)}" for obj in cat.objects}
-        generator_map = {
-            i: (object_map[t.head], object_map[t.tail])
-            for i, t in enumerate(cat.kg.triples)
-        }
+        target, object_map, generator_map = _image_assignment(cat, rng)
         functor = extend_functor(cat, object_map, generator_map, target)
         for p in cat.morphisms():
             image = target.identity(object_map[p.target])
             for arrow in reversed(p.arrows):
-                image = target.compose(generator_map[arrow], image)
-            assert functor.apply(p) == image
+                image = compose(generator_map[arrow], image)
+            assert functor.morphism_map[p] == image
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(0, 10**9))
     def test_random_consistent_assignments_validate(self, seed):
         rng = Random(seed)
         cat = random_small_category(rng, max_entities=5, max_triples=6)
-        k = rng.randint(1, 3)
-        target = FiniteCategory.indiscrete([f"X{i}" for i in range(k)])
-        object_map = {obj: f"X{rng.randrange(k)}" for obj in cat.objects}
-        generator_map = {
-            i: (object_map[t.head], object_map[t.tail])
-            for i, t in enumerate(cat.kg.triples)
-        }
+        target, object_map, generator_map = _image_assignment(cat, rng)
         functor = extend_functor(cat, object_map, generator_map, target)
         assert functor.law_failures() == []
 
@@ -268,8 +242,8 @@ class TestInducedFunctor:
     def test_fan_swap(self, fan_kg, fan_cat):
         functor = induced_functor(swap_hom(fan_kg), fan_cat, fan_cat)
         assert functor.object_map == {"A": "D", "D": "A", "B": "B", "C": "C"}
-        assert functor.apply(fan_cat.generator_path(0)) == fan_cat.generator_path(2)
-        assert functor.apply(fan_cat.generator_path(1)) == fan_cat.generator_path(3)
+        assert functor.morphism_map[fan_cat.generator_path(0)] == fan_cat.generator_path(2)
+        assert functor.morphism_map[fan_cat.generator_path(1)] == fan_cat.generator_path(3)
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(0, 10**9))

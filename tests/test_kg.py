@@ -14,14 +14,13 @@ from kgtopos import (
     Triple,
     check_hom,
     compose_homs,
-    identity_hom,
     kg_from_json,
     parse_kg,
     serialize_kg,
 )
 from kgtopos.randgen import random_hom, random_kg
 
-from helpers import swap_hom
+from helpers import identity_hom, swap_hom
 
 
 class TestParse:

@@ -13,7 +13,6 @@ from kgtopos import (
     build_out_line,
     compose_homs,
     head_partition,
-    identity_hom,
     induced_line_map,
     line_adjacency_in,
     line_adjacency_out,
@@ -24,6 +23,8 @@ from kgtopos import (
 )
 from kgtopos.linegraph import to_dot
 from kgtopos.randgen import random_hom, random_kg
+
+from helpers import identity_hom
 
 
 def brute_force_scc(g: Digraph) -> set[frozenset[int]]:

@@ -120,6 +120,22 @@ class TestSieves:
                         direct = pullback_sieve(cat, sieve, compose(h, g))
                         assert two_step.members == direct.members
 
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(0, 10**9))
+    def test_pullback_matches_its_definition(self, seed):
+        # g*S = {h into dom g : h.g in S}, composing every such h.
+        rng = Random(seed)
+        cat = random_small_category(rng, max_entities=5, max_triples=6, sieve_cap=10)
+        for obj in cat.objects:
+            for sieve in enumerate_sieves(cat, obj, cap=10):
+                for g in cat.morphisms_into(obj):
+                    definition = {
+                        h for h in cat.morphisms_into(g.source) if compose(h, g) in sieve
+                    }
+                    pulled = pullback_sieve(cat, sieve, g)
+                    assert pulled.obj == g.source
+                    assert pulled.members == definition
+
 
 class TestGenerateTopology:
     def test_fan_path_covering_at_b(self, fan_cat, fan_path_site):

@@ -11,7 +11,7 @@ from click.testing import CliRunner
 
 from kgtopos import linegraph as lg
 from kgtopos import matrices as mx
-from kgtopos import sheaves, sites, verify
+from kgtopos import freecat, sheaves, sites, verify
 from kgtopos.cli import main
 
 FAN = str(Path(__file__).parent / "data" / "fan.txt")
@@ -144,6 +144,21 @@ def _drop_a_member(real):
     return planted
 
 
+def _first_well_typed_image(real):
+    # Each generator image becomes the first morphism between its
+    # endpoints, so the extension is still a functor with the assigned
+    # object map, but not the one the generator images fix.
+    def planted(cat, object_assignment, generator_assignment, target):
+        if target is not cat:
+            generator_assignment = {
+                i: target.hom(image.source, image.target)[0]
+                for i, image in generator_assignment.items()
+            }
+        return real(cat, object_assignment, generator_assignment, target)
+
+    return planted
+
+
 def _statuses(output: str) -> dict[str, str]:
     """Check name (suite size stripped) -> status, from verify's text output."""
     statuses = {}
@@ -256,6 +271,13 @@ RANDOM_20 = [FAN, "--random", "--cases", "20"]
             ["sites.axioms", "sheaf.omega", "suite.topologies", "suite.omega"],
             [],
         ),
+        (
+            [(freecat, "extend_functor"), (verify, "extend_functor")],
+            _first_well_typed_image,
+            RANDOM_20,
+            ["suite.categories"],
+            [],
+        ),
     ],
     ids=[
         "rank-off-by-one",
@@ -271,6 +293,7 @@ RANDOM_20 = [FAN, "--random", "--cases", "20"]
         "stray-line-edge-across-fibres",
         "row-entry-moved",
         "pullback-sieve-drops-a-member",
+        "extension-takes-first-well-typed-image",
     ],
 )
 def test_planted_fault_fails_its_checks(
