@@ -221,15 +221,18 @@ class Functor:
                 self.object_map[p.target],
             ):
                 failures.append(f"endpoints of {path_key(p)} not preserved")
+        out_of = {
+            b: [q for c in self.source.objects for q in self.source.hom(b, c)]
+            for b in self.source.objects
+        }
         for (_, b), paths in self.source.hom_sets.items():
             for p in paths:
-                for c in self.source.objects:
-                    for q in self.source.hom(b, c):
-                        want = compose(self.morphism_map[p], self.morphism_map[q])
-                        if self.morphism_map.get(compose(p, q)) != want:
-                            failures.append(
-                                f"composition {path_key(p)};{path_key(q)} not preserved"
-                            )
+                for q in out_of[b]:
+                    want = compose(self.morphism_map[p], self.morphism_map[q])
+                    if self.morphism_map.get(compose(p, q)) != want:
+                        failures.append(
+                            f"composition {path_key(p)};{path_key(q)} not preserved"
+                        )
         return failures
 
 

@@ -12,9 +12,12 @@ witness and serves gluing.
 
 Sheafification applies the plus construction twice.  On a finite
 saturated topology the covering sieves on an object are closed under
-intersection, so the colimit defining the plus construction is simply
-the set of matching families on the minimum covering sieve; that is how
-it is computed here, with deterministically ordered representatives.
+intersection, so the colimit defining the plus construction is the set
+of matching families on the minimum covering sieve M(b).  Such a family
+is fixed by its values on M(b)'s generators, the members with no proper
+suffix in M(b), since paths factor uniquely; so P+(b) is built directly
+as the product of P(dom g) over those generators (id_b when M(b) is
+maximal, the paths from sources on the path site), with no search.
 
 The subobject classifier's closed sieves come from the fold that builds
 the path topology; the sieve-lattice scan is left to the oracles.
@@ -230,11 +233,6 @@ class MatchingFamily:
 
     sieve: Sieve
     assignment: dict[Path, str]
-
-    def canonical_key(self) -> tuple[tuple[str, str], ...]:
-        return tuple(
-            sorted((path_key(p), v) for p, v in self.assignment.items())
-        )
 
 
 def is_matching_family(presheaf: Presheaf, family: MatchingFamily) -> bool:
@@ -562,54 +560,78 @@ class SheafificationResult:
     unit: NatTransformation
 
 
-def _plus(
-    presheaf: Presheaf, site: Site
-) -> tuple[Presheaf, dict[str, dict[str, str]]]:
-    """One plus-construction step evaluated at minimum covering sieves.
+def _factorizations(sieve: Sieve) -> list[tuple[Path, Path, Path]]:
+    """Each member m of the sieve, in path_key order, as (m, g, prefix)
+    with m = prefix.g, where g is m's shortest suffix in the sieve.  That
+    g is a generator of the sieve: a member with no proper suffix in it.
+    Paths factor uniquely, so every member factors through exactly one
+    generator, and a matching family is fixed by its generator values."""
+    by_arrows = {p.arrows: p for p in sieve.members}
+    rows = []
+    for m in sorted(sieve.members, key=path_key):
+        k = next(k for k in range(len(m.arrows), -1, -1) if m.arrows[k:] in by_arrows)
+        g = by_arrows[m.arrows[k:]]
+        rows.append((m, g, Path(m.source, g.source, m.arrows[:k])))
+    return rows
 
-    Returns the new presheaf and the components of the canonical map from
-    the input into it.  Section labels are m0, m1, ... per object in the
-    order of the families' canonical keys.
+
+def _plus(
+    presheaf: Presheaf, factors: Mapping[str, list[tuple[Path, Path, Path]]]
+) -> tuple[Presheaf, dict[str, dict[str, str]]]:
+    """One plus-construction step, given the _factorizations of the
+    minimum covering sieve M(b) at every object b.
+
+    On a saturated topology the colimit is the set of matching families
+    on M(b), that is the product of P(dom g) over M(b)'s generators g
+    (Mac Lane and Moerdijk III.5).  Returns the new presheaf and the
+    components of the canonical map from the input into it.  Section
+    labels are m0, m1, ... per object, ordered by the families' values
+    on the members of M(b) in path_key order.
     """
     cat = presheaf.cat
-    minimum = {obj: site.topology.min_covering_sieve(obj) for obj in cat.objects}
-    families: dict[str, list[MatchingFamily]] = {}
-    labels: dict[str, dict[tuple, str]] = {}
-    sections: dict[str, tuple[str, ...]] = {}
+    tables: dict[Path, dict[str, str]] = {}
+
+    def table(p: Path) -> dict[str, str]:
+        if p not in tables:
+            tables[p] = restrict(presheaf, p)
+        return tables[p]
+
+    generators: dict[str, list[Path]] = {}
+    # Per object and member, where a family's generator tuple holds the
+    # member's generator value, and the restriction along its prefix.
+    readers: dict[str, dict[tuple[int, ...], tuple[int, dict[str, str]]]] = {}
+    labels: dict[str, dict[tuple[str, ...], str]] = {}
     for obj in cat.objects:
-        fams = sorted(
-            enumerate_matching_families(presheaf, minimum[obj]),
-            key=lambda fam: fam.canonical_key(),
+        gens = list(dict.fromkeys(g for _, g, _ in factors[obj]))
+        position = {g: j for j, g in enumerate(gens)}
+        reader = {m.arrows: (position[g], table(prefix)) for m, g, prefix in factors[obj]}
+        members = list(reader.values())
+        families = sorted(
+            product(*(presheaf.sections[g.source] for g in gens)),
+            key=lambda x: tuple([r[x[j]] for j, r in members]),
         )
-        families[obj] = fams
-        labels[obj] = {fam.canonical_key(): f"m{k}" for k, fam in enumerate(fams)}
-        sections[obj] = tuple(f"m{k}" for k in range(len(fams)))
+        generators[obj], readers[obj] = gens, reader
+        labels[obj] = {x: f"m{k}" for k, x in enumerate(families)}
+    sections = {obj: tuple(labels[obj].values()) for obj in cat.objects}
 
     restrictions: dict[int, dict[str, str]] = {}
     for i, t in enumerate(cat.kg.triples):
-        gen = cat.generator_path(i)
-        table: dict[str, str] = {}
-        for k, fam in enumerate(families[t.tail]):
-            pulled = {}
-            for h in minimum[t.head].sorted_members():
-                composite = compose(h, gen)
-                # Stability puts the pullback of the minimum sieve at the
-                # tail above the minimum sieve at the head.
-                pulled[h] = fam.assignment[composite]
-            key = MatchingFamily(minimum[t.head], pulled).canonical_key()
-            table[f"m{k}"] = labels[t.head][key]
-        restrictions[i] = table
+        # Stability puts the pullback of the minimum sieve at the tail
+        # above the minimum sieve at the head.
+        pulled = [readers[t.tail][g.arrows + (i,)] for g in generators[t.head]]
+        head = labels[t.head]
+        restrictions[i] = {
+            label: head[tuple([r[x[j]] for j, r in pulled])]
+            for x, label in labels[t.tail].items()
+        }
     plus_presheaf = Presheaf(cat, sections, restrictions)
 
     unit_components: dict[str, dict[str, str]] = {}
     for obj in cat.objects:
-        tables = {f: restrict(presheaf, f) for f in minimum[obj].members}
-        comp = {}
-        for s in presheaf.sections[obj]:
-            induced = {f: table[s] for f, table in tables.items()}
-            key = MatchingFamily(minimum[obj], induced).canonical_key()
-            comp[s] = labels[obj][key]
-        unit_components[obj] = comp
+        own = [table(g) for g in generators[obj]]
+        unit_components[obj] = {
+            s: labels[obj][tuple([r[s] for r in own])] for s in presheaf.sections[obj]
+        }
     return plus_presheaf, unit_components
 
 
@@ -617,8 +639,12 @@ def sheafify(presheaf: Presheaf, site: Site) -> SheafificationResult:
     """Plus construction applied twice, with the canonical map into the
     result.  The output satisfies the sheaf condition for the site; when
     the input already does, the canonical map is objectwise bijective."""
-    once, unit1 = _plus(presheaf, site)
-    twice, unit2 = _plus(once, site)
+    factors = {
+        obj: _factorizations(site.topology.min_covering_sieve(obj))
+        for obj in presheaf.cat.objects
+    }
+    once, unit1 = _plus(presheaf, factors)
+    twice, unit2 = _plus(once, factors)
     unit = NatTransformation(presheaf, twice, compose_components(unit2, unit1))
     return SheafificationResult(twice, unit)
 
@@ -703,15 +729,21 @@ def omega(site: Site) -> Presheaf:
     and its pullback along every triple into its object is closed."""
     cat, topology = site.category, site.topology
     closed = _fold_over_triples(cat, lambda s: not topology.covers(s))
-    for sieves in closed.values():
-        sieves.sort(key=lambda s: (len(s.members), s.keys()))
-    sections = {obj: tuple(map(sieve_label, closed[obj])) for obj in cat.objects}
+    labels: dict[str, dict[Sieve, str]] = {}
+    for obj, sieves in closed.items():
+        # By size, then by the list of keys: not the joined label's order.
+        keyed = sorted(((s.keys(), s) for s in sieves), key=lambda ks: (len(ks[0]), ks[0]))
+        labels[obj] = {s: "{" + ";".join(keys) + "}" for keys, s in keyed}
+    sections = {obj: tuple(labels[obj].values()) for obj in cat.objects}
     restrictions: dict[int, dict[str, str]] = {}
     for i, t in enumerate(cat.kg.triples):
-        gen = cat.generator_path(i)
+        gen, head = cat.generator_path(i), labels[t.head]
+        # A pullback that is not closed keeps its own label, which
+        # Presheaf then rejects.
         restrictions[i] = {
-            sieve_label(s): sieve_label(pullback_sieve(cat, s, gen))
-            for s in closed[t.tail]
+            label: head.get(pulled) or sieve_label(pulled)
+            for s, label in labels[t.tail].items()
+            for pulled in [pullback_sieve(cat, s, gen)]
         }
     return Presheaf(cat, sections, restrictions)
 

@@ -6,7 +6,8 @@ partitions against fibre grouping, spectra against a blockwise eigensolver,
 morphism counts against walk counting by matrix powers, closed-form
 topologies against saturation over the sieve lattice, the subobject
 classifier against a closedness scan of that lattice, sheafification
-against the product over paths from sources, hom-set cardinalities
+against the product over paths from sources and against the plus
+construction by matching-family search, hom-set cardinalities
 against brute-force enumeration, and so on.  Checks are seeded and
 deterministic; size-gated checks report 'skipped' with a reason instead
 of silently passing.
@@ -52,11 +53,13 @@ from .randgen import (
 )
 from .sheaves import (
     DEFAULT_SECTION_CAP,
+    MatchingFamily,
     Presheaf,
     SheafCheck,
     SheafificationResult,
     amalgamations,
     check_adjunction,
+    compose_components,
     count_subsheaves,
     enumerate_matching_families,
     global_sections,
@@ -756,6 +759,77 @@ def check_sheafification_product(
     return failures
 
 
+def _family_key(family: MatchingFamily) -> tuple[tuple[str, str], ...]:
+    return tuple(sorted((path_key(p), v) for p, v in family.assignment.items()))
+
+
+def _plus_by_search(
+    presheaf: Presheaf, site: Site
+) -> tuple[Presheaf, dict[str, dict[str, str]]]:
+    """Oracle for sheaves._plus: one plus step as the matching families
+    on each minimum covering sieve found by search, labelled m0, m1, ...
+    in the order of their sorted (path key, value) pairs, with the
+    restriction tables and the unit read off the families."""
+    cat = presheaf.cat
+    minimum = {obj: site.topology.min_covering_sieve(obj) for obj in cat.objects}
+    families: dict[str, list[MatchingFamily]] = {}
+    labels: dict[str, dict[tuple, str]] = {}
+    sections: dict[str, tuple[str, ...]] = {}
+    for obj in cat.objects:
+        fams = sorted(enumerate_matching_families(presheaf, minimum[obj]), key=_family_key)
+        families[obj] = fams
+        labels[obj] = {_family_key(fam): f"m{k}" for k, fam in enumerate(fams)}
+        sections[obj] = tuple(f"m{k}" for k in range(len(fams)))
+
+    restrictions: dict[int, dict[str, str]] = {}
+    for i, t in enumerate(cat.kg.triples):
+        gen = cat.generator_path(i)
+        table: dict[str, str] = {}
+        for k, fam in enumerate(families[t.tail]):
+            pulled = {
+                h: fam.assignment[compose(h, gen)]
+                for h in minimum[t.head].sorted_members()
+            }
+            key = _family_key(MatchingFamily(minimum[t.head], pulled))
+            table[f"m{k}"] = labels[t.head][key]
+        restrictions[i] = table
+
+    unit_components: dict[str, dict[str, str]] = {}
+    for obj in cat.objects:
+        tables = {f: restrict(presheaf, f) for f in minimum[obj].members}
+        unit_components[obj] = {
+            s: labels[obj][
+                _family_key(
+                    MatchingFamily(minimum[obj], {f: t[s] for f, t in tables.items()})
+                )
+            ]
+            for s in presheaf.sections[obj]
+        }
+    return Presheaf(cat, sections, restrictions), unit_components
+
+
+def _sheafification_parts(sheaf: Presheaf, unit: dict[str, dict[str, str]]) -> tuple:
+    """Sections, restriction tables and unit components, each table and
+    component as its list of items, so that their order counts too."""
+    return (
+        sheaf.sections,
+        {i: list(table.items()) for i, table in sheaf.restrictions.items()},
+        {obj: list(component.items()) for obj, component in unit.items()},
+    )
+
+
+def check_sheafify_against_search(site: Site, presheaf: Presheaf) -> list[str]:
+    """sheafify's whole result against two plus steps by search."""
+    result = sheafify(presheaf, site)
+    once, unit1 = _plus_by_search(presheaf, site)
+    twice, unit2 = _plus_by_search(once, site)
+    if _sheafification_parts(
+        result.sheaf, result.unit.components
+    ) != _sheafification_parts(twice, compose_components(unit2, unit1)):
+        return ["sheafify differs from two plus steps by search"]
+    return []
+
+
 def suite_sheafification(seed: int, cases: int = 30) -> list[CheckResult]:
     def run_case(case: int, failures: list[str]) -> None:
         rng = _case_rng("sheafification", seed, case)
@@ -763,6 +837,10 @@ def suite_sheafification(seed: int, cases: int = 30) -> list[CheckResult]:
         presheaf = random_presheaf(rng, site.category, max_sections=3)
         result = sheafify(presheaf, site)
         failures.extend(check_sheafification_product(presheaf, site, result))
+        atomic = Site(site.category, atomic_topology(site.category))
+        failures.extend(
+            _per_site((site, atomic), check_sheafify_against_search, presheaf)
+        )
         if not _is_sheaf_against_scan(
             result.sheaf, site, failures, "the sheafified presheaf"
         ):

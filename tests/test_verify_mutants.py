@@ -61,13 +61,13 @@ def _injective_only(real):
 
 
 def _swap_two_images(real):
-    # In the first restriction table of each plus step whose first two
-    # sections have different images, those images trade places.  Both
-    # steps swap, so on the fan's random suites the unit stays natural
-    # and the result a sheaf isomorphic to the right one: only its
-    # labels are out of order.
-    def planted(presheaf, site):
-        plus, unit = real(presheaf, site)
+    # In the first restriction table of each product plus step whose
+    # first two sections have different images, those images trade
+    # places.  Both steps swap, so on the fan's random suites the unit
+    # stays natural and the result a sheaf isomorphic to the right one:
+    # only its labels are out of order.
+    def planted(presheaf, factors):
+        plus, unit = real(presheaf, factors)
         for table in plus.restrictions.values():
             pair = list(table)[:2]
             if len(pair) == 2 and table[pair[0]] != table[pair[1]]:
@@ -75,6 +75,23 @@ def _swap_two_images(real):
                 table[first], table[second] = table[second], table[first]
                 break
         return plus, unit
+
+    return planted
+
+
+def _misses_identity_generator(real):
+    # A member of a maximal sieve factors through its last triple instead
+    # of the identity, so that triple becomes a generator of its own.
+    # The minimum covering sieve is maximal only at sources on the path
+    # site, where it has no other member, so only the atomic site sees it.
+    def planted(sieve):
+        rows = real(sieve)
+        by_arrows = {m.arrows: m for m, _, _ in rows}
+        for k, (m, g, _) in enumerate(rows):
+            if m.arrows and not g.arrows:
+                last = by_arrows[m.arrows[-1:]]
+                rows[k] = (m, last, freecat.Path(m.source, last.source, m.arrows[:-1]))
+        return rows
 
     return planted
 
@@ -234,6 +251,13 @@ RANDOM_20 = [FAN, "--random", "--cases", "20"]
             [],
         ),
         (
+            [(sheaves, "_factorizations")],
+            _misses_identity_generator,
+            RANDOM_20,
+            ["suite.sheafification"],
+            [],
+        ),
+        (
             [(lg, "scc")],
             _merge_first_two_components,
             RANDOM_20,
@@ -288,6 +312,7 @@ RANDOM_20 = [FAN, "--random", "--cases", "20"]
         "is-sheaf-always-passes",
         "local-condition-drops-size-test",
         "plus-swaps-two-images",
+        "plus-misses-identity-generator",
         "scc-merges-two-components",
         "fibre-operator-empties-a-row",
         "stray-line-edge-across-fibres",
