@@ -58,6 +58,10 @@ def _read_json(path: str) -> dict:
         raise SchemaError(f"{path}: not UTF-8: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise SchemaError(f"{path}: invalid JSON: {exc}") from exc
+    except (RecursionError, ValueError) as exc:
+        # Nesting past the recursion limit, or an integer literal past
+        # the digit limit of int conversion.
+        raise SchemaError(f"{path}: JSON too deep or too long to read: {exc}") from exc
 
 
 def _emit_json(data: dict) -> None:

@@ -56,12 +56,17 @@ class Presheaf:
     `restrictions[i]` sends sections at the tail of triple i to sections
     at its head (restriction runs against the arrows).  Restriction along
     a general path is by definition the composite of the generator maps,
-    so any generator assignment is functorial.
+    so any generator assignment is functorial.  `restrict` memoizes those
+    composites in `_tables` for the presheaf's life, so a generator table
+    must not be edited once read.  The memo takes no part in equality.
     """
 
     cat: FreeCategory
     sections: dict[str, tuple[str, ...]]
     restrictions: dict[int, dict[str, str]]
+    _tables: dict[tuple[str, tuple[int, ...]], dict[str, str]] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
         self.cat.require_complete("Presheaf construction")
@@ -89,13 +94,6 @@ class Presheaf:
                     f"sections at {t.head}: {bad}"
                 )
 
-    def _derived(self, p: Path) -> dict[str, str]:
-        table = {s: s for s in self.sections[p.target]}
-        for arrow in reversed(p.arrows):
-            gen = self.restrictions[arrow]
-            table = {s: gen[v] for s, v in table.items()}
-        return table
-
     def to_dict(self) -> dict:
         return {
             "sections": {obj: list(self.sections[obj]) for obj in self.cat.objects},
@@ -108,8 +106,23 @@ class Presheaf:
 
 def restrict(presheaf: Presheaf, p: Path) -> dict[str, str]:
     """Restriction map along a path, from sections at its target to
-    sections at its source."""
-    return presheaf._derived(p)
+    sections at its source: P(t.q) = P(t) o P(q), the first triple's
+    generator table applied to the table of the rest of the path.  Tables
+    are memoized on the presheaf by (target, arrows), so paths that end
+    alike share their suffixes' tables and a second call returns the same
+    dict, which callers must not edit."""
+    memo, target, arrows = presheaf._tables, p.target, p.arrows
+    table = memo.get((target, arrows))
+    if table is None:
+        if (target, ()) not in memo:
+            memo[target, ()] = {s: s for s in presheaf.sections[target]}
+        # The longest memoized suffix of p; at worst the identity.
+        k = next(k for k in range(len(arrows) + 1) if (target, arrows[k:]) in memo)
+        table = memo[target, arrows[k:]]
+        for j in range(k - 1, -1, -1):
+            gen = presheaf.restrictions[arrows[j]]
+            table = memo[target, arrows[j:]] = {s: gen[v] for s, v in table.items()}
+    return table
 
 
 def _fields(data, document: str, *names: str) -> list:
@@ -264,15 +277,8 @@ def enumerate_matching_families(
     members = sieve.sorted_members()
     pinned = [fixed.get(g) for g in members] if fixed else [None] * len(members)
     member_set = sieve.members
-    restrict_cache: dict[tuple[int, ...], dict[str, str]] = {}
-
-    def restriction(h: Path) -> dict[str, str]:
-        if h.arrows not in restrict_cache:
-            restrict_cache[h.arrows] = restrict(presheaf, h)
-        return restrict_cache[h.arrows]
-
     kg = presheaf.cat.kg
-    constraints: list[list[tuple[Path, Path]]] = []
+    constraints: list[list[tuple[Path, dict[str, str]]]] = []
     for g in members:
         pairs = []
         for split in range(1, len(g.arrows) + 1):
@@ -280,7 +286,7 @@ def enumerate_matching_families(
             suffix = Path(mid, g.target, g.arrows[split:])
             if suffix in member_set:
                 prefix = Path(g.source, mid, g.arrows[:split])
-                pairs.append((suffix, prefix))
+                pairs.append((suffix, restrict(presheaf, prefix)))
         constraints.append(pairs)
 
     results: list[MatchingFamily] = []
@@ -292,8 +298,8 @@ def enumerate_matching_families(
             return
         g = members[i]
         forced = pinned[i]
-        for suffix, prefix in constraints[i]:
-            value = restriction(prefix)[assignment[suffix]]
+        for suffix, table in constraints[i]:
+            value = table[assignment[suffix]]
             if forced is None:
                 forced = value
             elif forced != value:
@@ -317,11 +323,10 @@ def amalgamations(
     """Sections at the sieve's object restricting to the family."""
     obj = family.sieve.obj
     members = family.sieve.sorted_members()
-    tables = {f: restrict(presheaf, f) for f in members}
     return [
         s
         for s in presheaf.sections[obj]
-        if all(tables[f][s] == family.assignment[f] for f in members)
+        if all(restrict(presheaf, f)[s] == family.assignment[f] for f in members)
     ]
 
 
@@ -473,22 +478,34 @@ class NatTransformation:
                 raise NaturalityError(f"component at {obj} is missing or not total")
             if any(v not in self.target.sections[obj] for v in comp.values()):
                 raise NaturalityError(f"component at {obj} maps outside the target")
-        for i, t in enumerate(cat.kg.triples):
-            f_res = self.source.restrictions[i]
-            g_res = self.target.restrictions[i]
-            for s in self.source.sections[t.tail]:
-                if self.components[t.head][f_res[s]] != g_res[
-                    self.components[t.tail][s]
-                ]:
-                    raise NaturalityError(
-                        f"naturality fails at triple {i} ({t}) on section {s!r}"
-                    )
+        triples = range(cat.kg.triple_count)
+        failure = _naturality_failure(self.source, self.target, self.components, triples)
+        if failure:
+            i, s = failure
+            raise NaturalityError(
+                f"naturality fails at triple {i} ({cat.kg.triples[i]}) on section {s!r}"
+            )
 
     def canonical_key(self) -> tuple:
         return tuple(
             (obj, tuple(sorted(self.components[obj].items())))
             for obj in self.source.cat.objects
         )
+
+
+def _naturality_failure(
+    f: Presheaf, g: Presheaf, components: Mapping, triples: Iterable[int]
+) -> tuple[int, str] | None:
+    """The first of the triples, with the first section at its tail, on
+    which the naturality square of `components` fails, or None."""
+    for i in triples:
+        t = f.cat.kg.triples[i]
+        f_res, g_res = f.restrictions[i], g.restrictions[i]
+        head, tail = components[t.head], components[t.tail]
+        for s in f.sections[t.tail]:
+            if head[f_res[s]] != g_res[tail[s]]:
+                return i, s
+    return None
 
 
 def compose_components(
@@ -514,27 +531,15 @@ def enumerate_nat_transformations(
             raise SizeCapError(
                 f"section set at {obj} exceeds the cap {section_cap}"
             )
-    kg = cat.kg
     objects = list(cat.objects)
+    rank = {obj: k for k, obj in enumerate(objects)}
+    # Triple i's square is checked when the later of its ends, in search
+    # order, gets its component: at closing[k] for that end's rank k.
+    closing: list[list[int]] = [[] for _ in objects]
+    for i, t in enumerate(cat.kg.triples):
+        closing[max(rank[t.head], rank[t.tail])].append(i)
     results: list[NatTransformation] = []
     components: dict[str, dict[str, str]] = {}
-
-    def natural_so_far(obj: str) -> bool:
-        for i in kg.head_fibres[obj] + kg.tail_fibres[obj]:
-            t = kg.triples[i]
-            if t.head in components and t.tail in components:
-                f_res, g_res = f.restrictions[i], g.restrictions[i]
-                for s in f.sections[t.tail]:
-                    if components[t.head][f_res[s]] != g_res[
-                        components[t.tail][s]
-                    ]:
-                        return False
-        return True
-
-    def candidate_maps(obj: str) -> Iterable[dict[str, str]]:
-        domain = f.sections[obj]
-        for values in product(g.sections[obj], repeat=len(domain)):
-            yield dict(zip(domain, values))
 
     def search(k: int) -> None:
         if k == len(objects):
@@ -543,9 +548,10 @@ def enumerate_nat_transformations(
             )
             return
         obj = objects[k]
-        for comp in candidate_maps(obj):
-            components[obj] = comp
-            if natural_so_far(obj):
+        domain = f.sections[obj]
+        for values in product(g.sections[obj], repeat=len(domain)):
+            components[obj] = dict(zip(domain, values))
+            if not _naturality_failure(f, g, components, closing[k]):
                 search(k + 1)
             del components[obj]
 
@@ -589,13 +595,6 @@ def _plus(
     on the members of M(b) in path_key order.
     """
     cat = presheaf.cat
-    tables: dict[Path, dict[str, str]] = {}
-
-    def table(p: Path) -> dict[str, str]:
-        if p not in tables:
-            tables[p] = restrict(presheaf, p)
-        return tables[p]
-
     generators: dict[str, list[Path]] = {}
     # Per object and member, where a family's generator tuple holds the
     # member's generator value, and the restriction along its prefix.
@@ -604,7 +603,7 @@ def _plus(
     for obj in cat.objects:
         gens = list(dict.fromkeys(g for _, g, _ in factors[obj]))
         position = {g: j for j, g in enumerate(gens)}
-        reader = {m.arrows: (position[g], table(prefix)) for m, g, prefix in factors[obj]}
+        reader = {m.arrows: (position[g], restrict(presheaf, p)) for m, g, p in factors[obj]}
         members = list(reader.values())
         families = sorted(
             product(*(presheaf.sections[g.source] for g in gens)),
@@ -628,7 +627,7 @@ def _plus(
 
     unit_components: dict[str, dict[str, str]] = {}
     for obj in cat.objects:
-        own = [table(g) for g in generators[obj]]
+        own = [restrict(presheaf, g) for g in generators[obj]]
         unit_components[obj] = {
             s: labels[obj][tuple([r[s] for r in own])] for s in presheaf.sections[obj]
         }

@@ -759,6 +759,26 @@ def check_sheafification_product(
     return failures
 
 
+def _restrict_by_fold(presheaf: Presheaf, p: Path) -> dict[str, str]:
+    """Oracle for restrict: the generator tables folded onto the identity
+    at the path's target, last triple first, with nothing memoized."""
+    table = {s: s for s in presheaf.sections[p.target]}
+    for arrow in reversed(p.arrows):
+        gen = presheaf.restrictions[arrow]
+        table = {s: gen[v] for s, v in table.items()}
+    return table
+
+
+def check_restrict_against_fold(presheaf: Presheaf) -> list[str]:
+    """restrict's table on every morphism, entries in order, against the
+    fold; identities and parallel paths included."""
+    return [
+        f"restrict differs from the fold along {path_key(p)}"
+        for p in presheaf.cat.morphisms()
+        if list(restrict(presheaf, p).items()) != list(_restrict_by_fold(presheaf, p).items())
+    ]
+
+
 def _family_key(family: MatchingFamily) -> tuple[tuple[str, str], ...]:
     return tuple(sorted((path_key(p), v) for p, v in family.assignment.items()))
 
@@ -850,6 +870,9 @@ def suite_sheafification(seed: int, cases: int = 30) -> list[CheckResult]:
         counts_again = {o: len(s) for o, s in again.sheaf.sections.items()}
         if counts != counts_again:
             failures.append("sheafification not idempotent on counts")
+        # After both sheafify calls have filled the two memos.
+        failures.extend(check_restrict_against_fold(presheaf))
+        failures.extend(check_restrict_against_fold(result.sheaf))
         if _is_sheaf_against_scan(presheaf, site, failures, "the presheaf"):
             for obj in site.category.objects:
                 component = result.unit.components[obj]

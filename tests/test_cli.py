@@ -261,6 +261,32 @@ class TestHostileInput:
         assert result.stderr.startswith("error: ")
         assert "Traceback" not in result.output
 
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["sheaf", "check", FAN, "DOC"],
+            ["sheaf", "glue", FAN, PRODUCT, "--family", "DOC"],
+            ["sheaf", "adjoint", FAN, PRODUCT, "--other", "DOC"],
+        ],
+        ids=["check-presheaf", "glue-family", "adjoint-other"],
+    )
+    def test_unreadable_json_exits_2(self, runner, tmp_path, args):
+        # Written as raw text: json.dumps can neither nest this deep nor
+        # write an integer longer than int conversion's digit limit.
+        docs = {
+            "deep": "[" * 100_000 + "]" * 100_000,
+            "long-integer": '{"object": ' + "9" * 5000 + "}",
+        }
+        for name, text in docs.items():
+            doc = tmp_path / f"{name}.json"
+            doc.write_text(text)
+            result = runner.invoke(main, [str(doc) if a == "DOC" else a for a in args])
+            assert result.exit_code == 2, name
+            assert result.exception is None or isinstance(result.exception, SystemExit)
+            assert result.stderr.startswith("error: ")
+            assert result.stdout == ""
+            assert "Traceback" not in result.output
+
 
 class TestClosedPipe:
     """A reader that stops early, as in `kgtopos matrices big.txt | head`,

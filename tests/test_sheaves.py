@@ -179,6 +179,55 @@ class TestPresheafValidation:
         assert restrict(presheaf, fan_cat.identity("A")) == {"s": "s", "t": "t"}
 
 
+def fold(presheaf, p) -> dict[str, str]:
+    """Restriction along p as the composite of the generator tables,
+    applied to the identity at p's target from the last triple back."""
+    table = {s: s for s in presheaf.sections[p.target]}
+    for arrow in reversed(p.arrows):
+        table = {s: presheaf.restrictions[arrow][v] for s, v in table.items()}
+    return table
+
+
+class TestRestrict:
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 10**9), st.integers(0, 1))
+    def test_matches_the_fold_on_every_morphism(self, seed, min_sections):
+        # Entries and their order, identities and parallel paths included
+        # (about two in five of these categories have parallel paths),
+        # with the memo filled in a random order and then read again.
+        rng = Random(seed)
+        cat = random_small_category(rng, max_entities=4, max_triples=5, max_morphisms=30)
+        presheaf = random_presheaf(rng, cat, max_sections=3, min_sections=min_sections)
+        morphisms = list(cat.morphisms())
+        rng.shuffle(morphisms)
+        for p in morphisms + morphisms:
+            assert list(restrict(presheaf, p).items()) == list(fold(presheaf, p).items())
+
+    def test_parallel_paths_keep_their_own_tables(self):
+        # r.t and s.t run from A to C and share the suffix t.
+        cat = build_free_category(parse_kg("A r B\nA s B\nB t C\n"))
+        presheaf = Presheaf(
+            cat,
+            {"A": ("a0", "a1"), "B": ("b0",), "C": ("c0",)},
+            {0: {"b0": "a0"}, 1: {"b0": "a1"}, 2: {"c0": "b0"}},
+        )
+        first, second = cat.hom("A", "C")
+        assert restrict(presheaf, first) == {"c0": "a0"}
+        assert restrict(presheaf, second) == {"c0": "a1"}
+
+    def test_second_call_returns_the_same_table(self, fan_cat):
+        presheaf = constant_presheaf(fan_cat, ("s", "t"))
+        for p in fan_cat.morphisms():
+            assert restrict(presheaf, p) is restrict(presheaf, p)
+
+    def test_memo_takes_no_part_in_equality(self, fan_cat):
+        filled = constant_presheaf(fan_cat, ("s", "t"))
+        for p in fan_cat.morphisms():
+            restrict(filled, p)
+        assert filled == constant_presheaf(fan_cat, ("s", "t"))
+        assert repr(filled) == repr(constant_presheaf(fan_cat, ("s", "t")))
+
+
 class TestLoadPresheaf:
     def test_fan_product_loads(self, fan_product_presheaf):
         assert fan_product_presheaf.sections["B"] == ("(a1,d1)", "(a2,d1)")

@@ -11,6 +11,7 @@ from click.testing import CliRunner
 
 from kgtopos import linegraph as lg
 from kgtopos import matrices as mx
+from kgtopos import Presheaf, build_free_category, parse_kg
 from kgtopos import freecat, sheaves, sites, verify
 from kgtopos.cli import main
 
@@ -92,6 +93,18 @@ def _misses_identity_generator(real):
                 last = by_arrows[m.arrows[-1:]]
                 rows[k] = (m, last, freecat.Path(m.source, last.source, m.arrows[:-1]))
         return rows
+
+    return planted
+
+
+def _memo_keyed_by_endpoints(real):
+    # The memo keyed by a path's source and target: parallel paths share
+    # the table of whichever of them was restricted first.
+    def planted(presheaf, p):
+        key = (p.source, p.target)
+        if key not in presheaf._tables:
+            presheaf._tables[key] = real(presheaf, p)
+        return presheaf._tables[key]
 
     return planted
 
@@ -258,6 +271,13 @@ RANDOM_20 = [FAN, "--random", "--cases", "20"]
             [],
         ),
         (
+            [(sheaves, "restrict"), (verify, "restrict")],
+            _memo_keyed_by_endpoints,
+            RANDOM_20,
+            ["suite.sheafification"],
+            [],
+        ),
+        (
             [(lg, "scc")],
             _merge_first_two_components,
             RANDOM_20,
@@ -313,6 +333,7 @@ RANDOM_20 = [FAN, "--random", "--cases", "20"]
         "local-condition-drops-size-test",
         "plus-swaps-two-images",
         "plus-misses-identity-generator",
+        "restriction-memo-keys-by-endpoints",
         "scc-merges-two-components",
         "fibre-operator-empties-a-row",
         "stray-line-edge-across-fibres",
@@ -335,3 +356,22 @@ def test_planted_fault_fails_its_checks(
         **{name: "FAIL" for name in failing},
         **{name: "PASS" for name in passing},
     }
+
+
+def test_fold_comparison_catches_an_endpoint_keyed_memo(monkeypatch):
+    # In the planted run above, sheafify's own checks fail first; here
+    # the comparison sees the fault alone.  r and s, and r.t and s.t,
+    # share their endpoints but not their tables.
+    cat = build_free_category(parse_kg("A r B\nA s B\nB t C\n"))
+    presheaf = Presheaf(
+        cat,
+        {"A": ("a0", "a1"), "B": ("b0",), "C": ("c0",)},
+        {0: {"b0": "a0"}, 1: {"b0": "a1"}, 2: {"c0": "b0"}},
+    )
+    assert verify.check_restrict_against_fold(presheaf) == []
+    monkeypatch.setattr(verify, "restrict", _memo_keyed_by_endpoints(verify.restrict))
+    fresh = Presheaf(cat, presheaf.sections, presheaf.restrictions)
+    assert verify.check_restrict_against_fold(fresh) == [
+        "restrict differs from the fold along 1",
+        "restrict differs from the fold along 1.2",
+    ]
