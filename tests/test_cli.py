@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import re
@@ -13,6 +14,7 @@ from kgtopos.cli import main
 
 DATA = Path(__file__).parent / "data"
 FAN = str(DATA / "fan.txt")
+LAYERED = str(DATA / "layered_dag.txt")
 PRODUCT = str(DATA / "product_presheaf.json")
 UNDERSIZED = str(DATA / "undersized_presheaf.json")
 
@@ -115,6 +117,37 @@ class TestCovers:
         result = runner.invoke(main, ["covers", FAN, "--topology", "atomic"])
         data = json.loads(result.output)
         assert data["covering"]["B"] == [["0", "2", "id@B"]]
+
+    # SHA-256 of stdout, recorded before sieves became bitmasks: every
+    # label, order and restriction table of these dumps stays the same.
+    @pytest.mark.parametrize(
+        "args, digest",
+        [
+            (["covers", LAYERED, "--sieve-cap", "15", "--topology", "path"],
+             "1537c2743a90048fe1a79d1213e8f820f08863647c1a820d6febd8f4a56b4c41"),
+            (["covers", LAYERED, "--sieve-cap", "15", "--topology", "atomic"],
+             "0bedc6328277fabb6e39fce4ea5c6a15639ec0c2e6750f4a82fe63da40967003"),
+            (["sheaf", "omega", LAYERED, "--sieve-cap", "15", "--topology", "path"],
+             "ad34088a2479e308ef128be286a13e6658790fe27ec8256d7a14fef22fffb11c"),
+            (["sheaf", "omega", LAYERED, "--sieve-cap", "15", "--topology", "atomic"],
+             "dfe7f22e97d8f5335fa7a70d9446917a47ebcfbf4358e9aa30287b88c883b978"),
+            (["covers", FAN, "--topology", "path"],
+             "e78454ee99105a400bf0a2fc73d537e2a58a55b2ceaf12bb187cf8454d882233"),
+            (["covers", FAN, "--topology", "atomic"],
+             "5211d823c68c44e4598efe302293170661f5b21ace8d391b7b07231c88e7dc7f"),
+            (["sheaf", "omega", FAN, "--topology", "path"],
+             "b4890e0526dbe102c469b504ca71b082e585e86c7213eac05c37f4d698acf62e"),
+            (["sheaf", "omega", FAN, "--topology", "atomic"],
+             "bbcdc0211cb8bb34b58fb121575021258058a09fe73f07e0c8e4794d7fb2b03d"),
+        ],
+        ids=["covers-dag-path", "covers-dag-atomic", "omega-dag-path",
+             "omega-dag-atomic", "covers-fan-path", "covers-fan-atomic",
+             "omega-fan-path", "omega-fan-atomic"],
+    )
+    def test_sieve_dumps_match_golden_digests(self, runner, args, digest):
+        result = runner.invoke(main, args)
+        assert result.exit_code == 0
+        assert hashlib.sha256(result.output.encode()).hexdigest() == digest
 
     def test_sieve_cap_exit_3(self, runner, tmp_path):
         wide = tmp_path / "wide.txt"
