@@ -54,7 +54,7 @@ def path_key(path: Path) -> str:
     """Stable textual key: 'id@obj' for identities, dotted arrow indices else."""
     if path.is_identity:
         return f"id@{path.source}"
-    return ".".join(str(a) for a in path.arrows)
+    return ".".join(map(str, path.arrows))
 
 
 def compose(p: Path, q: Path) -> Path:
@@ -64,6 +64,39 @@ def compose(p: Path, q: Path) -> Path:
             f"cannot compose: first path ends at {p.target}, second starts at {q.source}"
         )
     return Path(p.source, q.target, p.arrows + q.arrows)
+
+
+@dataclass(frozen=True, eq=False)
+class KeyIndex:
+    """The morphisms into one object b, numbered in path_key order, so a
+    set of them is an int whose bit k stands for paths[k]; its ascending
+    bits give the members' keys already sorted.
+
+    For each triple i: a -> b, push[i][k] is the one-bit mask, here, of
+    h.i for the k-th morphism h into a, and pull[i][k] is the one-bit
+    mask, at a, of the prefix of the k-th morphism here when that
+    morphism ends with i, else 0.  gather moves a set along a table."""
+
+    obj: str
+    paths: tuple[Path, ...]
+    keys: tuple[str, ...]
+    bits: dict[tuple[int, ...], int]
+    push: dict[int, tuple[int, ...]]
+    pull: dict[int, tuple[int, ...]]
+
+    @property
+    def full(self) -> int:
+        return (1 << len(self.paths)) - 1
+
+
+def gather(table: tuple[int, ...], mask: int) -> int:
+    """The union of table[k] over the set bits k of mask."""
+    out = 0
+    while mask:
+        low = mask & -mask
+        out |= table[low.bit_length() - 1]
+        mask ^= low
+    return out
 
 
 @dataclass(frozen=True)
@@ -117,6 +150,13 @@ class FreeCategory:
     def morphisms_into(self, obj: str) -> tuple[Path, ...]:
         return self._into[obj]
 
+    @cached_property
+    def key_index(self) -> dict[str, KeyIndex]:
+        """Per object, the morphisms into it numbered in path_key order,
+        with the tables of the triples into it.  Built on first use, by
+        the sieve code; build_free_category does not pay for it."""
+        return _key_indexes(self)
+
     def require_complete(self, operation: str) -> None:
         if not self.complete:
             raise CategoryNotClosedError(
@@ -138,6 +178,31 @@ class FreeCategory:
             "complete": self.complete,
             "hom_sets": homs,
         }
+
+
+def _key_indexes(cat: FreeCategory) -> dict[str, KeyIndex]:
+    """FreeCategory.key_index, for every object at once."""
+    cat.require_complete("the sieve index")
+    # Keys are unique among the morphisms into one object, so the pairs
+    # sort by key alone.
+    keyed = {
+        obj: sorted((path_key(p), p) for p in cat.morphisms_into(obj))
+        for obj in cat.objects
+    }
+    bits = {obj: {p.arrows: k for k, (_, p) in enumerate(kp)} for obj, kp in keyed.items()}
+    indexes = {}
+    for obj, pairs in keyed.items():
+        push, pull = {}, {}
+        for i in cat.kg.tail_fibres[obj]:
+            head = cat.kg.triples[i].head
+            push[i] = tuple(1 << bits[obj][h + (i,)] for h in bits[head])
+            table = [0] * len(pairs)
+            for k, image in enumerate(push[i]):
+                table[image.bit_length() - 1] = 1 << k
+            pull[i] = tuple(table)
+        keys, paths = zip(*pairs)
+        indexes[obj] = KeyIndex(obj, paths, keys, bits[obj], push, pull)
+    return indexes
 
 
 def build_free_category(

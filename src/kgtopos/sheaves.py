@@ -20,7 +20,10 @@ as the product of P(dom g) over those generators (id_b when M(b) is
 maximal, the paths from sources on the path site), with no search.
 
 The subobject classifier's closed sieves come from the fold that builds
-the path topology; the sieve-lattice scan is left to the oracles.
+the path topology, as masks over the morphisms into each object (see
+sites): they are labelled by their set bits, which give their keys in
+order, and restricted along a triple by its pull table.  The
+sieve-lattice scan is left to the oracles.
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ from .errors import (
     SizeCapError,
     UniquenessError,
 )
-from .freecat import FreeCategory, Path, compose, path_key
+from .freecat import FreeCategory, Path, compose, gather, path_key
 from .sites import (
     Sieve,
     Site,
@@ -371,9 +374,8 @@ def is_sheaf(presheaf: Presheaf, site: Site) -> SheafCheck:
     """
     cat = site.category
     for obj in cat.objects:
-        proper = [
-            s for s in site.topology.covering[obj] if cat.identity(obj) not in s
-        ]
+        identity = 1 << cat.key_index[obj].bits[()]
+        proper = [s for s in site.topology.covering[obj] if not s.mask & identity]
         if proper and not (
             _pullbacks_cover(site, obj, proper) and _restrictions_biject(presheaf, obj)
         ):
@@ -385,8 +387,9 @@ def _pullbacks_cover(site: Site, obj: str, sieves: list[Sieve]) -> bool:
     """Each sieve pulled back along each triple into obj is maximal (the
     triple is a member) or covering."""
     cat = site.category
+    bits = cat.key_index[obj].bits
     return all(
-        t in s or site.topology.covers(pullback_sieve(cat, s, t))
+        s.mask >> bits[t.arrows] & 1 or site.topology.covers(pullback_sieve(cat, s, t))
         for t in map(cat.generator_path, cat.kg.tail_fibres[obj])
         for s in sieves
     )
@@ -440,7 +443,7 @@ def glue(presheaf: Presheaf, family: MatchingFamily) -> str:
     if not glued:
         raise GluingError(
             f"no amalgamation at {family.sieve.obj} for family "
-            f"{{{', '.join(sorted(path_key(p) for p in family.assignment))}}}"
+            f"{{{', '.join(family.sieve.keys())}}}"
         )
     if len(glued) > 1:
         raise UniquenessError(
@@ -538,25 +541,35 @@ def enumerate_nat_transformations(
     closing: list[list[int]] = [[] for _ in objects]
     for i, t in enumerate(cat.kg.triples):
         closing[max(rank[t.head], rank[t.tail])].append(i)
+    if not objects:
+        return [NatTransformation(f, g, {})]
+
+    def choices(k: int):
+        return product(g.sections[objects[k]], repeat=len(f.sections[objects[k]]))
+
     results: list[NatTransformation] = []
     components: dict[str, dict[str, str]] = {}
-
-    def search(k: int) -> None:
-        if k == len(objects):
+    # Depth first with an explicit stack, so that a graph with thousands
+    # of entities does not exhaust the recursion limit: pending[k] yields
+    # the untried components at objects[k].
+    pending = [choices(0)]
+    while pending:
+        k = len(pending) - 1
+        obj = objects[k]
+        values = next(pending[k], None)
+        if values is None:
+            pending.pop()
+            components.pop(obj, None)
+            continue
+        components[obj] = dict(zip(f.sections[obj], values))
+        if _naturality_failure(f, g, components, closing[k]):
+            continue
+        if k + 1 == len(objects):
             results.append(
                 NatTransformation(f, g, {o: dict(c) for o, c in components.items()})
             )
-            return
-        obj = objects[k]
-        domain = f.sections[obj]
-        for values in product(g.sections[obj], repeat=len(domain)):
-            components[obj] = dict(zip(domain, values))
-            if not _naturality_failure(f, g, components, closing[k]):
-                search(k + 1)
-            del components[obj]
-
-    search(0)
-    del search  # breaks the search -> closure -> search cycle
+        else:
+            pending.append(choices(k + 1))
     return results
 
 
@@ -574,7 +587,7 @@ def _factorizations(sieve: Sieve) -> list[tuple[Path, Path, Path]]:
     generator, and a matching family is fixed by its generator values."""
     by_arrows = {p.arrows: p for p in sieve.members}
     rows = []
-    for m in sorted(sieve.members, key=path_key):
+    for m in sieve.in_key_order():
         k = next(k for k in range(len(m.arrows), -1, -1) if m.arrows[k:] in by_arrows)
         g = by_arrows[m.arrows[k:]]
         rows.append((m, g, Path(m.source, g.source, m.arrows[:k])))
@@ -728,21 +741,22 @@ def omega(site: Site) -> Presheaf:
     and its pullback along every triple into its object is closed."""
     cat, topology = site.category, site.topology
     closed = _fold_over_triples(cat, lambda s: not topology.covers(s))
-    labels: dict[str, dict[Sieve, str]] = {}
+    labels: dict[str, dict[int, str]] = {}
     for obj, sieves in closed.items():
         # By size, then by the list of keys: not the joined label's order.
-        keyed = sorted(((s.keys(), s) for s in sieves), key=lambda ks: (len(ks[0]), ks[0]))
-        labels[obj] = {s: "{" + ";".join(keys) + "}" for keys, s in keyed}
+        keyed = sorted(((s.keys(), s.mask) for s in sieves), key=lambda ks: (len(ks[0]), ks[0]))
+        labels[obj] = {mask: "{" + ";".join(keys) + "}" for keys, mask in keyed}
     sections = {obj: tuple(labels[obj].values()) for obj in cat.objects}
     restrictions: dict[int, dict[str, str]] = {}
+    indexes = cat.key_index
     for i, t in enumerate(cat.kg.triples):
-        gen, head = cat.generator_path(i), labels[t.head]
+        pull, head = indexes[t.tail].pull[i], labels[t.head]
         # A pullback that is not closed keeps its own label, which
         # Presheaf then rejects.
         restrictions[i] = {
-            label: head.get(pulled) or sieve_label(pulled)
-            for s, label in labels[t.tail].items()
-            for pulled in [pullback_sieve(cat, s, gen)]
+            label: head.get(pulled) or sieve_label(Sieve(t.head, pulled, indexes[t.head]))
+            for mask, label in labels[t.tail].items()
+            for pulled in [gather(pull, mask)]
         }
     return Presheaf(cat, sections, restrictions)
 

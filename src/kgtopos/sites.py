@@ -10,6 +10,13 @@ since an acyclic graph's free category has only identities as
 isomorphisms.  path_topology and atomic_topology build these directly;
 `sheaves.omega` builds the closed sieves by the same fold.
 
+A sieve is an int over the morphisms into its object, numbered in
+path_key order (freecat.KeyIndex).  Union, intersection and membership
+are integer operations; the fold pushes a sieve along a triple, and
+pullback_sieve pulls it back, by gathering the bits of the triple's
+table; and ascending bits give the members' keys already sorted, so
+labels and orders are read off the mask.
+
 enumerate_sieves, the scan of the whole sieve lattice, serves only the
 oracles: generate_topology, the saturation of a coverage that `verify`
 compares both closed forms with, and verify_topology_axioms.
@@ -18,64 +25,102 @@ compares both closed forms with, and verify_topology_axioms.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import product
 from typing import Callable, Iterable, Mapping
 
 from .errors import SizeCapError, TopologyError
-from .freecat import FreeCategory, Path, compose, path_key
+from .freecat import FreeCategory, KeyIndex, Path, gather, path_key
 
 DEFAULT_SIEVE_CAP = 12
 
 
+def _bits(mask: int) -> list[int]:
+    """The set bits of mask, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
 @dataclass(frozen=True)
 class Sieve:
-    """A set of morphisms into one object, closed under precomposition."""
+    """A set of morphisms into one object, closed under precomposition.
+
+    `mask` has bit k set when the k-th morphism into obj in path_key
+    order (see KeyIndex) is a member.  Equality and hash read obj and
+    mask only; the Path views are derived, each once per sieve."""
 
     obj: str
-    members: frozenset[Path]
+    mask: int
+    index: KeyIndex = field(compare=False, repr=False)
 
     def __contains__(self, p: Path) -> bool:
-        return p in self.members
+        k = self.index.bits.get(p.arrows) if p.target == self.obj else None
+        return k is not None and self.mask >> k & 1 == 1
 
-    def sorted_members(self) -> list[Path]:
-        return sorted(self.members, key=lambda p: (len(p.arrows), p.arrows))
+    @cached_property
+    def members(self) -> frozenset[Path]:
+        return frozenset(self.in_key_order())
+
+    def in_key_order(self) -> list[Path]:
+        """The members in path_key order: read off the set bits."""
+        paths = self.index.paths
+        return [paths[k] for k in _bits(self.mask)]
+
+    @cached_property
+    def _by_length(self) -> tuple[Path, ...]:
+        return tuple(sorted(self.members, key=lambda p: (len(p.arrows), p.arrows)))
+
+    def sorted_members(self) -> tuple[Path, ...]:
+        """The members, shortest first, then by arrows."""
+        return self._by_length
 
     def keys(self) -> list[str]:
-        return sorted(path_key(p) for p in self.members)
+        """The members' path keys, sorted: read off the set bits."""
+        keys = self.index.keys
+        return [keys[k] for k in _bits(self.mask)]
+
+
+def _pushforward(cat: FreeCategory, mask: int, f: Path) -> int:
+    """{h.f : h in mask}, for a set of morphisms into f's source, as a set
+    of morphisms into f's target."""
+    indexes, triples = cat.key_index, cat.kg.triples
+    for i in f.arrows:
+        mask = gather(indexes[triples[i].tail].push[i], mask)
+    return mask
 
 
 def sieve_generated_by(
     cat: FreeCategory, obj: str, family: Iterable[Path]
 ) -> Sieve:
     """Smallest sieve on obj containing the family (precomposition closure)."""
-    members: set[Path] = set()
+    indexes, mask = cat.key_index, 0
     for f in family:
         if f.target != obj:
             raise ValueError(f"family member {path_key(f)} does not end at {obj}")
-        for h in cat.morphisms_into(f.source):
-            members.add(compose(h, f))
-    return Sieve(obj, frozenset(members))
+        mask |= _pushforward(cat, indexes[f.source].full, f)
+    return Sieve(obj, mask, indexes[obj])
 
 
 def maximal_sieve(cat: FreeCategory, obj: str) -> Sieve:
-    return Sieve(obj, frozenset(cat.morphisms_into(obj)))
+    index = cat.key_index[obj]
+    return Sieve(obj, index.full, index)
 
 
 def pullback_sieve(cat: FreeCategory, sieve: Sieve, g: Path) -> Sieve:
-    """g*S = {h : h.g in S}, a sieve on dom(g).  Paths factor uniquely, so
-    it is read off S: the members whose arrows end with g's arrows, with
-    those arrows dropped."""
+    """g*S = {h : h.g in S}, a sieve on dom(g): S pulled back along g's
+    triples, last first, by their pull tables."""
     if g.target != sieve.obj:
         raise ValueError("pullback morphism must end at the sieve's object")
     if g.is_identity:
         return sieve
-    k = len(g.arrows)
-    members = frozenset(
-        Path(s.source, g.source, s.arrows[:-k])
-        for s in sieve.members
-        if s.arrows[-k:] == g.arrows
-    )
-    return Sieve(g.source, members)
+    indexes, triples, mask = cat.key_index, cat.kg.triples, sieve.mask
+    for i in reversed(g.arrows):
+        mask = gather(indexes[triples[i].tail].pull[i], mask)
+    return Sieve(g.source, mask, indexes[g.source])
 
 
 def _require_sieve_cap(cat: FreeCategory, obj: str, cap: int) -> None:
@@ -90,44 +135,29 @@ def _require_sieve_cap(cat: FreeCategory, obj: str, cap: int) -> None:
 def enumerate_sieves(
     cat: FreeCategory, obj: str, cap: int = DEFAULT_SIEVE_CAP
 ) -> list[Sieve]:
-    """All sieves on obj, deterministically ordered.
+    """All sieves on obj, in ascending order of their masks.
 
-    Subsets of the incoming morphisms are scanned with bitmasks and kept
-    when closed under precomposition.  Raises SizeCapError when more than
+    Every mask over the incoming morphisms is scanned and kept when
+    closed under precomposition.  Raises SizeCapError when more than
     `cap` morphisms point into obj.
     """
     cat.require_complete("enumerate_sieves")
     _require_sieve_cap(cat, obj, cap)
-    incoming = sorted(
-        cat.morphisms_into(obj), key=lambda p: (len(p.arrows), p.arrows)
-    )
-    position = {p: i for i, p in enumerate(incoming)}
-    # Bitmask of morphisms forced into any sieve containing morphism i.
-    required = []
-    for p in incoming:
-        mask = 0
-        for h in cat.morphisms_into(p.source):
-            mask |= 1 << position[compose(h, p)]
-        required.append(mask)
+    index = cat.key_index[obj]
+    # Bitmask of morphisms forced into any sieve containing morphism k.
+    required = [
+        _pushforward(cat, cat.key_index[p.source].full, p) for p in index.paths
+    ]
     sieves = []
-    for mask in range(1 << len(incoming)):
-        closed = True
+    for mask in range(index.full + 1):
         probe = mask
         while probe:
             low = probe & -probe
             if required[low.bit_length() - 1] & ~mask:
-                closed = False
                 break
             probe ^= low
-        if closed:
-            sieves.append(
-                Sieve(
-                    obj,
-                    frozenset(
-                        incoming[i] for i in range(len(incoming)) if mask >> i & 1
-                    ),
-                )
-            )
+        else:
+            sieves.append(Sieve(obj, mask, index))
     return sieves
 
 
@@ -144,18 +174,22 @@ class Topology:
         return sieve in self.covering.get(sieve.obj, frozenset())
 
     def covering_sieves(self, obj: str) -> list[Sieve]:
+        """By size, then by the list of keys, which ascending bits give."""
         return sorted(
-            self.covering[obj], key=lambda s: (len(s.members), s.keys())
+            self.covering[obj], key=lambda s: (s.mask.bit_count(), _bits(s.mask))
         )
 
     def min_covering_sieve(self, obj: str) -> Sieve:
         """Intersection of all covering sieves; in a saturated topology it
         is itself covering."""
-        sieves = list(self.covering[obj])
+        sieves = self.covering[obj]
         if not sieves:
             raise TopologyError(f"no covering sieves on {obj}")
-        members = frozenset.intersection(*(s.members for s in sieves))
-        minimum = Sieve(obj, members)
+        first = next(iter(sieves))
+        mask = first.mask
+        for s in sieves:
+            mask &= s.mask
+        minimum = Sieve(obj, mask, first.index)
         if not self.covers(minimum):
             raise TopologyError(
                 f"topology on {obj} is not closed under intersection; saturate first"
@@ -270,17 +304,19 @@ def _fold_over_triples(
     Objects are visited in order of their longest incoming path, so the
     sieves kept at every head are known when its tails are reached."""
     kept: dict[str, list[Sieve]] = {}
+    triples = cat.kg.triples
     depth = {obj: max(map(len, cat.morphisms_into(obj))) for obj in cat.objects}
     for obj in sorted(cat.objects, key=depth.__getitem__):
-        # components[k] lists the possible components along the k-th triple.
+        index = cat.key_index[obj]
+        # components[k] lists the possible components along the k-th
+        # triple, as masks.  Their members end with different triples, so
+        # they are disjoint and a choice's union is its sum.
         components = [
-            [frozenset(compose(h, t) for h in s.members) for s in kept[t.source]]
-            for t in map(cat.generator_path, cat.kg.tail_fibres[obj])
+            [gather(index.push[i], s.mask) for s in kept[triples[i].head]]
+            for i in cat.kg.tail_fibres[obj]
         ]
-        candidates = (
-            Sieve(obj, frozenset().union(*choice)) for choice in product(*components)
-        )
-        kept[obj] = [maximal_sieve(cat, obj), *filter(admit, candidates)]
+        candidates = (Sieve(obj, sum(choice), index) for choice in product(*components))
+        kept[obj] = [Sieve(obj, index.full, index), *filter(admit, candidates)]
     return kept
 
 

@@ -459,6 +459,35 @@ def _isomorphisms_into(cat: FreeCategory, obj: str) -> list[Path]:
     return isos
 
 
+def _pullback_by_paths(sieve: Sieve, g: Path) -> frozenset[Path]:
+    """Oracle for pullback_sieve: g*S read off the member paths.  Paths
+    factor uniquely, so g*S is the members whose arrows end with g's
+    arrows, with those arrows dropped."""
+    if g.is_identity:
+        return sieve.members
+    k = len(g.arrows)
+    return frozenset(
+        Path(s.source, g.source, s.arrows[:-k])
+        for s in sieve.members
+        if s.arrows[-k:] == g.arrows
+    )
+
+
+def check_pullbacks_against_paths(cat: FreeCategory, sieve_cap: int) -> list[str]:
+    """The table pullback of every sieve of the lattice along every
+    morphism into its object, identities and composites included,
+    against the pullback read off the member paths."""
+    return [
+        f"pullback of {sieve_label(sieve)} on {obj} along {path_key(g)} "
+        "differs from the path pullback"
+        for obj in cat.objects
+        for sieve in enumerate_sieves(cat, obj, sieve_cap)
+        for g in cat.morphisms_into(obj)
+        for pulled in [pullback_sieve(cat, sieve, g)]
+        if (pulled.obj, pulled.members) != (g.source, _pullback_by_paths(sieve, g))
+    ]
+
+
 def _closed_sieves_by_scan(
     site: Site, sieve_cap: int = DEFAULT_SIEVE_CAP
 ) -> dict[str, list[Sieve]]:
@@ -683,6 +712,7 @@ def suite_topologies(
         sites = _sites(cat, sieve_cap)
         failures.extend(check_topologies(*sites, sieve_cap))
         failures.extend(check_site_inclusion(*sites))
+        failures.extend(check_pullbacks_against_paths(cat, sieve_cap))
         # A second saturation, so the graph's sites.axioms leaves it out.
         path = sites[0].topology
         own = {

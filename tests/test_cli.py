@@ -215,6 +215,26 @@ class TestSheafCommands:
         data = json.loads(result.output)
         assert data["count"] == 2
 
+    def test_global_sections_past_the_recursion_limit(self, runner, tmp_path):
+        # 600 disjoint triples: 1 200 entities, one search level each.
+        graph, presheaf = tmp_path / "pairs.txt", tmp_path / "constant.json"
+        graph.write_text("".join(f"e{i} r f{i}\n" for i in range(600)))
+        presheaf.write_text(
+            json.dumps(
+                {
+                    "sections": {
+                        e: ["*"] for i in range(600) for e in (f"e{i}", f"f{i}")
+                    },
+                    "restrictions": {f"e{i} r f{i}": {"*": "*"} for i in range(600)},
+                }
+            )
+        )
+        result = runner.invoke(main, ["sheaf", "global", str(graph), str(presheaf)])
+        assert result.exit_code == 0
+        assert "Traceback" not in result.output
+        data = json.loads(result.output)
+        assert data["count"] == 1 and len(data["sections"][0]) == 1200
+
     def test_omega_counts(self, runner):
         result = runner.invoke(main, ["sheaf", "omega", FAN, "--topology", "path"])
         data = json.loads(result.output)

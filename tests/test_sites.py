@@ -29,6 +29,7 @@ from kgtopos import (
     verify_topology_axioms,
 )
 from kgtopos import sites
+from kgtopos.freecat import path_key
 from kgtopos import verify as verify_module
 from kgtopos.cli import main
 from kgtopos.randgen import random_small_category
@@ -56,6 +57,14 @@ def brute_force_sieves(cat, obj):
             if ok:
                 closed.append(frozenset(members))
     return set(closed)
+
+
+def random_category(seed):
+    # About three in eight of these draws have parallel paths.
+    return random_small_category(Random(seed), max_entities=5, max_triples=6, sieve_cap=10)
+
+
+PARALLEL = "A r B\nA s B\nB t C\n"  # r.t and s.t run from A to C
 
 
 class TestSieves:
@@ -123,18 +132,70 @@ class TestSieves:
     @settings(max_examples=25, deadline=None)
     @given(st.integers(0, 10**9))
     def test_pullback_matches_its_definition(self, seed):
-        # g*S = {h into dom g : h.g in S}, composing every such h.
-        rng = Random(seed)
-        cat = random_small_category(rng, max_entities=5, max_triples=6, sieve_cap=10)
+        # g*S = {h into dom g : h.g in S}, composing every such h, along
+        # every morphism: identities, composites and parallel paths.
+        for cat in (random_category(seed), build_free_category(parse_kg(PARALLEL))):
+            for obj in cat.objects:
+                for sieve in enumerate_sieves(cat, obj, cap=10):
+                    for g in cat.morphisms_into(obj):
+                        definition = {
+                            h
+                            for h in cat.morphisms_into(g.source)
+                            if compose(h, g) in sieve.members
+                        }
+                        pulled = pullback_sieve(cat, sieve, g)
+                        assert pulled.obj == g.source
+                        assert pulled.members == definition
+
+
+class TestSieveMasks:
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 10**9))
+    def test_ascending_bits_follow_path_key_order(self, seed):
+        cat = random_category(seed)
         for obj in cat.objects:
-            for sieve in enumerate_sieves(cat, obj, cap=10):
-                for g in cat.morphisms_into(obj):
-                    definition = {
-                        h for h in cat.morphisms_into(g.source) if compose(h, g) in sieve
-                    }
-                    pulled = pullback_sieve(cat, sieve, g)
-                    assert pulled.obj == g.source
-                    assert pulled.members == definition
+            index = cat.key_index[obj]
+            assert sorted(cat.morphisms_into(obj), key=path_key) == list(index.paths)
+            assert list(index.keys) == sorted(map(path_key, index.paths))
+            assert all(index.bits[p.arrows] == k for k, p in enumerate(index.paths))
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 10**9))
+    def test_keys_are_the_sorted_member_keys(self, seed):
+        for cat in (random_category(seed), build_free_category(parse_kg(PARALLEL))):
+            for obj in cat.objects:
+                for sieve in enumerate_sieves(cat, obj, cap=10):
+                    assert sieve.keys() == sorted(map(path_key, sieve.members))
+                    assert list(map(path_key, sieve.in_key_order())) == sieve.keys()
+                    for p in cat.morphisms():
+                        assert (p in sieve) == (p in sieve.members)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 10**9))
+    def test_enumeration_matches_brute_force(self, seed):
+        cat = random_category(seed)
+        for obj in cat.objects:
+            sieves = enumerate_sieves(cat, obj, cap=10)
+            assert len({s.members for s in sieves}) == len(sieves)
+            assert {s.members for s in sieves} == brute_force_sieves(cat, obj)
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.integers(0, 10**9))
+    def test_equality_and_hash_read_obj_and_mask(self, seed):
+        # Sieves from two builds of the same graph share only their object
+        # and mask; the index and a cached members view take no part.
+        cat = random_category(seed)
+        twin = build_free_category(cat.kg)
+        stranger = cat.key_index[cat.objects[0]]
+        for obj in cat.objects:
+            ours = enumerate_sieves(cat, obj, cap=10)
+            for a, b in zip(ours, enumerate_sieves(twin, obj, cap=10), strict=True):
+                _ = a.members
+                assert a.index is not b.index
+                assert a == b and hash(a) == hash(b)
+                assert a == sites.Sieve(obj, a.mask, stranger)
+                assert a != sites.Sieve(obj + "'", a.mask, a.index)
+            assert all(a != b for a, b in combinations(ours, 2))
 
 
 class TestGenerateTopology:

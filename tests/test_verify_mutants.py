@@ -167,9 +167,25 @@ def _drop_a_member(real):
     # when the pullback is maximal), so the result need not be a sieve.
     def planted(cat, sieve, g):
         pulled = real(cat, sieve, g)
-        if not pulled.members:
+        if not pulled.mask:
             return pulled
-        return sites.Sieve(pulled.obj, frozenset(pulled.sorted_members()[1:]))
+        shortest = pulled.index.bits[pulled.sorted_members()[0].arrows]
+        return sites.Sieve(pulled.obj, pulled.mask & ~(1 << shortest), pulled.index)
+
+    return planted
+
+
+def _pull_drops_its_highest_bit(real):
+    # Every pull table loses its highest bit: pulled back along a triple
+    # t: a -> b, a sieve never holds the last morphism into a in path_key
+    # order, even when its composite with t is a member.
+    def planted(cat):
+        indexes = real(cat)
+        for index in indexes.values():
+            for i, table in index.pull.items():
+                top = max(table)
+                index.pull[i] = tuple(0 if bit == top else bit for bit in table)
+        return indexes
 
     return planted
 
@@ -316,6 +332,13 @@ RANDOM_20 = [FAN, "--random", "--cases", "20"]
             [],
         ),
         (
+            [(freecat, "_key_indexes")],
+            _pull_drops_its_highest_bit,
+            RANDOM_20,
+            ["suite.topologies"],
+            [],
+        ),
+        (
             [(freecat, "extend_functor"), (verify, "extend_functor")],
             _first_well_typed_image,
             RANDOM_20,
@@ -339,6 +362,7 @@ RANDOM_20 = [FAN, "--random", "--cases", "20"]
         "stray-line-edge-across-fibres",
         "row-entry-moved",
         "pullback-sieve-drops-a-member",
+        "pull-table-drops-its-highest-bit",
         "extension-takes-first-well-typed-image",
     ],
 )
@@ -374,4 +398,19 @@ def test_fold_comparison_catches_an_endpoint_keyed_memo(monkeypatch):
     assert verify.check_restrict_against_fold(fresh) == [
         "restrict differs from the fold along 1",
         "restrict differs from the fold along 1.2",
+    ]
+
+
+def test_path_pullback_comparison_catches_a_short_pull_table(monkeypatch):
+    # Pulled back along r or s, a sieve on B loses the identity at A, the
+    # last (and only) morphism into A.
+    text = "A r B\nA s B\nB t C\n"
+    assert verify.check_pullbacks_against_paths(build_free_category(parse_kg(text)), 12) == []
+    monkeypatch.setattr(
+        freecat, "_key_indexes", _pull_drops_its_highest_bit(freecat._key_indexes)
+    )
+    failures = verify.check_pullbacks_against_paths(build_free_category(parse_kg(text)), 12)
+    assert failures[:2] == [
+        "pullback of {0} on B along 0 differs from the path pullback",
+        "pullback of {1} on B along 1 differs from the path pullback",
     ]
