@@ -251,17 +251,28 @@ def generate_topology(
         # sieve are all covering is itself covering.
         for obj in cat.objects:
             for candidate in lattice[obj]:
-                if candidate in covering[obj]:
-                    continue
-                for sieve in covering[obj]:
-                    if all(
-                        pullback_sieve(cat, candidate, g) in covering[g.source]
-                        for g in sieve.members
-                    ):
-                        covering[obj].add(candidate)
-                        changed = True
-                        break
+                if candidate not in covering[obj] and _locally_covering(
+                    cat, candidate, covering[obj], lambda s: s in covering[s.obj]
+                ):
+                    covering[obj].add(candidate)
+                    changed = True
     return Topology({obj: frozenset(covering[obj]) for obj in cat.objects})
+
+
+def _locally_covering(
+    cat: FreeCategory,
+    candidate: Sieve,
+    covering: Iterable[Sieve],
+    covers: Callable[[Sieve], bool],
+) -> bool:
+    """Whether candidate's pullbacks along every member of some covering
+    sieve cover: the morphisms g with g*candidate covering form a mask,
+    and some covering sieve must lie inside it."""
+    local = 0
+    for k, g in enumerate(candidate.index.paths):
+        if covers(pullback_sieve(cat, candidate, g)):
+            local |= 1 << k
+    return any(not s.mask & ~local for s in covering)
 
 
 def _require_sieve_lattices(cat: FreeCategory, sieve_cap: int) -> None:
@@ -378,18 +389,13 @@ def verify_topology_axioms(
                     )
     for obj in cat.objects:
         for candidate in enumerate_sieves(cat, obj, sieve_cap):
-            if topology.covers(candidate):
-                continue
-            for sieve in topology.covering_sieves(obj):
-                if all(
-                    topology.covers(pullback_sieve(cat, candidate, g))
-                    for g in sieve.members
-                ):
-                    violations.append(
-                        f"transitivity fails: sieve {candidate.keys()} on {obj} "
-                        "is locally covering but not covering"
-                    )
-                    break
+            if not topology.covers(candidate) and _locally_covering(
+                cat, candidate, topology.covering[obj], topology.covers
+            ):
+                violations.append(
+                    f"transitivity fails: sieve {candidate.keys()} on {obj} "
+                    "is locally covering but not covering"
+                )
     return TopologyReport(not violations, tuple(violations))
 
 
