@@ -66,7 +66,7 @@ def compose(p: Path, q: Path) -> Path:
     return Path(p.source, q.target, p.arrows + q.arrows)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(eq=False, slots=True)
 class KeyIndex:
     """The morphisms into one object b, numbered in path_key order, so a
     set of them is an int whose bit k stands for paths[k]; its ascending
@@ -186,7 +186,7 @@ def _key_indexes(cat: FreeCategory) -> dict[str, KeyIndex]:
     # Keys are unique among the morphisms into one object, so the pairs
     # sort by key alone.
     keyed = {
-        obj: sorted((path_key(p), p) for p in cat.morphisms_into(obj))
+        obj: sorted([(path_key(p), p) for p in cat.morphisms_into(obj)])
         for obj in cat.objects
     }
     bits = {obj: {p.arrows: k for k, (_, p) in enumerate(kp)} for obj, kp in keyed.items()}
@@ -195,7 +195,8 @@ def _key_indexes(cat: FreeCategory) -> dict[str, KeyIndex]:
         push, pull = {}, {}
         for i in cat.kg.tail_fibres[obj]:
             head = cat.kg.triples[i].head
-            push[i] = tuple(1 << bits[obj][h + (i,)] for h in bits[head])
+            # bits[head] lists the arrows of the morphisms into head in key order.
+            push[i] = tuple(1 << bits[obj][arrows + (i,)] for arrows in bits[head])
             table = [0] * len(pairs)
             for k, image in enumerate(push[i]):
                 table[image.bit_length() - 1] = 1 << k

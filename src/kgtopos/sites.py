@@ -25,8 +25,9 @@ compares both closed forms with, and verify_topology_axioms.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, reduce
 from itertools import product
+from operator import and_
 from typing import Callable, Iterable, Mapping
 
 from .errors import SizeCapError, TopologyError
@@ -185,11 +186,8 @@ class Topology:
         sieves = self.covering[obj]
         if not sieves:
             raise TopologyError(f"no covering sieves on {obj}")
-        first = next(iter(sieves))
-        mask = first.mask
-        for s in sieves:
-            mask &= s.mask
-        minimum = Sieve(obj, mask, first.index)
+        mask = reduce(and_, (s.mask for s in sieves))
+        minimum = Sieve(obj, mask, next(iter(sieves)).index)
         if not self.covers(minimum):
             raise TopologyError(
                 f"topology on {obj} is not closed under intersection; saturate first"
@@ -327,7 +325,7 @@ def _fold_over_triples(
             for i in cat.kg.tail_fibres[obj]
         ]
         candidates = (Sieve(obj, sum(choice), index) for choice in product(*components))
-        kept[obj] = [Sieve(obj, index.full, index), *filter(admit, candidates)]
+        kept[obj] = [maximal_sieve(cat, obj), *filter(admit, candidates)]
     return kept
 
 
