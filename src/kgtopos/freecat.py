@@ -183,26 +183,24 @@ class FreeCategory:
 def _key_indexes(cat: FreeCategory) -> dict[str, KeyIndex]:
     """FreeCategory.key_index, for every object at once."""
     cat.require_complete("the sieve index")
-    # Keys are unique among the morphisms into one object, so the pairs
-    # sort by key alone.
-    keyed = {
-        obj: sorted([(path_key(p), p) for p in cat.morphisms_into(obj)])
-        for obj in cat.objects
-    }
-    bits = {obj: {p.arrows: k for k, (_, p) in enumerate(kp)} for obj, kp in keyed.items()}
-    indexes = {}
-    for obj, pairs in keyed.items():
-        push, pull = {}, {}
+    order, bits = {}, {}
+    for obj in cat.objects:
+        # Keys are unique among the morphisms into one object, so the
+        # pairs sort by key alone.
+        order[obj] = sorted([(path_key(p), p) for p in cat.morphisms_into(obj)])
+        bits[obj] = {p.arrows: k for k, (_, p) in enumerate(order[obj])}
+    triples, indexes = cat.kg.triples, {}
+    for obj, pairs in order.items():
+        here, push, pull = bits[obj], {}, {}
         for i in cat.kg.tail_fibres[obj]:
-            head = cat.kg.triples[i].head
             # bits[head] lists the arrows of the morphisms into head in key order.
-            push[i] = tuple(1 << bits[obj][arrows + (i,)] for arrows in bits[head])
+            images = [here[arrows + (i,)] for arrows in bits[triples[i].head]]
             table = [0] * len(pairs)
-            for k, image in enumerate(push[i]):
-                table[image.bit_length() - 1] = 1 << k
-            pull[i] = tuple(table)
+            for k, image in enumerate(images):
+                table[image] = 1 << k
+            push[i], pull[i] = tuple([1 << image for image in images]), tuple(table)
         keys, paths = zip(*pairs)
-        indexes[obj] = KeyIndex(obj, paths, keys, bits[obj], push, pull)
+        indexes[obj] = KeyIndex(obj, paths, keys, here, push, pull)
     return indexes
 
 
