@@ -91,6 +91,53 @@ class TestLine:
         assert result.output == (DATA / "adjacency_out.csv").read_text()
 
 
+class TestOutputPieces:
+    """Streamed output reaches stdout joined into pieces of PIECE_CHARS
+    or more, all but the last, and byte for byte as streamed."""
+
+    @pytest.fixture()
+    def ring(self, tmp_path):
+        path = tmp_path / "ring.txt"
+        path.write_text("".join(f"e{i} r e{(i + 1) % 40}\n" for i in range(40)))
+        return str(path)
+
+    @pytest.mark.parametrize(
+        "args",
+        [["matrices"], ["matrices", "--format", "json"], ["line", "--format", "csv"],
+         ["line", "--format", "json"]],
+        ids=["matrices-csv", "matrices-json", "line-csv", "line-json"],
+    )
+    def test_piece_size_does_not_change_output(self, runner, ring, monkeypatch, args):
+        from kgtopos import cli as cli_module
+
+        argv = [args[0], ring, *args[1:]]
+        whole = runner.invoke(main, argv)
+        monkeypatch.setattr(cli_module, "PIECE_CHARS", 50)
+        pieces = runner.invoke(main, argv)
+        assert (pieces.exit_code, pieces.output) == (0, whole.output)
+
+    def test_stdout_sees_pieces(self, ring, monkeypatch):
+        from kgtopos import cli as cli_module
+
+        class Recorder:
+            def __init__(self):
+                self.sizes = []
+
+            def write(self, text):
+                self.sizes.append(len(text))
+
+            def flush(self):
+                pass
+
+        recorder = Recorder()
+        monkeypatch.setattr(cli_module, "PIECE_CHARS", 1000)
+        monkeypatch.setattr(sys, "stdout", recorder)
+        main.main(["matrices", ring, "--format", "json"], standalone_mode=False)
+        *full, last = recorder.sizes
+        assert full and all(size >= 1000 for size in full) and 0 < last
+        assert sum(recorder.sizes) > 6 * 40 * 40
+
+
 class TestFreecat:
     def test_json_shape(self, runner):
         result = runner.invoke(main, ["freecat", FAN])
