@@ -17,6 +17,9 @@ FAN = str(DATA / "fan.txt")
 LAYERED = str(DATA / "layered_dag.txt")
 PRODUCT = str(DATA / "product_presheaf.json")
 UNDERSIZED = str(DATA / "undersized_presheaf.json")
+LAYERED_PRODUCT = str(DATA / "layered_dag_product.json")
+LAYERED_UNDERSIZED = str(DATA / "layered_dag_undersized.json")
+FAN_FAMILY = str(DATA / "fan_family.json")
 
 
 @pytest.fixture()
@@ -204,6 +207,52 @@ class TestCovers:
 
 
 class TestSheafCommands:
+    # SHA-256 of stdout and the exit code, recorded while a presheaf
+    # still held its free category: moving it onto the graph and checking
+    # matching families along triples keeps every byte.
+    @pytest.mark.parametrize(
+        "args, exit_code, digest",
+        [
+            (["sheaf", "check", FAN, PRODUCT], 0,
+             "afb6ca89281c63952060f0eac3a83bb097c5dfd5abe0352e8f70c702baae911b"),
+            (["sheaf", "check", FAN, UNDERSIZED], 1,
+             "c30806fc91ecf5c23e00f293b1c9a3a2389182ef97227dc079f157d0f604289c"),
+            (["sheaf", "check", LAYERED, LAYERED_PRODUCT, "--sieve-cap", "15"], 0,
+             "afb6ca89281c63952060f0eac3a83bb097c5dfd5abe0352e8f70c702baae911b"),
+            (["sheaf", "check", LAYERED, LAYERED_UNDERSIZED, "--sieve-cap", "15"], 1,
+             "4bb457716b0e16c3e33db62fd665fbf006f5e0b8b8478939e1dea9ee9b1629cd"),
+            (["sheaf", "sheafify", FAN, UNDERSIZED], 0,
+             "e354bf6f95d032a952bd6bbb037b1b61c56c507934d644b2d69cec2aec6c1db1"),
+            (["sheaf", "sheafify", FAN, UNDERSIZED, "--topology", "atomic"], 0,
+             "0d8f0517bfb413fc86a1caa5bbb5ad22f65d600baf73c835aa0ac37f05210559"),
+            (["sheaf", "sheafify", LAYERED, LAYERED_UNDERSIZED, "--sieve-cap", "15"], 0,
+             "2cfa402103d5a4aff9b37355090ab7e339c0262c4d65d7ef088bcffb38539bd7"),
+            (["sheaf", "global", FAN, PRODUCT], 0,
+             "cc2e4a4bc3754b7abba3750d2f2d8bc30f54192f8208cabaf6fbc068e9362f75"),
+            (["sheaf", "global", LAYERED, LAYERED_PRODUCT, "--sieve-cap", "15"], 0,
+             "42c35c8aec53d0965a065200cc101700417089562d6a5b4e12b3c5542e453d76"),
+            (["sheaf", "adjoint", FAN, UNDERSIZED, "--other", PRODUCT,
+              "--section-cap", "4"], 0,
+             "19b9957b97874b261816626a1403d888e0b9d01c2039a6b7f9280a55a0981d8d"),
+            (["sheaf", "glue", FAN, PRODUCT, "--family", FAN_FAMILY], 0,
+             "1a47671381b5806ff689db4d09916eca17b169df07b3ec7888ff2f624ebbdbeb"),
+            (["sheaf", "glue", FAN, UNDERSIZED, "--family", FAN_FAMILY], 0,
+             "7be1aa05af43d9dfeee928c78daf2409d8ac4f4af67ceb61ec82e3fa91d52358"),
+            (["verify", FAN, "--random", "--cases", "20", "--seed", "7"], 0,
+             "7f55cd08a3e3fc2349e2420b6eb1597753c78d0985d4736f382106a083816636"),
+        ],
+        ids=["check-fan-product", "check-fan-undersized", "check-dag-product",
+             "check-dag-undersized", "sheafify-fan-path", "sheafify-fan-atomic",
+             "sheafify-dag-path", "global-fan", "global-dag", "adjoint-fan",
+             "glue-fan-product", "glue-fan-undersized", "verify-fan-random"],
+    )
+    def test_sheaf_commands_match_golden_digests(self, runner, args, exit_code, digest):
+        result = runner.invoke(main, args)
+        assert result.exit_code == exit_code
+        # verify's per-check seconds are masked as perfbench masks them.
+        output = re.sub(r"\(\d+\.\d+s\)", "(s)", result.output)
+        assert hashlib.sha256(output.encode()).hexdigest() == digest
+
     def test_check_product_is_sheaf(self, runner):
         result = runner.invoke(main, ["sheaf", "check", FAN, PRODUCT])
         assert result.exit_code == 0
