@@ -256,7 +256,7 @@ def _load_site_and_presheaf(
     sieve_cap: int,
 ):
     site = build_site(_read_graph(graph), topology, max_path_length, sieve_cap)
-    presheaf = load_presheaf(site.category, _read_json(presheaf_path))
+    presheaf = load_presheaf(site.category.kg, _read_json(presheaf_path))
     return site, presheaf
 
 
@@ -288,7 +288,7 @@ def glue_cmd(graph, presheaf, family_path, topology, max_path_length, sieve_cap)
     site, data = _load_site_and_presheaf(
         graph, presheaf, topology, max_path_length, sieve_cap
     )
-    family = load_family(data, _read_json(family_path))
+    family = load_family(site.category, data, _read_json(family_path))
     obj = family.sieve.obj
     if not site.topology.covers(family.sieve):
         raise SchemaError(f"the given family does not generate a covering sieve on {obj}")
@@ -360,7 +360,7 @@ def adjoint_cmd(graph, presheaf, other, section_cap, max_path_length, sieve_cap)
     site, atomic_side = _load_site_and_presheaf(
         graph, presheaf, "path", max_path_length, sieve_cap
     )
-    path_side = load_presheaf(site.category, _read_json(other))
+    path_side = load_presheaf(site.category.kg, _read_json(other))
     report = check_adjunction(atomic_side, path_side, site, section_cap)
     _emit_json(
         {

@@ -154,34 +154,34 @@ def random_acyclic_hom_identity(rng: Random, source: KnowledgeGraph) -> KgHomomo
 
 def random_presheaf(
     rng: Random,
-    cat: FreeCategory,
+    kg: KnowledgeGraph,
     max_sections: int = 3,
     min_sections: int = 1,
 ) -> Presheaf:
-    """A random presheaf on a free category; always valid, since any
-    generator assignment extends functorially.
+    """A random presheaf on a graph; always valid, since any assignment
+    of maps to triples extends functorially.
 
     With min_sections=0 an empty section set forces every object mapping
     into it (along some triple) to be empty too, since no function from a
     nonempty set into the empty set exists.
     """
     counts = {
-        obj: rng.randint(min_sections, max_sections) for obj in cat.objects
+        obj: rng.randint(min_sections, max_sections) for obj in kg.entities
     }
     changed = True
     while changed:
         changed = False
-        for t in cat.kg.triples:
+        for t in kg.triples:
             if counts[t.head] == 0 and counts[t.tail] > 0:
                 counts[t.tail] = 0
                 changed = True
     sections = {
-        obj: tuple(f"{obj}s{k}" for k in range(counts[obj])) for obj in cat.objects
+        obj: tuple(f"{obj}s{k}" for k in range(counts[obj])) for obj in kg.entities
     }
     restrictions = {}
-    for i, t in enumerate(cat.kg.triples):
+    for i, t in enumerate(kg.triples):
         dom_labels = sections[t.head]
         restrictions[i] = {
             s: rng.choice(dom_labels) for s in sections[t.tail]
         }
-    return Presheaf(cat, sections, restrictions)
+    return Presheaf(kg, sections, restrictions)

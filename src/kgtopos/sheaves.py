@@ -2,6 +2,10 @@
 families, gluing, plus-construction sheafification, the subobject
 classifier, and the adjunction between the path and atomic topoi.
 
+A presheaf is data on the graph, a section set per entity and a map per
+triple; the code that walks paths takes the free category, or the site,
+beside it.
+
 The sheaf condition is phrased with matching families on covering
 sieves, which needs no pullbacks in the underlying category: a matching
 family assigns a section to every member of a sieve compatibly with all
@@ -40,7 +44,8 @@ from .errors import (
     SizeCapError,
     UniquenessError,
 )
-from .freecat import FreeCategory, Path, compose, gather, path_key
+from .freecat import FreeCategory, Path, gather, path_key
+from .kg import KnowledgeGraph
 from .sites import (
     Sieve,
     Site,
@@ -54,17 +59,19 @@ DEFAULT_SECTION_CAP = 3
 
 @dataclass(frozen=True)
 class Presheaf:
-    """Finite section sets per object plus restriction maps per generator.
+    """Finite section sets per entity plus restriction maps per triple.
 
     `restrictions[i]` sends sections at the tail of triple i to sections
-    at its head (restriction runs against the arrows).  Restriction along
-    a general path is by definition the composite of the generator maps,
-    so any generator assignment is functorial.  `restrict` memoizes those
-    composites in `_tables` for the presheaf's life, so a generator table
-    must not be edited once read.  The memo takes no part in equality.
+    at its head (restriction runs against the arrows).  By the universal
+    property of the free category, that data is a presheaf on it: the
+    map along a path is the composite of its triples' maps, so any
+    assignment is functorial, and a presheaf lives on the graph, cyclic
+    or not.  `restrict` memoizes those composites in `_tables` for the
+    presheaf's life, so a triple's table must not be edited once read.
+    The memo takes no part in equality.
     """
 
-    cat: FreeCategory
+    kg: KnowledgeGraph
     sections: dict[str, tuple[str, ...]]
     restrictions: dict[int, dict[str, str]]
     _tables: dict[tuple[str, tuple[int, ...]], dict[str, str]] = field(
@@ -72,14 +79,13 @@ class Presheaf:
     )
 
     def __post_init__(self):
-        self.cat.require_complete("Presheaf construction")
-        for obj in self.cat.objects:
+        for obj in self.kg.entities:
             if obj not in self.sections:
                 raise SchemaError(f"no section set for object {obj}")
             labels = self.sections[obj]
             if len(set(labels)) != len(labels):
                 raise SchemaError(f"duplicate section labels at {obj}")
-        for i, t in enumerate(self.cat.kg.triples):
+        for i, t in enumerate(self.kg.triples):
             mapping = self.restrictions.get(i)
             if mapping is None:
                 raise SchemaError(f"no restriction map for triple {i} ({t})")
@@ -99,10 +105,9 @@ class Presheaf:
 
     def to_dict(self) -> dict:
         return {
-            "sections": {obj: list(self.sections[obj]) for obj in self.cat.objects},
+            "sections": {obj: list(self.sections[obj]) for obj in self.kg.entities},
             "restrictions": {
-                str(t): dict(self.restrictions[i])
-                for i, t in enumerate(self.cat.kg.triples)
+                str(t): dict(self.restrictions[i]) for i, t in enumerate(self.kg.triples)
             },
         }
 
@@ -144,7 +149,7 @@ def _require_mapping(value, what: str) -> None:
         raise SchemaError(f"{what} is not a JSON object")
 
 
-def load_presheaf(cat: FreeCategory, data: Mapping) -> Presheaf:
+def load_presheaf(kg: KnowledgeGraph, data: Mapping) -> Presheaf:
     """Build a presheaf from its JSON document.
 
     Sections are keyed by object name; restriction maps are keyed by the
@@ -156,7 +161,7 @@ def load_presheaf(cat: FreeCategory, data: Mapping) -> Presheaf:
     _require_mapping(raw_sections, "'sections'")
     _require_mapping(raw_restrictions, "'restrictions'")
     sections = {}
-    for obj in cat.objects:
+    for obj in kg.entities:
         if obj not in raw_sections:
             raise SchemaError(f"no section set for object {obj}")
         labels = raw_sections[obj]
@@ -164,25 +169,25 @@ def load_presheaf(cat: FreeCategory, data: Mapping) -> Presheaf:
             raise SchemaError(f"the section set for object {obj} is not a list")
         sections[obj] = tuple(str(s) for s in labels)
     restrictions = {}
-    for i, t in enumerate(cat.kg.triples):
+    for i, t in enumerate(kg.triples):
         key = str(t)
         if key not in raw_restrictions:
             raise SchemaError(f"no restriction map for triple '{key}'")
         mapping = raw_restrictions[key]
         _require_mapping(mapping, f"the restriction map for triple '{key}'")
         restrictions[i] = {str(k): str(v) for k, v in mapping.items()}
-    return Presheaf(cat, sections, restrictions)
+    return Presheaf(kg, sections, restrictions)
 
 
-def load_family(presheaf: Presheaf, data: Mapping) -> MatchingFamily:
-    """The matching family named by a gluing document.
+def load_family(cat: FreeCategory, presheaf: Presheaf, data: Mapping) -> MatchingFamily:
+    """The matching family named by a gluing document, on the presheaf's
+    free category `cat`.
 
     The document gives an object and sections on some paths into it,
     keyed by `path_key`.  Those paths generate the family's sieve; the
     values on its other members are the ones compatibility forces.
     Raises GluingError when the given values are not compatible.
     """
-    cat = presheaf.cat
     obj, raw = _fields(data, "family document", "object", "assignment")
     _require_mapping(raw, "'assignment'")
     if obj not in cat.objects:
@@ -203,25 +208,25 @@ def load_family(presheaf: Presheaf, data: Mapping) -> MatchingFamily:
     return families[0]
 
 
-def constant_presheaf(cat: FreeCategory, labels: Iterable[str] = ("*",)) -> Presheaf:
+def constant_presheaf(kg: KnowledgeGraph, labels: Iterable[str] = ("*",)) -> Presheaf:
     """Same section set everywhere, identity restrictions."""
     labels = tuple(labels)
     return Presheaf(
-        cat,
-        {obj: labels for obj in cat.objects},
-        {i: {s: s for s in labels} for i in range(cat.kg.triple_count)},
+        kg,
+        {obj: labels for obj in kg.entities},
+        {i: {s: s for s in labels} for i in range(kg.triple_count)},
     )
 
 
-def terminal_presheaf(cat: FreeCategory) -> Presheaf:
-    return constant_presheaf(cat, ("*",))
+def terminal_presheaf(kg: KnowledgeGraph) -> Presheaf:
+    return constant_presheaf(kg, ("*",))
 
 
 def product_presheaf(f: Presheaf, g: Presheaf) -> Presheaf:
     """Objectwise cartesian product with componentwise restrictions."""
-    if f.cat is not g.cat and f.cat != g.cat:
-        raise ValueError("presheaves live on different categories")
-    cat = f.cat
+    if f.kg is not g.kg and f.kg != g.kg:
+        raise ValueError("presheaves live on different graphs")
+    kg = f.kg
 
     def pair(a: str, b: str) -> str:
         return f"({a},{b})"
@@ -230,17 +235,16 @@ def product_presheaf(f: Presheaf, g: Presheaf) -> Presheaf:
         obj: tuple(
             pair(a, b) for a in f.sections[obj] for b in g.sections[obj]
         )
-        for obj in cat.objects
+        for obj in kg.entities
     }
     restrictions = {}
-    for i in range(cat.kg.triple_count):
-        t = cat.kg.triples[i]
+    for i, t in enumerate(kg.triples):
         restrictions[i] = {
             pair(a, b): pair(f.restrictions[i][a], g.restrictions[i][b])
             for a in f.sections[t.tail]
             for b in g.sections[t.tail]
         }
-    return Presheaf(cat, sections, restrictions)
+    return Presheaf(kg, sections, restrictions)
 
 
 @dataclass(frozen=True)
@@ -252,16 +256,20 @@ class MatchingFamily:
 
 
 def is_matching_family(presheaf: Presheaf, family: MatchingFamily) -> bool:
-    """Compatibility: the assignment commutes with every precomposition."""
-    if set(family.assignment.keys()) != set(family.sieve.members):
+    """Compatibility: x(t.f) = P(t)(x(f)) for every member f and every
+    triple t into its source.  That suffices for every precomposition:
+    a sieve is closed under it, so h.f is a member too, and x(t.h.f) =
+    P(t)(x(h.f)) = P(t.h)(x(f)) by induction on the length of h."""
+    assignment = family.assignment
+    if set(assignment.keys()) != set(family.sieve.members):
         return False
-    cat = presheaf.cat
-    for f in family.sieve.members:
-        if family.assignment[f] not in presheaf.sections[f.source]:
+    kg = presheaf.kg
+    for f, value in assignment.items():
+        if value not in presheaf.sections[f.source]:
             return False
-        for h in cat.morphisms_into(f.source):
-            value = restrict(presheaf, h)[family.assignment[f]]
-            if family.assignment[compose(h, f)] != value:
+        for i in kg.tail_fibres[f.source]:
+            extended = Path(kg.triples[i].head, f.target, (i, *f.arrows))
+            if assignment[extended] != presheaf.restrictions[i][value]:
                 return False
     return True
 
@@ -272,25 +280,27 @@ def enumerate_matching_families(
     """All matching families on a sieve, in a deterministic order; with
     `fixed`, only those taking the given values on the given members.
 
-    Members are assigned shortest-first; a member that factors as
-    (prefix, shorter member) has its value forced by compatibility, so
-    the search only branches on members with no proper factorization
-    inside the sieve.
+    Members are assigned shortest-first.  A member t.rest, with t its
+    first triple, whose rest is a member too has its value P(t)(x(rest))
+    forced by compatibility; any shorter suffix in the sieve is a suffix
+    of rest, which already agrees with it, so it forces the same value.
+    The search only branches on members with no proper suffix in the
+    sieve.
     """
     members = sieve.sorted_members()
     pinned = [fixed.get(g) for g in members] if fixed else [None] * len(members)
     member_set = sieve.members
-    kg = presheaf.cat.kg
-    constraints: list[list[tuple[Path, dict[str, str]]]] = []
+    kg = presheaf.kg
+    # Per member, its rest and its first triple's table, when rest is a member.
+    forcing: list[tuple[Path, dict[str, str]] | None] = []
     for g in members:
-        pairs = []
-        for split in range(1, len(g.arrows) + 1):
-            mid = kg.triples[g.arrows[split - 1]].tail
-            suffix = Path(mid, g.target, g.arrows[split:])
-            if suffix in member_set:
-                prefix = Path(g.source, mid, g.arrows[:split])
-                pairs.append((suffix, restrict(presheaf, prefix)))
-        constraints.append(pairs)
+        forced_by = None
+        if g.arrows:
+            first = g.arrows[0]
+            rest = Path(kg.triples[first].tail, g.target, g.arrows[1:])
+            if rest in member_set:
+                forced_by = (rest, presheaf.restrictions[first])
+        forcing.append(forced_by)
 
     results: list[MatchingFamily] = []
     assignment: dict[Path, str] = {}
@@ -301,12 +311,12 @@ def enumerate_matching_families(
             return
         g = members[i]
         forced = pinned[i]
-        for suffix, table in constraints[i]:
-            value = table[assignment[suffix]]
-            if forced is None:
-                forced = value
-            elif forced != value:
+        if forcing[i] is not None:
+            rest, table = forcing[i]
+            value = table[assignment[rest]]
+            if forced is not None and forced != value:
                 return
+            forced = value
         candidates = (
             [forced] if forced is not None else list(presheaf.sections[g.source])
         )
@@ -398,7 +408,7 @@ def _pullbacks_cover(site: Site, obj: str, sieves: list[Sieve]) -> bool:
 def _restrictions_biject(presheaf: Presheaf, obj: str) -> bool:
     """x -> (P(t)(x)) over the triples t into obj is a bijection from
     P(obj) onto the product of the sections at their heads."""
-    kg = presheaf.cat.kg
+    kg = presheaf.kg
     into = kg.tail_fibres[obj]
     tables = [presheaf.restrictions[i] for i in into]
     sections = presheaf.sections[obj]
@@ -460,39 +470,39 @@ def global_sections(presheaf: Presheaf) -> list[dict[str, str]]:
     return [
         {obj: component["*"] for obj, component in point.components.items()}
         for point in enumerate_nat_transformations(
-            terminal_presheaf(presheaf.cat), presheaf, cap
+            terminal_presheaf(presheaf.kg), presheaf, cap
         )
     ]
 
 
 @dataclass(frozen=True)
 class NatTransformation:
-    """Componentwise map between presheaves on the same category."""
+    """Componentwise map between presheaves on the same graph."""
 
     source: Presheaf
     target: Presheaf
     components: dict[str, dict[str, str]]
 
     def __post_init__(self):
-        cat = self.source.cat
-        for obj in cat.objects:
+        kg = self.source.kg
+        for obj in kg.entities:
             comp = self.components.get(obj)
             if comp is None or set(comp.keys()) != set(self.source.sections[obj]):
                 raise NaturalityError(f"component at {obj} is missing or not total")
             if any(v not in self.target.sections[obj] for v in comp.values()):
                 raise NaturalityError(f"component at {obj} maps outside the target")
-        triples = range(cat.kg.triple_count)
+        triples = range(kg.triple_count)
         failure = _naturality_failure(self.source, self.target, self.components, triples)
         if failure:
             i, s = failure
             raise NaturalityError(
-                f"naturality fails at triple {i} ({cat.kg.triples[i]}) on section {s!r}"
+                f"naturality fails at triple {i} ({kg.triples[i]}) on section {s!r}"
             )
 
     def canonical_key(self) -> tuple:
         return tuple(
             (obj, tuple(sorted(self.components[obj].items())))
-            for obj in self.source.cat.objects
+            for obj in self.source.kg.entities
         )
 
 
@@ -502,7 +512,7 @@ def _naturality_failure(
     """The first of the triples, with the first section at its tail, on
     which the naturality square of `components` fails, or None."""
     for i in triples:
-        t = f.cat.kg.triples[i]
+        t = f.kg.triples[i]
         f_res, g_res = f.restrictions[i], g.restrictions[i]
         head, tail = components[t.head], components[t.tail]
         for s in f.sections[t.tail]:
@@ -528,18 +538,18 @@ def enumerate_nat_transformations(
     Raises SizeCapError when a section set of either presheaf exceeds the
     cap; the enumeration is exponential in section counts.
     """
-    cat = f.cat
-    for obj in cat.objects:
+    kg = f.kg
+    for obj in kg.entities:
         if len(f.sections[obj]) > section_cap or len(g.sections[obj]) > section_cap:
             raise SizeCapError(
                 f"section set at {obj} exceeds the cap {section_cap}"
             )
-    objects = list(cat.objects)
+    objects = list(kg.entities)
     rank = {obj: k for k, obj in enumerate(objects)}
     # Triple i's square is checked when the later of its ends, in search
     # order, gets its component: at closing[k] for that end's rank k.
     closing: list[list[int]] = [[] for _ in objects]
-    for i, t in enumerate(cat.kg.triples):
+    for i, t in enumerate(kg.triples):
         closing[max(rank[t.head], rank[t.tail])].append(i)
     if not objects:
         return [NatTransformation(f, g, {})]
@@ -607,13 +617,13 @@ def _plus(
     labels are m0, m1, ... per object, ordered by the families' values
     on the members of M(b) in path_key order.
     """
-    cat = presheaf.cat
+    kg = presheaf.kg
     generators: dict[str, list[Path]] = {}
     # Per object and member, where a family's generator tuple holds the
     # member's generator value, and the restriction along its prefix.
     readers: dict[str, dict[tuple[int, ...], tuple[int, dict[str, str]]]] = {}
     labels: dict[str, dict[tuple[str, ...], str]] = {}
-    for obj in cat.objects:
+    for obj in kg.entities:
         gens = list(dict.fromkeys(g for _, g, _ in factors[obj]))
         position = {g: j for j, g in enumerate(gens)}
         reader = {m.arrows: (position[g], restrict(presheaf, p)) for m, g, p in factors[obj]}
@@ -624,10 +634,10 @@ def _plus(
         )
         generators[obj], readers[obj] = gens, reader
         labels[obj] = {x: f"m{k}" for k, x in enumerate(families)}
-    sections = {obj: tuple(labels[obj].values()) for obj in cat.objects}
+    sections = {obj: tuple(labels[obj].values()) for obj in kg.entities}
 
     restrictions: dict[int, dict[str, str]] = {}
-    for i, t in enumerate(cat.kg.triples):
+    for i, t in enumerate(kg.triples):
         # Stability puts the pullback of the minimum sieve at the tail
         # above the minimum sieve at the head.
         pulled = [readers[t.tail][g.arrows + (i,)] for g in generators[t.head]]
@@ -636,10 +646,10 @@ def _plus(
             label: head[tuple([r[x[j]] for j, r in pulled])]
             for x, label in labels[t.tail].items()
         }
-    plus_presheaf = Presheaf(cat, sections, restrictions)
+    plus_presheaf = Presheaf(kg, sections, restrictions)
 
     unit_components: dict[str, dict[str, str]] = {}
-    for obj in cat.objects:
+    for obj in kg.entities:
         own = [restrict(presheaf, g) for g in generators[obj]]
         unit_components[obj] = {
             s: labels[obj][tuple([r[s] for r in own])] for s in presheaf.sections[obj]
@@ -653,7 +663,7 @@ def sheafify(presheaf: Presheaf, site: Site) -> SheafificationResult:
     the input already does, the canonical map is objectwise bijective."""
     factors = {
         obj: _factorizations(site.topology.min_covering_sieve(obj))
-        for obj in presheaf.cat.objects
+        for obj in site.category.objects
     }
     once, unit1 = _plus(presheaf, factors)
     twice, unit2 = _plus(once, factors)
@@ -758,15 +768,15 @@ def omega(site: Site) -> Presheaf:
             for mask, label in labels[t.tail].items()
             for pulled in [gather(pull, mask)]
         }
-    return Presheaf(cat, sections, restrictions)
+    return Presheaf(cat.kg, sections, restrictions)
 
 
 def enumerate_subpresheaves(presheaf: Presheaf) -> list[Presheaf]:
     """All subpresheaves: objectwise section subsets closed under every
     restriction map.  Exponential in section counts; intended for tiny
     instances."""
-    cat = presheaf.cat
-    objects = list(cat.objects)
+    kg = presheaf.kg
+    objects = list(kg.entities)
     subsets_per_object = []
     for obj in objects:
         labels = presheaf.sections[obj]
@@ -780,7 +790,7 @@ def enumerate_subpresheaves(presheaf: Presheaf) -> list[Presheaf]:
     for choice in product(*subsets_per_object):
         chosen = dict(zip(objects, choice))
         ok = True
-        for i, t in enumerate(cat.kg.triples):
+        for i, t in enumerate(kg.triples):
             mapping = presheaf.restrictions[i]
             if any(mapping[s] not in set(chosen[t.head]) for s in chosen[t.tail]):
                 ok = False
@@ -790,11 +800,11 @@ def enumerate_subpresheaves(presheaf: Presheaf) -> list[Presheaf]:
         restrictions = {
             i: {
                 s: presheaf.restrictions[i][s]
-                for s in chosen[cat.kg.triples[i].tail]
+                for s in chosen[kg.triples[i].tail]
             }
-            for i in range(cat.kg.triple_count)
+            for i in range(kg.triple_count)
         }
-        results.append(Presheaf(cat, chosen, restrictions))
+        results.append(Presheaf(kg, chosen, restrictions))
     return results
 
 

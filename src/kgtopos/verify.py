@@ -608,7 +608,7 @@ def check_omega_with_brute_force(site: Site) -> list[str]:
     failures = check_omega(site)
     classifier = omega(site)
     _is_sheaf_against_scan(classifier, site, failures, "omega")
-    subsheaves = count_subsheaves(terminal_presheaf(site.category), site)
+    subsheaves = count_subsheaves(terminal_presheaf(site.category.kg), site)
     homs = global_sections(classifier)
     if subsheaves != len(homs):
         failures.append(
@@ -625,18 +625,18 @@ def _small_path_sheaf(rng: Random, site: Site, section_cap: int = 2):
     fallback is returned and check_adjunction reports the cap."""
     for _ in range(40):
         candidate = sheafify(
-            random_presheaf(rng, site.category, max_sections=max(1, section_cap)),
+            random_presheaf(rng, site.category.kg, max_sections=max(1, section_cap)),
             site,
         ).sheaf
         if all(len(v) <= section_cap for v in candidate.sections.values()):
             return candidate
-    return sheafify(terminal_presheaf(site.category), site).sheaf
+    return sheafify(terminal_presheaf(site.category.kg), site).sheaf
 
 
 def check_sheaf_adjunction(rng: Random, path_site: Site, section_cap: int) -> list[str]:
     """The hom-set bijection of the adjunction between the transports,
     for a random presheaf and a small path sheaf drawn from rng."""
-    atomic_side = random_presheaf(rng, path_site.category, max_sections=2)
+    atomic_side = random_presheaf(rng, path_site.category.kg, max_sections=2)
     path_side = _small_path_sheaf(rng, path_site, section_cap)
     report = check_adjunction(atomic_side, path_side, path_site, section_cap)
     if report.passed:
@@ -799,12 +799,12 @@ def _restrict_by_fold(presheaf: Presheaf, p: Path) -> dict[str, str]:
     return table
 
 
-def check_restrict_against_fold(presheaf: Presheaf) -> list[str]:
-    """restrict's table on every morphism, entries in order, against the
-    fold; identities and parallel paths included."""
+def check_restrict_against_fold(cat: FreeCategory, presheaf: Presheaf) -> list[str]:
+    """restrict's table on every morphism of cat, entries in order,
+    against the fold; identities and parallel paths included."""
     return [
         f"restrict differs from the fold along {path_key(p)}"
-        for p in presheaf.cat.morphisms()
+        for p in cat.morphisms()
         if list(restrict(presheaf, p).items()) != list(_restrict_by_fold(presheaf, p).items())
     ]
 
@@ -820,7 +820,7 @@ def _plus_by_search(
     on each minimum covering sieve found by search, labelled m0, m1, ...
     in the order of their sorted (path key, value) pairs, with the
     restriction tables and the unit read off the families."""
-    cat = presheaf.cat
+    cat = site.category
     minimum = {obj: site.topology.min_covering_sieve(obj) for obj in cat.objects}
     families: dict[str, list[MatchingFamily]] = {}
     labels: dict[str, dict[tuple, str]] = {}
@@ -855,7 +855,7 @@ def _plus_by_search(
             ]
             for s in presheaf.sections[obj]
         }
-    return Presheaf(cat, sections, restrictions), unit_components
+    return Presheaf(cat.kg, sections, restrictions), unit_components
 
 
 def _sheafification_parts(sheaf: Presheaf, unit: dict[str, dict[str, str]]) -> tuple:
@@ -884,7 +884,7 @@ def suite_sheafification(seed: int, cases: int = 30) -> list[CheckResult]:
     def run_case(case: int, failures: list[str]) -> None:
         rng = _case_rng("sheafification", seed, case)
         site = _tiny_site(rng)
-        presheaf = random_presheaf(rng, site.category, max_sections=3)
+        presheaf = random_presheaf(rng, site.category.kg, max_sections=3)
         result = sheafify(presheaf, site)
         failures.extend(check_sheafification_product(presheaf, site, result))
         atomic = Site(site.category, atomic_topology(site.category))
@@ -901,8 +901,8 @@ def suite_sheafification(seed: int, cases: int = 30) -> list[CheckResult]:
         if counts != counts_again:
             failures.append("sheafification not idempotent on counts")
         # After both sheafify calls have filled the two memos.
-        failures.extend(check_restrict_against_fold(presheaf))
-        failures.extend(check_restrict_against_fold(result.sheaf))
+        failures.extend(check_restrict_against_fold(site.category, presheaf))
+        failures.extend(check_restrict_against_fold(site.category, result.sheaf))
         if _is_sheaf_against_scan(presheaf, site, failures, "the presheaf"):
             for obj in site.category.objects:
                 component = result.unit.components[obj]

@@ -48,4 +48,4 @@ def undersized_presheaf_data():
 
 @pytest.fixture(scope="session")
 def fan_product_presheaf(fan_path_site, product_presheaf_data):
-    return load_presheaf(fan_path_site.category, product_presheaf_data)
+    return load_presheaf(fan_path_site.category.kg, product_presheaf_data)

@@ -121,7 +121,7 @@ def test_criterion_7_sheaf_golden():
     kg = parse_kg((DATA / "fan.txt").read_text())
     site = build_site(kg, "path")
     cat = site.category
-    product = load_presheaf(cat, json.loads((DATA / "product_presheaf.json").read_text()))
+    product = load_presheaf(kg, json.loads((DATA / "product_presheaf.json").read_text()))
     assert is_sheaf(product, site)
     sieve = sieve_generated_by(
         cat, "B", [cat.generator_path(0), cat.generator_path(2)]
@@ -131,7 +131,7 @@ def test_criterion_7_sheaf_golden():
     )
     assert glue(product, family) == "(a1,d1)"
     undersized = load_presheaf(
-        cat, json.loads((DATA / "undersized_presheaf.json").read_text())
+        kg, json.loads((DATA / "undersized_presheaf.json").read_text())
     )
     result = sheafify(undersized, site)
     assert len(result.sheaf.sections["B"]) == len(undersized.sections["A"]) * len(

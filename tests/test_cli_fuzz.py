@@ -17,7 +17,7 @@ from click.testing import CliRunner
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from kgtopos import KgToposError, build_free_category, load_presheaf, parse_kg
+from kgtopos import KgToposError, load_presheaf, parse_kg
 from kgtopos.cli import main
 from kgtopos.kg import find_entity_cycle
 
@@ -26,7 +26,7 @@ FAN = str(DATA / "fan.txt")
 PRODUCT = str(DATA / "product_presheaf.json")
 PRODUCT_DOC = json.loads((DATA / "product_presheaf.json").read_text())
 FAMILY_DOC = {"object": "B", "assignment": {"0": "a1", "2": "d1"}}
-FAN_CAT = build_free_category(parse_kg((DATA / "fan.txt").read_text()))
+FAN_KG = parse_kg((DATA / "fan.txt").read_text())
 
 SETTINGS = settings(max_examples=40, deadline=None)
 
@@ -88,7 +88,7 @@ def _run(args):
 
 def _rejects_presheaf(doc) -> bool:
     try:
-        load_presheaf(FAN_CAT, doc)
+        load_presheaf(FAN_KG, doc)
     except KgToposError:
         return True
     return False

@@ -43,6 +43,7 @@ from kgtopos import (
 )
 from kgtopos import sheaves
 from kgtopos.cli import main
+from kgtopos.freecat import compose
 from kgtopos.randgen import random_presheaf, random_small_category
 from kgtopos.sheaves import (
     SheafificationResult,
@@ -115,14 +116,14 @@ def tiny_site(seed, **kwargs) -> Site:
 
 def brute_force_global_sections(presheaf) -> int:
     """Oracle: try every assignment of one section per object."""
-    cat = presheaf.cat
-    objects = list(cat.objects)
+    kg = presheaf.kg
+    objects = list(kg.entities)
     count = 0
     for values in product(*(presheaf.sections[o] for o in objects)):
         chosen = dict(zip(objects, values))
         if all(
             presheaf.restrictions[i][chosen[t.tail]] == chosen[t.head]
-            for i, t in enumerate(cat.kg.triples)
+            for i, t in enumerate(kg.triples)
         ):
             count += 1
     return count
@@ -132,7 +133,7 @@ class TestPresheafValidation:
     def test_fan_arbitrary_restrictions_valid(self, fan_cat):
         # No composable generator pairs exist, so any functions pass.
         presheaf = Presheaf(
-            fan_cat,
+            fan_cat.kg,
             {"A": ("x", "y"), "B": ("u", "v"), "C": ("w",), "D": ("z",)},
             {
                 0: {"u": "y", "v": "y"},
@@ -144,18 +145,18 @@ class TestPresheafValidation:
         assert restrict(presheaf, fan_cat.generator_path(0)) == {"u": "y", "v": "y"}
 
     def test_constant_presheaf_valid(self, fan_cat):
-        presheaf = constant_presheaf(fan_cat)
+        presheaf = constant_presheaf(fan_cat.kg)
         assert all(v == ("*",) for v in presheaf.sections.values())
 
     def test_missing_object_section_rejected(self, fan_cat):
         with pytest.raises(SchemaError):
-            Presheaf(fan_cat, {"A": ("x",)}, {})
+            Presheaf(fan_cat.kg, {"A": ("x",)}, {})
 
     def test_partial_restriction_rejected(self, fan_cat):
         sections = {"A": ("x",), "B": ("u", "v"), "C": ("w",), "D": ("z",)}
         with pytest.raises(SchemaError):
             Presheaf(
-                fan_cat,
+                fan_cat.kg,
                 sections,
                 {
                     0: {"u": "x"},  # not total on F(B)
@@ -171,12 +172,31 @@ class TestPresheafValidation:
         cat = build_free_category(parse_kg("A r B\nB s C\n"))
         sections = {"A": ("a0", "a1"), "B": ("b0", "b1"), "C": ("c0",)}
         restrictions = {0: {"b0": "a0", "b1": "a1"}, 1: {"c0": "b0"}}
-        good = Presheaf(cat, sections, restrictions)
+        good = Presheaf(cat.kg, sections, restrictions)
         assert restrict(good, cat.hom("A", "C")[0]) == {"c0": "a0"}
 
     def test_restriction_identity_on_identity_path(self, fan_cat):
-        presheaf = constant_presheaf(fan_cat, ("s", "t"))
+        presheaf = constant_presheaf(fan_cat.kg, ("s", "t"))
         assert restrict(presheaf, fan_cat.identity("A")) == {"s": "s", "t": "t"}
+
+    def test_lives_on_a_cyclic_graph(self):
+        # A r B, B s A: the data needs no free category.  Restriction
+        # along the loop r.s at A swaps a0 and a1, so no global section
+        # exists, and a bounded category serves restrict.
+        kg = parse_kg("A r B\nB s A\n")
+        presheaf = Presheaf(
+            kg,
+            {"A": ("a0", "a1"), "B": ("b0", "b1")},
+            {0: {"b0": "a1", "b1": "a0"}, 1: {"a0": "b0", "a1": "b1"}},
+        )
+        assert global_sections(presheaf) == []
+        cat = build_free_category(kg, max_length=4)
+        assert not cat.complete
+        for p in cat.morphisms():
+            assert list(restrict(presheaf, p).items()) == list(fold(presheaf, p).items())
+        loop = cat.hom("A", "A")[1]
+        assert loop.arrows == (0, 1)
+        assert restrict(presheaf, loop) == {"a0": "a1", "a1": "a0"}
 
 
 def fold(presheaf, p) -> dict[str, str]:
@@ -197,7 +217,7 @@ class TestRestrict:
         # with the memo filled in a random order and then read again.
         rng = Random(seed)
         cat = random_small_category(rng, max_entities=4, max_triples=5, max_morphisms=30)
-        presheaf = random_presheaf(rng, cat, max_sections=3, min_sections=min_sections)
+        presheaf = random_presheaf(rng, cat.kg, max_sections=3, min_sections=min_sections)
         morphisms = list(cat.morphisms())
         rng.shuffle(morphisms)
         for p in morphisms + morphisms:
@@ -207,7 +227,7 @@ class TestRestrict:
         # r.t and s.t run from A to C and share the suffix t.
         cat = build_free_category(parse_kg("A r B\nA s B\nB t C\n"))
         presheaf = Presheaf(
-            cat,
+            cat.kg,
             {"A": ("a0", "a1"), "B": ("b0",), "C": ("c0",)},
             {0: {"b0": "a0"}, 1: {"b0": "a1"}, 2: {"c0": "b0"}},
         )
@@ -216,16 +236,16 @@ class TestRestrict:
         assert restrict(presheaf, second) == {"c0": "a1"}
 
     def test_second_call_returns_the_same_table(self, fan_cat):
-        presheaf = constant_presheaf(fan_cat, ("s", "t"))
+        presheaf = constant_presheaf(fan_cat.kg, ("s", "t"))
         for p in fan_cat.morphisms():
             assert restrict(presheaf, p) is restrict(presheaf, p)
 
     def test_memo_takes_no_part_in_equality(self, fan_cat):
-        filled = constant_presheaf(fan_cat, ("s", "t"))
+        filled = constant_presheaf(fan_cat.kg, ("s", "t"))
         for p in fan_cat.morphisms():
             restrict(filled, p)
-        assert filled == constant_presheaf(fan_cat, ("s", "t"))
-        assert repr(filled) == repr(constant_presheaf(fan_cat, ("s", "t")))
+        assert filled == constant_presheaf(fan_cat.kg, ("s", "t"))
+        assert repr(filled) == repr(constant_presheaf(fan_cat.kg, ("s", "t")))
 
 
 class TestLoadPresheaf:
@@ -234,10 +254,10 @@ class TestLoadPresheaf:
 
     def test_missing_restriction_key(self, fan_cat):
         with pytest.raises(SchemaError):
-            load_presheaf(fan_cat, {"sections": {o: ["s"] for o in "ABCD"}, "restrictions": {}})
+            load_presheaf(fan_cat.kg, {"sections": {o: ["s"] for o in "ABCD"}, "restrictions": {}})
 
     def test_round_trip(self, fan_cat, fan_product_presheaf):
-        again = load_presheaf(fan_cat, fan_product_presheaf.to_dict())
+        again = load_presheaf(fan_cat.kg, fan_product_presheaf.to_dict())
         assert again == fan_product_presheaf
 
     @pytest.mark.parametrize(
@@ -254,14 +274,13 @@ class TestLoadPresheaf:
     )
     def test_malformed_documents_rejected(self, fan_cat, doc):
         with pytest.raises(SchemaError):
-            load_presheaf(fan_cat, doc)
+            load_presheaf(fan_cat.kg, doc)
 
 
 def chain_presheaf() -> Presheaf:
     """A r B, B s C; restriction along r is a bijection."""
-    cat = build_free_category(parse_kg("A r B\nB s C\n"))
     return Presheaf(
-        cat,
+        parse_kg("A r B\nB s C\n"),
         {"A": ("a0", "a1"), "B": ("b0", "b1"), "C": ("c0",)},
         {0: {"b0": "a0", "b1": "a1"}, 1: {"c0": "b0"}},
     )
@@ -270,7 +289,7 @@ def chain_presheaf() -> Presheaf:
 class TestLoadFamily:
     def test_fan_pair(self, fan_cat, fan_product_presheaf):
         family = load_family(
-            fan_product_presheaf, {"object": "B", "assignment": {"0": "a1", "2": "d1"}}
+            fan_cat, fan_product_presheaf, {"object": "B", "assignment": {"0": "a1", "2": "d1"}}
         )
         assert family.sieve == sieve_generated_by(
             fan_cat, "B", [fan_cat.generator_path(0), fan_cat.generator_path(2)]
@@ -279,19 +298,22 @@ class TestLoadFamily:
 
     def test_closure_values_are_forced(self):
         presheaf = chain_presheaf()
-        cat = presheaf.cat
-        family = load_family(presheaf, {"object": "C", "assignment": {"1": "b1"}})
+        cat = build_free_category(presheaf.kg)
+        family = load_family(cat, presheaf, {"object": "C", "assignment": {"1": "b1"}})
         assert family.assignment == {
             cat.generator_path(1): "b1",
             cat.hom("A", "C")[0]: "a1",
         }
-        both = load_family(presheaf, {"object": "C", "assignment": {"0.1": "a1", "1": "b1"}})
+        both = load_family(cat, presheaf, {"object": "C", "assignment": {"0.1": "a1", "1": "b1"}})
         assert both == family
 
     def test_incompatible_values_raise(self):
         with pytest.raises(GluingError):
+            presheaf = chain_presheaf()
             load_family(
-                chain_presheaf(), {"object": "C", "assignment": {"1": "b1", "0.1": "a0"}}
+                build_free_category(presheaf.kg),
+                presheaf,
+                {"object": "C", "assignment": {"1": "b1", "0.1": "a0"}},
             )
 
     @pytest.mark.parametrize(
@@ -309,9 +331,9 @@ class TestLoadFamily:
         ids=["document-list", "no-object", "no-assignment", "assignment-list",
              "unknown-object", "object-list", "unknown-path-key", "not-a-section"],
     )
-    def test_malformed_documents_rejected(self, fan_product_presheaf, doc):
+    def test_malformed_documents_rejected(self, fan_cat, fan_product_presheaf, doc):
         with pytest.raises(SchemaError):
-            load_family(fan_product_presheaf, doc)
+            load_family(fan_cat, fan_product_presheaf, doc)
 
 
 class TestMatchingFamilies:
@@ -335,7 +357,7 @@ class TestMatchingFamilies:
     def test_chain_compatibility_constrains(self):
         cat = build_free_category(parse_kg("A r B\nB s C\n"))
         presheaf = Presheaf(
-            cat,
+            cat.kg,
             {"A": ("a0", "a1"), "B": ("b0", "b1"), "C": ("c0",)},
             {0: {"b0": "a0", "b1": "a1"}, 1: {"c0": "b0"}},
         )
@@ -350,6 +372,33 @@ class TestMatchingFamilies:
                 family.assignment[s_path]
             ]
 
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(0, 10**9))
+    def test_triples_decide_compatibility_with_every_precomposition(self, seed):
+        # Every assignment on every covering sieve, in product order:
+        # is_matching_family, which tests the triples into each member's
+        # source, agrees with the test along every path into it, and
+        # the search lists exactly the compatible ones in that order.
+        rng = Random(seed)
+        site = tiny_site(seed)
+        cat = site.category
+        presheaf = random_presheaf(rng, cat.kg, max_sections=2, min_sections=0)
+        for obj in cat.objects:
+            for sieve in site.topology.covering_sieves(obj):
+                members = sieve.sorted_members()
+                compatible = []
+                for values in product(*(presheaf.sections[p.source] for p in members)):
+                    family = MatchingFamily(sieve, dict(zip(members, values)))
+                    by_paths = all(
+                        family.assignment[compose(h, f)]
+                        == fold(presheaf, h)[family.assignment[f]]
+                        for f in members
+                        for h in cat.morphisms_into(f.source)
+                    )
+                    assert sheaves.is_matching_family(presheaf, family) == by_paths
+                    if by_paths:
+                        compatible.append(family)
+                assert enumerate_matching_families(presheaf, sieve) == compatible
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(0, 10**9))
@@ -358,7 +407,7 @@ class TestMatchingFamilies:
         # that take those values there, in the same order.
         rng = Random(seed)
         site = tiny_site(seed)
-        presheaf = random_presheaf(rng, site.category, max_sections=3, min_sections=0)
+        presheaf = random_presheaf(rng, site.category.kg, max_sections=3, min_sections=0)
         for obj in site.category.objects:
             for sieve in site.topology.covering_sieves(obj):
                 families = enumerate_matching_families(presheaf, sieve)
@@ -377,7 +426,7 @@ class TestMatchingFamilies:
 class TestIsSheaf:
     def test_any_presheaf_is_atomic_sheaf(self, fan_atomic_site):
         rng = Random(11)
-        presheaf = random_presheaf(rng, fan_atomic_site.category)
+        presheaf = random_presheaf(rng, fan_atomic_site.category.kg)
         assert is_sheaf(presheaf, fan_atomic_site)
 
     def test_product_wiring_is_path_sheaf(self, fan_path_site, fan_product_presheaf):
@@ -386,7 +435,7 @@ class TestIsSheaf:
     def test_undersized_fails_with_counterexample(
         self, fan_path_site, undersized_presheaf_data
     ):
-        presheaf = load_presheaf(fan_path_site.category, undersized_presheaf_data)
+        presheaf = load_presheaf(fan_path_site.category.kg, undersized_presheaf_data)
         result = is_sheaf(presheaf, fan_path_site)
         assert not result
         assert result.counterexample["object"] in {"B", "C"}
@@ -397,7 +446,7 @@ class TestIsSheaf:
         data["sections"]["B"].append("extra")
         data["restrictions"]["A r1 B"]["extra"] = "a1"
         data["restrictions"]["D r3 B"]["extra"] = "d1"
-        presheaf = load_presheaf(fan_path_site.category, data)
+        presheaf = load_presheaf(fan_path_site.category.kg, data)
         result = is_sheaf(presheaf, fan_path_site)
         assert not result
         assert result.counterexample["object"] == "B"
@@ -411,7 +460,7 @@ class TestIsSheaf:
             rng, max_entities=4, max_triples=4, max_morphisms=30, sieve_cap=8
         )
         site = Site(cat, atomic_topology(cat))
-        assert is_sheaf(random_presheaf(rng, cat), site)
+        assert is_sheaf(random_presheaf(rng, cat.kg), site)
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 10**9), st.integers(0, 1))
@@ -420,7 +469,7 @@ class TestIsSheaf:
         rng = Random(seed)
         site = tiny_site(seed)
         presheaf = random_presheaf(
-            rng, site.category, max_sections=3, min_sections=min_sections
+            rng, site.category.kg, max_sections=3, min_sections=min_sections
         )
         assert is_sheaf(presheaf, site) == _is_sheaf_by_scan(presheaf, site)
 
@@ -437,7 +486,7 @@ class TestIsSheaf:
             rng, max_entities=4, max_triples=4, max_morphisms=30, sieve_cap=8
         )
         presheaf = random_presheaf(
-            rng, cat, max_sections=3, min_sections=min_sections
+            rng, cat.kg, max_sections=3, min_sections=min_sections
         )
         drawn = random_coverage(rng, cat)
         for topology in (
@@ -455,7 +504,7 @@ class TestIsSheaf:
         # nothing but the maximal sieve covers D, so its pullback along
         # D r3 B, the empty sieve, does not cover: the bijection
         # P(B) -> P(A) x P(D), which fails here, does not decide.
-        presheaf = constant_presheaf(fan_cat, ("x", "y"))
+        presheaf = constant_presheaf(fan_cat.kg, ("x", "y"))
         site = Site(fan_cat, unsaturated(fan_cat, {"B": [[fan_cat.generator_path(0)]]}))
         assert is_sheaf(presheaf, site)
         assert not is_sheaf(presheaf, fan_path_site)
@@ -483,7 +532,7 @@ class TestIsSheaf:
         # the local bijections decide with none.
         site = layered_dag_site()
         product = load_presheaf(
-            site.category, json.loads((DATA / "layered_dag_product.json").read_text())
+            site.category.kg, json.loads((DATA / "layered_dag_product.json").read_text())
         )
         classifier = omega(site)
         searched = []
@@ -521,7 +570,7 @@ class TestNoReferenceCycles:
             lambda site, p: is_sheaf(p, site),
             lambda site, p: global_sections(p),
             lambda site, p: enumerate_nat_transformations(
-                terminal_presheaf(site.category), p, 4
+                terminal_presheaf(site.category.kg), p, 4
             ),
         ],
         ids=["matching-families", "is-sheaf", "global-sections", "nat-transformations"],
@@ -563,7 +612,7 @@ class TestGlue:
         assert glue(fan_product_presheaf, family) == section
 
     def test_no_amalgamation_raises(self, fan_cat, undersized_presheaf_data):
-        presheaf = load_presheaf(fan_cat, undersized_presheaf_data)
+        presheaf = load_presheaf(fan_cat.kg, undersized_presheaf_data)
         sieve = sieve_generated_by(
             fan_cat, "B", [fan_cat.generator_path(0), fan_cat.generator_path(2)]
         )
@@ -577,7 +626,7 @@ class TestGlue:
     def test_multiple_amalgamations_raise(self, fan_cat):
         # Both sections at B restrict to the same local data.
         collapsing = Presheaf(
-            fan_cat,
+            fan_cat.kg,
             {"A": ("x",), "B": ("u", "v"), "C": ("w",), "D": ("z",)},
             {
                 0: {"u": "x", "v": "x"},
@@ -594,7 +643,7 @@ class TestGlue:
     def test_incompatible_family_rejected(self):
         cat = build_free_category(parse_kg("A r B\nB s C\n"))
         presheaf = Presheaf(
-            cat,
+            cat.kg,
             {"A": ("a0", "a1"), "B": ("b0", "b1"), "C": ("c0",)},
             {0: {"b0": "a0", "b1": "a1"}, 1: {"c0": "b0"}},
         )
@@ -609,7 +658,7 @@ class TestGlue:
 
 class TestGlobalSections:
     def test_constant_singleton(self, fan_cat):
-        assert len(global_sections(constant_presheaf(fan_cat))) == 1
+        assert len(global_sections(constant_presheaf(fan_cat.kg))) == 1
 
     def test_fan_product_counts_match_brute_force(self, fan_product_presheaf):
         sections = global_sections(fan_product_presheaf)
@@ -620,7 +669,7 @@ class TestGlobalSections:
         # An empty section set at a sink is consistent (the restriction
         # out of it is the empty map) and kills every global family.
         presheaf = Presheaf(
-            fan_cat,
+            fan_cat.kg,
             {"A": ("x",), "B": (), "C": ("w",), "D": ("z",)},
             {
                 0: {},
@@ -636,7 +685,7 @@ class TestGlobalSections:
         # compatible families correspond to sections at B.
         cat = build_free_category(parse_kg("A r B\n"))
         presheaf = Presheaf(
-            cat,
+            cat.kg,
             {"A": ("a0", "a1"), "B": ("b0", "b1")},
             {0: {"b0": "a0", "b1": "a1"}},
         )
@@ -649,7 +698,7 @@ class TestGlobalSections:
         cat = random_small_category(
             rng, max_entities=4, max_triples=4, max_morphisms=30, sieve_cap=8
         )
-        presheaf = random_presheaf(rng, cat)
+        presheaf = random_presheaf(rng, cat.kg)
         assert len(global_sections(presheaf)) == brute_force_global_sections(presheaf)
 
 
@@ -663,13 +712,13 @@ class TestSheafify:
             assert len(component) == len(result.sheaf.sections[obj])
 
     def test_undersized_grows_to_product_size(self, fan_path_site, undersized_presheaf_data):
-        presheaf = load_presheaf(fan_path_site.category, undersized_presheaf_data)
+        presheaf = load_presheaf(fan_path_site.category.kg, undersized_presheaf_data)
         result = sheafify(presheaf, fan_path_site)
         assert len(result.sheaf.sections["B"]) == 2
         assert is_sheaf(result.sheaf, fan_path_site)
 
     def test_idempotent_on_section_counts(self, fan_path_site, undersized_presheaf_data):
-        presheaf = load_presheaf(fan_path_site.category, undersized_presheaf_data)
+        presheaf = load_presheaf(fan_path_site.category.kg, undersized_presheaf_data)
         once = sheafify(presheaf, fan_path_site).sheaf
         twice = sheafify(once, fan_path_site).sheaf
         assert {o: len(s) for o, s in once.sections.items()} == {
@@ -677,12 +726,12 @@ class TestSheafify:
         }
 
     def test_unit_is_natural_by_construction(self, fan_path_site, undersized_presheaf_data):
-        presheaf = load_presheaf(fan_path_site.category, undersized_presheaf_data)
+        presheaf = load_presheaf(fan_path_site.category.kg, undersized_presheaf_data)
         result = sheafify(presheaf, fan_path_site)
         assert isinstance(result.unit, NatTransformation)
 
     def test_unit_not_bijective_on_non_sheaf(self, fan_path_site, undersized_presheaf_data):
-        presheaf = load_presheaf(fan_path_site.category, undersized_presheaf_data)
+        presheaf = load_presheaf(fan_path_site.category.kg, undersized_presheaf_data)
         assert not is_sheaf(presheaf, fan_path_site)
         result = sheafify(presheaf, fan_path_site)
         component = result.unit.components["B"]
@@ -696,7 +745,7 @@ class TestSheafify:
             rng, max_entities=4, max_triples=4, max_morphisms=30, sieve_cap=8
         )
         site = Site(cat, path_topology(cat))
-        presheaf = random_presheaf(rng, cat)
+        presheaf = random_presheaf(rng, cat.kg)
         result = sheafify(presheaf, site)
         assert is_sheaf(result.sheaf, site)
         again = sheafify(result.sheaf, site)
@@ -716,7 +765,7 @@ class TestSheafify:
             rng, max_entities=4, max_triples=4, max_morphisms=30, sieve_cap=8
         )
         presheaf = random_presheaf(
-            rng, cat, max_sections=3, min_sections=min_sections
+            rng, cat.kg, max_sections=3, min_sections=min_sections
         )
         drawn = random_coverage(rng, cat)
         for topology in (
@@ -746,7 +795,7 @@ class TestSheafify:
         )
         for name in ("layered_dag_undersized.json", "layered_dag_product.json"):
             document = json.loads((DATA / name).read_text())
-            sheafify(load_presheaf(site.category, document), site)
+            sheafify(load_presheaf(site.category.kg, document), site)
         assert searched == []
 
     def test_sheafify_on_layered_dag_within_budget(self):
@@ -765,7 +814,7 @@ class TestSheafify:
             for i, t in enumerate(cat.kg.triples)
         }
         start = time.perf_counter()
-        result = sheafify(Presheaf(cat, sections, restrictions), site)
+        result = sheafify(Presheaf(cat.kg, sections, restrictions), site)
         check = is_sheaf(result.sheaf, site)
         elapsed = time.perf_counter() - start
         assert check
@@ -806,12 +855,12 @@ def relabelled(result, obj: str, swap: dict[str, str]) -> SheafificationResult:
 
     restrictions = {
         i: {rename(t.tail, k): rename(t.head, v) for k, v in sheaf.restrictions[i].items()}
-        for i, t in enumerate(sheaf.cat.kg.triples)
+        for i, t in enumerate(sheaf.kg.triples)
     }
     components = {
         o: {x: rename(o, y) for x, y in c.items()} for o, c in result.unit.components.items()
     }
-    renamed = Presheaf(sheaf.cat, sheaf.sections, restrictions)
+    renamed = Presheaf(sheaf.kg, sheaf.sections, restrictions)
     return SheafificationResult(
         renamed, NatTransformation(result.unit.source, renamed, components)
     )
@@ -824,7 +873,7 @@ class TestSheafificationProduct:
 
     @pytest.fixture
     def undersized(self, fan_path_site, undersized_presheaf_data):
-        presheaf = load_presheaf(fan_path_site.category, undersized_presheaf_data)
+        presheaf = load_presheaf(fan_path_site.category.kg, undersized_presheaf_data)
         return presheaf, sheafify(presheaf, fan_path_site)
 
     def test_sheafify_passes(self, fan_path_site, undersized):
@@ -837,7 +886,7 @@ class TestSheafificationProduct:
         rng = Random(seed)
         site = tiny_site(seed)
         presheaf = random_presheaf(
-            rng, site.category, max_sections=3, min_sections=min_sections
+            rng, site.category.kg, max_sections=3, min_sections=min_sections
         )
         result = sheafify(presheaf, site)
         assert check_sheafification_product(presheaf, site, result) == []
@@ -856,7 +905,7 @@ class TestSheafificationProduct:
         presheaf, result = undersized
         sheaf = result.sheaf
         restrictions = {**sheaf.restrictions, 0: {y: "m0" for y in sheaf.sections["B"]}}
-        collapsed = Presheaf(sheaf.cat, sheaf.sections, restrictions)
+        collapsed = Presheaf(sheaf.kg, sheaf.sections, restrictions)
         unit = SimpleNamespace(components=result.unit.components)
         failures = check_sheafification_product(
             presheaf, fan_path_site, SheafificationResult(collapsed, unit)
@@ -885,17 +934,17 @@ class TestSheafificationProduct:
 class TestTransports:
     def test_direct_image_is_atomic_sheaf(self, fan_path_site, fan_atomic_site):
         rng = Random(5)
-        presheaf = random_presheaf(rng, fan_path_site.category)
+        presheaf = random_presheaf(rng, fan_path_site.category.kg)
         assert is_sheaf(direct_image(presheaf), fan_atomic_site)
 
     def test_inverse_image_of_terminal_is_terminal(self, fan_path_site):
-        result = inverse_image(terminal_presheaf(fan_path_site.category), fan_path_site)
+        result = inverse_image(terminal_presheaf(fan_path_site.category.kg), fan_path_site)
         assert all(len(v) == 1 for v in result.sections.values())
 
     def test_inverse_image_of_undersized_matches_product(
         self, fan_path_site, undersized_presheaf_data, fan_product_presheaf
     ):
-        presheaf = load_presheaf(fan_path_site.category, undersized_presheaf_data)
+        presheaf = load_presheaf(fan_path_site.category.kg, undersized_presheaf_data)
         transported = inverse_image(presheaf, fan_path_site)
         assert {o: len(s) for o, s in transported.sections.items()} == {
             o: len(s) for o, s in fan_product_presheaf.sections.items()
@@ -909,8 +958,8 @@ class TestTransports:
             rng, max_entities=3, max_triples=3, max_morphisms=20, sieve_cap=8
         )
         site = Site(cat, path_topology(cat))
-        f = random_presheaf(rng, cat, max_sections=2)
-        g = random_presheaf(rng, cat, max_sections=2)
+        f = random_presheaf(rng, cat.kg, max_sections=2)
+        g = random_presheaf(rng, cat.kg, max_sections=2)
         lhs = inverse_image(product_presheaf(f, g), site)
         rhs = product_presheaf(inverse_image(f, site), inverse_image(g, site))
         # Matching families for a product split componentwise, so the
@@ -928,13 +977,13 @@ class TestNatTransformations:
         )
         identity_key = tuple(
             (obj, tuple(sorted((s, s) for s in fan_product_presheaf.sections[obj])))
-            for obj in fan_product_presheaf.cat.objects
+            for obj in fan_product_presheaf.kg.entities
         )
         assert identity_key in {t.canonical_key() for t in homs}
 
     def test_hom_from_terminal_counts_global_sections(self, fan_cat, fan_product_presheaf):
         homs = enumerate_nat_transformations(
-            terminal_presheaf(fan_cat), fan_product_presheaf
+            terminal_presheaf(fan_cat.kg), fan_product_presheaf
         )
         assert len(homs) == len(global_sections(fan_product_presheaf))
 
@@ -948,7 +997,7 @@ class TestNatTransformations:
             NatTransformation(fan_product_presheaf, fan_product_presheaf, components)
 
     def test_cap_enforced(self, fan_cat):
-        big = constant_presheaf(fan_cat, ("a", "b", "c", "d"))
+        big = constant_presheaf(fan_cat.kg, ("a", "b", "c", "d"))
         with pytest.raises(SizeCapError):
             enumerate_nat_transformations(big, big, section_cap=3)
 
@@ -956,13 +1005,13 @@ class TestNatTransformations:
 class TestAdjunction:
     def test_terminal_both_sides(self, fan_path_site):
         cat = fan_path_site.category
-        one = terminal_presheaf(cat)
+        one = terminal_presheaf(cat.kg)
         report = check_adjunction(one, sheafify(one, fan_path_site).sheaf, fan_path_site)
         assert report.passed
         assert report.left_count == report.right_count == 1
 
     def test_fan_constant_vs_product_sheaf(self, fan_path_site, fan_product_presheaf):
-        constant = constant_presheaf(fan_path_site.category, ("x", "y"))
+        constant = constant_presheaf(fan_path_site.category.kg, ("x", "y"))
         report = check_adjunction(constant, fan_product_presheaf, fan_path_site)
         assert report.passed
         # Both hom-sets were enumerated exhaustively and match.
@@ -977,10 +1026,10 @@ class TestAdjunction:
             rng, max_entities=4, max_triples=4, max_morphisms=25, sieve_cap=8
         )
         site = Site(cat, path_topology(cat))
-        atomic_side = random_presheaf(rng, cat, max_sections=2)
-        candidate = sheafify(random_presheaf(rng, cat, max_sections=2), site).sheaf
+        atomic_side = random_presheaf(rng, cat.kg, max_sections=2)
+        candidate = sheafify(random_presheaf(rng, cat.kg, max_sections=2), site).sheaf
         if any(len(v) > 2 for v in candidate.sections.values()):
-            candidate = sheafify(terminal_presheaf(cat), site).sheaf
+            candidate = sheafify(terminal_presheaf(cat.kg), site).sheaf
         report = check_adjunction(atomic_side, candidate, site, section_cap=2)
         assert report.passed, report
 
@@ -1077,7 +1126,7 @@ class TestOmega:
 
     def test_classifies_subsheaves_of_terminal(self, fan_path_site, fan_atomic_site):
         for site in (fan_path_site, fan_atomic_site):
-            one = terminal_presheaf(site.category)
+            one = terminal_presheaf(site.category.kg)
             classifier = omega(site)
             cap = max(len(v) for v in classifier.sections.values())
             homs = enumerate_nat_transformations(one, classifier, cap)
@@ -1100,11 +1149,11 @@ class TestSubpresheaves:
     def test_terminal_subpresheaf_count_on_fan(self, fan_cat):
         # Down-closed entity subsets: {}, {A}, {D}, {A,D}, {A,D,B},
         # {A,D,C}, {A,B,C,D} -- seven in all, by hand.
-        one = terminal_presheaf(fan_cat)
+        one = terminal_presheaf(fan_cat.kg)
         assert len(enumerate_subpresheaves(one)) == 7
 
     def test_path_sheaf_filter(self, fan_path_site):
-        one = terminal_presheaf(fan_path_site.category)
+        one = terminal_presheaf(fan_path_site.category.kg)
         assert count_subsheaves(one, fan_path_site) == 4
 
 
@@ -1122,7 +1171,7 @@ class TestSaturationInvariance:
         )
         saturated = Site(cat, path_topology(cat))
         base = Site(cat, unsaturated(cat, path_coverage(cat)))
-        presheaf = random_presheaf(rng, cat, max_sections=3)
+        presheaf = random_presheaf(rng, cat.kg, max_sections=3)
         assert bool(_first_failure(presheaf, base)) == bool(
             _first_failure(presheaf, saturated)
         )

@@ -54,7 +54,7 @@ def _injective_only(real):
     # The local sheaf condition without its size test: distinct
     # restriction tuples pass even when they miss part of the product.
     def planted(presheaf, obj):
-        tables = [presheaf.restrictions[i] for i in presheaf.cat.kg.tail_fibres[obj]]
+        tables = [presheaf.restrictions[i] for i in presheaf.kg.tail_fibres[obj]]
         sections = presheaf.sections[obj]
         return len({tuple(t[x] for t in tables) for x in sections}) == len(sections)
 
@@ -388,14 +388,14 @@ def test_fold_comparison_catches_an_endpoint_keyed_memo(monkeypatch):
     # share their endpoints but not their tables.
     cat = build_free_category(parse_kg("A r B\nA s B\nB t C\n"))
     presheaf = Presheaf(
-        cat,
+        cat.kg,
         {"A": ("a0", "a1"), "B": ("b0",), "C": ("c0",)},
         {0: {"b0": "a0"}, 1: {"b0": "a1"}, 2: {"c0": "b0"}},
     )
-    assert verify.check_restrict_against_fold(presheaf) == []
+    assert verify.check_restrict_against_fold(cat, presheaf) == []
     monkeypatch.setattr(verify, "restrict", _memo_keyed_by_endpoints(verify.restrict))
-    fresh = Presheaf(cat, presheaf.sections, presheaf.restrictions)
-    assert verify.check_restrict_against_fold(fresh) == [
+    fresh = Presheaf(cat.kg, presheaf.sections, presheaf.restrictions)
+    assert verify.check_restrict_against_fold(cat, fresh) == [
         "restrict differs from the fold along 1",
         "restrict differs from the fold along 1.2",
     ]
