@@ -14,6 +14,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from typing import Iterable, Mapping
 
 from .errors import (
@@ -106,6 +107,9 @@ class FreeCategory:
     `complete` records whether the hom-sets are closed under composition;
     it is False exactly when a length bound truncated the enumeration.
     Operations that rely on closure refuse incomplete categories.
+    `hom_sets` holds the nonempty hom-sets only, keyed in the order of
+    (source, target) entity indexes, so one pass over it visits every
+    morphism in the order of a walk over all pairs of objects.
     """
 
     kg: KnowledgeGraph
@@ -132,9 +136,7 @@ class FreeCategory:
         return self.hom_sets.get((a, b), ())
 
     def morphisms(self) -> Iterable[Path]:
-        for a in self.objects:
-            for b in self.objects:
-                yield from self.hom(a, b)
+        return chain.from_iterable(self.hom_sets.values())
 
     @cached_property
     def total_morphisms(self) -> int:
@@ -143,8 +145,8 @@ class FreeCategory:
     @cached_property
     def _into(self) -> dict[str, tuple[Path, ...]]:
         table: dict[str, list[Path]] = {obj: [] for obj in self.objects}
-        for p in self.morphisms():
-            table[p.target].append(p)
+        for (_, b), paths in self.hom_sets.items():
+            table[b].extend(paths)
         return {obj: tuple(ps) for obj, ps in table.items()}
 
     def morphisms_into(self, obj: str) -> tuple[Path, ...]:
@@ -165,12 +167,10 @@ class FreeCategory:
             )
 
     def to_dict(self) -> dict:
-        homs = {}
-        for a in self.objects:
-            for b in self.objects:
-                paths = self.hom(a, b)
-                if paths:
-                    homs[f"{a}->{b}"] = [list(p.arrows) for p in paths]
+        homs = {
+            f"{a}->{b}": [list(p.arrows) for p in paths]
+            for (a, b), paths in self.hom_sets.items()
+        }
         return {
             "objects": list(self.objects),
             "generators": [[t.head, t.predicate, t.tail] for t in self.generators],
@@ -243,9 +243,10 @@ def build_free_category(
             add(extended)
             queue.append(extended)
 
+    rank = kg.entity_index
     hom_sets = {
-        key: tuple(sorted(paths, key=lambda p: p.arrows))
-        for key, paths in hom.items()
+        (a, b): tuple(sorted(hom[a, b], key=lambda p: p.arrows))
+        for a, b in sorted(hom, key=lambda ab: (rank[ab[0]], rank[ab[1]]))
     }
     return FreeCategory(kg, hom_sets, max_length, complete)
 
@@ -285,10 +286,9 @@ class Functor:
                 self.object_map[p.target],
             ):
                 failures.append(f"endpoints of {path_key(p)} not preserved")
-        out_of = {
-            b: [q for c in self.source.objects for q in self.source.hom(b, c)]
-            for b in self.source.objects
-        }
+        out_of: dict[str, list[Path]] = {b: [] for b in self.source.objects}
+        for (b, _), paths in self.source.hom_sets.items():
+            out_of[b].extend(paths)
         for (_, b), paths in self.source.hom_sets.items():
             for p in paths:
                 for q in out_of[b]:

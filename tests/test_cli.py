@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -330,6 +331,28 @@ class TestSheafCommands:
         assert "Traceback" not in result.output
         data = json.loads(result.output)
         assert data["count"] == 1 and len(data["sections"][0]) == 1200
+
+    def test_global_sections_on_many_entities_in_budget(self, runner, tmp_path):
+        # 1 200 disjoint triples: 2 400 entities, 5.8 million ordered
+        # pairs of them, which no step may walk.
+        graph, presheaf = tmp_path / "pairs.txt", tmp_path / "constant.json"
+        graph.write_text("".join(f"e{i} r f{i}\n" for i in range(1200)))
+        presheaf.write_text(
+            json.dumps(
+                {
+                    "sections": {
+                        e: ["*"] for i in range(1200) for e in (f"e{i}", f"f{i}")
+                    },
+                    "restrictions": {f"e{i} r f{i}": {"*": "*"} for i in range(1200)},
+                }
+            )
+        )
+        start = time.perf_counter()
+        result = runner.invoke(main, ["sheaf", "global", str(graph), str(presheaf)])
+        elapsed = time.perf_counter() - start
+        assert result.exit_code == 0
+        assert json.loads(result.output)["count"] == 1
+        assert elapsed < 0.5
 
     def test_omega_counts(self, runner):
         result = runner.invoke(main, ["sheaf", "omega", FAN, "--topology", "path"])

@@ -20,7 +20,7 @@ from kgtopos import (
 )
 from kgtopos.freecat import compose_functors, identity_functor
 from kgtopos.kg import compose_homs, find_entity_cycle
-from kgtopos.randgen import random_acyclic_hom, random_small_category
+from kgtopos.randgen import random_acyclic_hom, random_kg, random_small_category
 from kgtopos.verify import expected_morphism_count
 
 from helpers import identity_hom, swap_hom
@@ -85,6 +85,24 @@ class TestBuild:
         assert data["objects"] == ["A", "B", "C", "D"]
         assert data["hom_sets"]["A->B"] == [[0]]
         assert data["complete"] is True
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(0, 10**9), st.booleans())
+    def test_one_pass_orders_match_the_walk_over_all_pairs(self, seed, acyclic):
+        # Cyclic graphs get a length bound, so their categories are
+        # truncated.  Every order is the one a walk over all ordered
+        # pairs of objects, one hom lookup each, would give.
+        rng = Random(seed)
+        kg = random_kg(rng, max_entities=6, max_triples=8, acyclic=acyclic)
+        cat = build_free_category(kg, None if acyclic else rng.randint(0, 3))
+        pairs = [(a, b) for a in cat.objects for b in cat.objects if cat.hom(a, b)]
+        walk = [p for a, b in pairs for p in cat.hom(a, b)]
+        assert list(cat.morphisms()) == walk
+        for obj in cat.objects:
+            assert list(cat.morphisms_into(obj)) == [p for p in walk if p.target == obj]
+        assert cat.to_dict()["hom_sets"] == {
+            f"{a}->{b}": [list(p.arrows) for p in cat.hom(a, b)] for a, b in pairs
+        }
 
 
 class TestCompose:
