@@ -319,17 +319,19 @@ def _components(rows: Sequence[dict[int, int]]) -> list[list[int]]:
     return blocks
 
 
-def block_spectrum(
+def spectrum_numeric(
     rows: Iterable[Sequence[int]], n: int, exact: Iterable[int]
 ) -> SpectrumReport:
     """Eigenvalues of a symmetric n x n matrix given by its rows, block
-    by block.
+    by block, matched against `exact`.
 
     A symmetric matrix is a direct sum of its diagonal blocks on the
     connected components of its nonzero entries, so the eigenvalues of
     the blocks, taken together, are exactly its spectrum. Blocks of one
-    size go to the eigensolver as one stack. Raises SymmetryError first,
-    then SpectrumSizeError when the multisets differ in size.
+    size go to the eigensolver as one stack. The deviation is the
+    elementwise distance between the two sorted multisets. Raises
+    SymmetryError first, then SpectrumSizeError when the multisets
+    differ in size.
     """
     import numpy as np  # the eigensolver oracle alone needs numpy
 
@@ -357,21 +359,11 @@ def block_spectrum(
     return SpectrumReport(tuple(exact_sorted), tuple(numeric), deviation)
 
 
-def spectrum_numeric(matrix: IntMatrix, exact: Iterable[int]) -> SpectrumReport:
-    """Blockwise symmetric eigensolve of `matrix`, matched against `exact`.
-
-    The deviation is the elementwise distance between the two sorted
-    multisets; raises SymmetryError for non-symmetric input and
-    SpectrumSizeError when the multisets differ in size.
-    """
-    return block_spectrum(matrix.to_rows(), matrix.cols, exact)
-
-
 def spectrum_report(kg: KnowledgeGraph, *, use_tails: bool = False) -> SpectrumReport:
     """Formula-vs-eigensolver report for the out-line (or in-line)
     adjacency, read row by row from `matrix_rows`."""
     name = "adjacency-in" if use_tails else "adjacency-out"
-    return block_spectrum(
+    return spectrum_numeric(
         matrix_rows(kg, name),
         kg.triple_count,
         spectrum_formula(kg, use_tails=use_tails),
