@@ -210,10 +210,14 @@ def induced_line_map(f: KgHomomorphism) -> LineMapReport:
 
 
 def to_dot(digraph: Digraph, kg: KnowledgeGraph, name: str = "line") -> str:
-    """DOT rendering with triple labels on vertices, deterministic order."""
+    """DOT rendering with triple labels on vertices, deterministic order.
+    A label escapes the backslashes and double quotes in its names, so
+    it stays one quoted string."""
     lines = [f"digraph {name} {{"]
     for i, t in enumerate(kg.triples):
-        lines.append(f'  t{i} [label="{t.head} --{t.predicate}--> {t.tail}"];')
+        label = f"{t.head} --{t.predicate}--> {t.tail}"
+        label = label.replace("\\", "\\\\").replace('"', '\\"')
+        lines.append(f'  t{i} [label="{label}"];')
     for v, w in digraph.edges():
         lines.append(f"  t{v} -> t{w};")
     lines.append("}")

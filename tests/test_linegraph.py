@@ -1,7 +1,8 @@
+import re
 from random import Random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kgtopos import (
@@ -210,6 +211,24 @@ class TestDotExport:
         assert 't0 [label="A --r1--> B"];' in dot
         assert "t0 -> t1;" in dot and "t1 -> t0;" in dot
         assert dot.endswith("}\n")
+
+    @settings(max_examples=100, deadline=None)
+    @example([('a"b', "r", "c"), ("a", "r", "c\\")])
+    @given(st.lists(
+        st.tuples(*[st.text(alphabet='ab"\\', min_size=1, max_size=4)] * 3),
+        min_size=1, max_size=4, unique=True,
+    ))
+    def test_labels_stay_one_quoted_string(self, triples):
+        # Names may hold double quotes and backslashes, a trailing one
+        # included; each label must unescape to its own triple.
+        kg = parse_kg("".join(f"{h} {p} {t}\n" for h, p, t in triples))
+        lines = to_dot(build_out_line(kg), kg).splitlines()
+        quoted = re.compile(r'  t(\d+) \[label="((?:[^"\\]|\\.)*)"\];')
+        for i, t in enumerate(kg.triples):
+            match = quoted.fullmatch(lines[1 + i])
+            assert match and int(match[1]) == i
+            label = re.sub(r"\\(.)", r"\1", match[2])
+            assert label == f"{t.head} --{t.predicate}--> {t.tail}"
 
     def test_deterministic(self, fan_kg):
         first = to_dot(build_out_line(fan_kg), fan_kg)
