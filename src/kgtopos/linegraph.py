@@ -210,9 +210,8 @@ def induced_line_map(f: KgHomomorphism) -> LineMapReport:
 
 
 def to_dot(digraph: Digraph, kg: KnowledgeGraph, name: str = "line") -> str:
-    """DOT rendering with triple labels on vertices, deterministic order.
-    A label escapes the backslashes and double quotes in its names, so
-    it stays one quoted string."""
+    """DOT rendering with triple labels on vertices, deterministic order;
+    names are escaped so that each label stays one quoted string."""
     lines = [f"digraph {name} {{"]
     for i, t in enumerate(kg.triples):
         label = f"{t.head} --{t.predicate}--> {t.tail}"

@@ -165,9 +165,7 @@ def random_presheaf(
     into it (along some triple) to be empty too, since no function from a
     nonempty set into the empty set exists.
     """
-    counts = {
-        obj: rng.randint(min_sections, max_sections) for obj in kg.entities
-    }
+    counts = {obj: rng.randint(min_sections, max_sections) for obj in kg.entities}
     changed = True
     while changed:
         changed = False
@@ -178,10 +176,8 @@ def random_presheaf(
     sections = {
         obj: tuple(f"{obj}s{k}" for k in range(counts[obj])) for obj in kg.entities
     }
-    restrictions = {}
-    for i, t in enumerate(kg.triples):
-        dom_labels = sections[t.head]
-        restrictions[i] = {
-            s: rng.choice(dom_labels) for s in sections[t.tail]
-        }
+    restrictions = {
+        i: {s: rng.choice(sections[t.head]) for s in sections[t.tail]}
+        for i, t in enumerate(kg.triples)
+    }
     return Presheaf(kg, sections, restrictions)

@@ -62,13 +62,12 @@ class Presheaf:
     """Finite section sets per entity plus restriction maps per triple.
 
     `restrictions[i]` sends sections at the tail of triple i to sections
-    at its head (restriction runs against the arrows).  By the universal
-    property of the free category, that data is a presheaf on it: the
-    map along a path is the composite of its triples' maps, so any
-    assignment is functorial, and a presheaf lives on the graph, cyclic
-    or not.  `restrict` memoizes those composites in `_tables` for the
-    presheaf's life, so a triple's table must not be edited once read.
-    The memo takes no part in equality.
+    at its head (restriction runs against the arrows).  By the free
+    category's universal property that is a whole presheaf on it: the map
+    along a path is the composite of its triples' maps.  `restrict`
+    memoizes those composites in `_tables` for the presheaf's life, so a
+    triple's table must not be edited once read.  The memo takes no part
+    in equality.
     """
 
     kg: KnowledgeGraph
@@ -237,13 +236,14 @@ def product_presheaf(f: Presheaf, g: Presheaf) -> Presheaf:
         )
         for obj in kg.entities
     }
-    restrictions = {}
-    for i, t in enumerate(kg.triples):
-        restrictions[i] = {
+    restrictions = {
+        i: {
             pair(a, b): pair(f.restrictions[i][a], g.restrictions[i][b])
             for a in f.sections[t.tail]
             for b in g.sections[t.tail]
         }
+        for i, t in enumerate(kg.triples)
+    }
     return Presheaf(kg, sections, restrictions)
 
 
@@ -289,18 +289,14 @@ def enumerate_matching_families(
     """
     members = sieve.sorted_members()
     pinned = [fixed.get(g) for g in members] if fixed else [None] * len(members)
-    member_set = sieve.members
-    kg = presheaf.kg
-    # Per member, its rest and its first triple's table, when rest is a member.
-    forcing: list[tuple[Path, dict[str, str]] | None] = []
-    for g in members:
-        forced_by = None
-        if g.arrows:
-            first = g.arrows[0]
-            rest = Path(kg.triples[first].tail, g.target, g.arrows[1:])
-            if rest in member_set:
-                forced_by = (rest, presheaf.restrictions[first])
-        forcing.append(forced_by)
+    # Members all end at the sieve's object, so their arrows name them.
+    by_arrows = {g.arrows: g for g in members}
+    forcing = [
+        (by_arrows[g.arrows[1:]], presheaf.restrictions[g.arrows[0]])
+        if g.arrows and g.arrows[1:] in by_arrows
+        else None
+        for g in members
+    ]
 
     results: list[MatchingFamily] = []
     assignment: dict[Path, str] = {}
