@@ -42,6 +42,7 @@ from .errors import (
     NaturalityError,
     SchemaError,
     SizeCapError,
+    TopologyError,
     UniquenessError,
 )
 from .freecat import FreeCategory, Path, gather, path_key
@@ -50,7 +51,6 @@ from .sites import (
     Sieve,
     Site,
     _fold_over_triples,
-    pullback_sieve,
     sieve_generated_by,
 )
 
@@ -152,7 +152,8 @@ def load_presheaf(kg: KnowledgeGraph, data: Mapping) -> Presheaf:
     """Build a presheaf from its JSON document.
 
     Sections are keyed by object name; restriction maps are keyed by the
-    triple rendered as 'head predicate tail'.
+    triple rendered as 'head predicate tail'.  A key that names no entity
+    or no triple of the graph is an error.
     """
     raw_sections, raw_restrictions = _fields(
         data, "presheaf document", "sections", "restrictions"
@@ -175,6 +176,11 @@ def load_presheaf(kg: KnowledgeGraph, data: Mapping) -> Presheaf:
         mapping = raw_restrictions[key]
         _require_mapping(mapping, f"the restriction map for triple '{key}'")
         restrictions[i] = {str(k): str(v) for k, v in mapping.items()}
+    keys = {str(t) for t in kg.triples}
+    stray = [f"section set for '{n}'" for n in raw_sections if n not in sections]
+    stray += [f"restriction map for '{k}'" for k in raw_restrictions if k not in keys]
+    if stray:
+        raise SchemaError(f"{stray[0]}, which names nothing in the graph")
     return Presheaf(kg, sections, restrictions)
 
 
@@ -369,36 +375,21 @@ def is_sheaf(presheaf: Presheaf, site: Site) -> SheafCheck:
     Decided locally.  Every nonidentity path into b ends with exactly one
     triple t: a -> b, so the matching families on the sieve of all those
     paths are the tuples in prod_t P(a), and P is a sheaf for that sieve
-    iff x -> (P(t)(x))_t is a bijection P(b) -> prod_t P(a).  If each
-    covering sieve S on b other than the maximal one pulls back along
-    every such t to a covering or maximal sieve, as in any Grothendieck
-    topology, then, given that P is a sheaf for those pullbacks, P is a
-    sheaf for S iff the bijection holds at b.  By induction along the
-    paths, P is then a sheaf iff the bijection holds at every object
-    with such an S.  Where a pullback does not cover, and to report the
-    first failure, the matching families are searched (_first_failure).
+    iff x -> (P(t)(x))_t is a bijection P(b) -> prod_t P(a).  In a
+    Grothendieck topology each covering sieve S on b other than the
+    maximal one pulls back along every such t to a covering or maximal
+    sieve, so, given that P is a sheaf for those pullbacks, P is a sheaf
+    for S iff the bijection holds at b.  By induction along the paths, P
+    is then a sheaf iff the bijection holds at every object with such an
+    S, that is, where M(b) lacks the identity.  The matching families are
+    searched only to report the first failure (_first_failure).
     """
     cat = site.category
     for obj in cat.objects:
-        identity = 1 << cat.key_index[obj].bits[()]
-        proper = [s for s in site.topology.covering[obj] if not s.mask & identity]
-        if proper and not (
-            _pullbacks_cover(site, obj, proper) and _restrictions_biject(presheaf, obj)
-        ):
+        proper = not site.topology.minimum[obj].mask >> cat.key_index[obj].bits[()] & 1
+        if proper and not _restrictions_biject(presheaf, obj):
             return _first_failure(presheaf, site)
     return SheafCheck(True)
-
-
-def _pullbacks_cover(site: Site, obj: str, sieves: list[Sieve]) -> bool:
-    """Each sieve pulled back along each triple into obj is maximal (the
-    triple is a member) or covering."""
-    cat = site.category
-    bits = cat.key_index[obj].bits
-    return all(
-        s.mask >> bits[t.arrows] & 1 or site.topology.covers(pullback_sieve(cat, s, t))
-        for t in map(cat.generator_path, cat.kg.tail_fibres[obj])
-        for s in sieves
-    )
 
 
 def _restrictions_biject(presheaf: Presheaf, obj: str) -> bool:
@@ -636,7 +627,10 @@ def _plus(
     for i, t in enumerate(kg.triples):
         # Stability puts the pullback of the minimum sieve at the tail
         # above the minimum sieve at the head.
-        pulled = [readers[t.tail][g.arrows + (i,)] for g in generators[t.head]]
+        reader = readers[t.tail]
+        if any(g.arrows + (i,) not in reader for g in generators[t.head]):
+            raise TopologyError(f"M({t.tail}) pulled back along '{t}' misses M({t.head})")
+        pulled = [reader[g.arrows + (i,)] for g in generators[t.head]]
         head = labels[t.head]
         restrictions[i] = {
             label: head[tuple([r[x[j]] for j, r in pulled])]
@@ -667,13 +661,6 @@ def sheafify(presheaf: Presheaf, site: Site) -> SheafificationResult:
     return SheafificationResult(twice, unit)
 
 
-def direct_image(presheaf: Presheaf) -> Presheaf:
-    """Transport from the path site to the atomic site on the same
-    category: the underlying data is unchanged, and the result satisfies
-    the atomic sheaf condition, where only maximal sieves cover."""
-    return presheaf
-
-
 def inverse_image(presheaf: Presheaf, path_site: Site) -> Presheaf:
     """Transport from the atomic site to the path site: sheafification of
     the same underlying data with respect to the path topology."""
@@ -697,9 +684,10 @@ def check_adjunction(
 ) -> AdjunctionReport:
     """Hom-set comparison witnessing the adjunction between the transports.
 
-    Counts Hom(inverse_image(F), G) against Hom(F, direct_image(G)) and
-    checks that precomposition with the canonical map F -> inverse_image(F)
-    is a bijection between them.  G must satisfy the path-site sheaf
+    Counts Hom(inverse_image(F), G) against Hom(F, i_*G) and checks that
+    precomposition with the canonical map F -> inverse_image(F) is a
+    bijection between them.  The direct image i_* leaves the data as it
+    is, so Hom(F, i_*G) = Hom(F, G).  G must satisfy the path-site sheaf
     condition for the counts to agree.
     """
     for presheaf in (atomic_presheaf, path_sheaf):

@@ -7,7 +7,10 @@ each triple t: a -> b, and pulling back along t reads off component t.
 So the path topology is J(b) = {max} + prod_{t: a -> b} J(a), with
 J = {max} at sources, and the atomic topology is {max} at every object,
 since an acyclic graph's free category has only identities as
-isomorphisms.  path_topology and atomic_topology build these directly;
+isomorphisms.  A topology is stored as M(b), the intersection of J(b):
+the paths from sources on the path site, the maximal sieve on the
+atomic site.  Covering is one mask test against M(b); J(b) is folded
+out of the product above only to be printed or searched, and
 `sheaves.omega` builds the closed sieves by the same fold.
 
 A sieve is an int over the morphisms into its object, numbered in
@@ -164,15 +167,23 @@ def enumerate_sieves(
 
 @dataclass(frozen=True)
 class Topology:
-    """Per-object sets of covering sieves."""
+    """A Grothendieck topology on a finite category, stored as its minimum
+    covering sieve M(b) per object b.  The covering sieves on b are closed
+    under intersection and upward, so they are exactly the sieves that
+    contain M(b) (Mac Lane and Moerdijk III.2).  A topology built by hand
+    must be a Grothendieck topology; verify_topology_axioms checks one."""
 
-    covering: dict[str, frozenset[Sieve]]
-
-    def objects(self) -> tuple[str, ...]:
-        return tuple(self.covering.keys())
+    category: FreeCategory = field(compare=False, repr=False)
+    minimum: dict[str, Sieve]
 
     def covers(self, sieve: Sieve) -> bool:
-        return sieve in self.covering.get(sieve.obj, frozenset())
+        return not self.minimum[sieve.obj].mask & ~sieve.mask
+
+    @cached_property
+    def covering(self) -> dict[str, list[Sieve]]:
+        """Every covering sieve per object, built by the fold: only the
+        printed list, the witness search and the oracles read it."""
+        return _fold_over_triples(self.category, self.covers)
 
     def covering_sieves(self, obj: str) -> list[Sieve]:
         """By size, then by the list of keys, which ascending bits give."""
@@ -181,18 +192,7 @@ class Topology:
         )
 
     def min_covering_sieve(self, obj: str) -> Sieve:
-        """Intersection of all covering sieves; in a saturated topology it
-        is itself covering."""
-        sieves = self.covering[obj]
-        if not sieves:
-            raise TopologyError(f"no covering sieves on {obj}")
-        mask = reduce(and_, (s.mask for s in sieves))
-        minimum = Sieve(obj, mask, next(iter(sieves)).index)
-        if not self.covers(minimum):
-            raise TopologyError(
-                f"topology on {obj} is not closed under intersection; saturate first"
-            )
-        return minimum
+        return self.minimum[obj]
 
 
 @dataclass(frozen=True)
@@ -201,7 +201,7 @@ class Site:
     topology: Topology
 
     def __post_init__(self):
-        if set(self.topology.covering.keys()) != set(self.category.objects):
+        if set(self.topology.minimum) != set(self.category.objects):
             raise TopologyError("topology objects differ from category objects")
 
 
@@ -212,7 +212,8 @@ def generate_topology(
 ) -> Topology:
     """Smallest topology whose covering sieves include those generated by
     the coverage, computed by saturation over the finite sieve lattice.
-    The closed-form topologies are checked against it in `verify`.
+    The closed-form topologies are checked against it in `verify`.  M(b)
+    is the intersection of b's list, which must hold every sieve above it.
 
     Empty generating families are rejected; unknown objects in the
     coverage are an error.
@@ -254,7 +255,14 @@ def generate_topology(
                 ):
                     covering[obj].add(candidate)
                     changed = True
-    return Topology({obj: frozenset(covering[obj]) for obj in cat.objects})
+    topology = Topology(cat, {
+        obj: Sieve(obj, reduce(and_, (s.mask for s in covering[obj])), cat.key_index[obj])
+        for obj in cat.objects
+    })
+    for obj in cat.objects:
+        if covering[obj] != set(filter(topology.covers, lattice[obj])):
+            raise TopologyError(f"saturation on {obj} is not the sieves above its intersection")
+    return topology
 
 
 def _locally_covering(
@@ -287,12 +295,10 @@ def atomic_topology(
     """Topology generated by isomorphism-only covering families.
 
     On the free category of an acyclic graph the only isomorphisms are
-    identities, so exactly the maximal sieves cover.
+    identities, so only the maximal sieve covers: M(b) is maximal.
     """
     _require_sieve_lattices(cat, sieve_cap)
-    return Topology(
-        {obj: frozenset({maximal_sieve(cat, obj)}) for obj in cat.objects}
-    )
+    return Topology(cat, {obj: maximal_sieve(cat, obj) for obj in cat.objects})
 
 
 def path_coverage(cat: FreeCategory) -> dict[str, list[list[Path]]]:
@@ -335,14 +341,16 @@ def path_topology(
     """Topology of relational propagation along incoming paths: the
     smallest topology in which the triples into each object cover it.
 
-    J(b) is the maximal sieve plus, for each choice of a covering sieve
-    S_t on the head of every triple t into b, the sieve of all h.t with
-    h in S_t.
+    M(b) is the set of paths into b from sources (the maximal sieve at a
+    source).  A sieve other than the maximal one covers b iff b has
+    incoming triples and its pullback along each of them covers.
     """
     _require_sieve_lattices(cat, sieve_cap)
-    # At a source only the maximal sieve covers, so its empty candidate is refused.
-    covering = _fold_over_triples(cat, lambda s: bool(cat.kg.tail_fibres[s.obj]))
-    return Topology({obj: frozenset(covering[obj]) for obj in cat.objects})
+    fibres, minimum = cat.kg.tail_fibres, {}
+    for obj, index in cat.key_index.items():
+        bits = [k for k, p in enumerate(index.paths) if not fibres[p.source]]
+        minimum[obj] = Sieve(obj, sum(1 << k for k in bits), index)
+    return Topology(cat, minimum)
 
 
 def build_site(
@@ -370,41 +378,44 @@ class TopologyReport:
 def verify_topology_axioms(
     site: Site, sieve_cap: int = DEFAULT_SIEVE_CAP
 ) -> TopologyReport:
-    """Exhaustively check maximality, pullback stability and transitivity
-    over all objects, covering sieves and morphisms."""
+    """Exhaustively check pullback stability and transitivity, and that
+    the covering list holds, in order, the sieves that cover, over one
+    scan of each object's sieve lattice.  Maximality and closure under
+    intersection and upward hold by construction: a sieve covers iff it
+    contains M(b), so transitivity need only pull back along M(b)."""
     cat, topology = site.category, site.topology
     violations: list[str] = []
     for obj in cat.objects:
-        if not topology.covers(maximal_sieve(cat, obj)):
-            violations.append(f"maximality fails at {obj}")
-    for obj in cat.objects:
-        for sieve in topology.covering_sieves(obj):
-            for g in cat.morphisms_into(obj):
-                if not topology.covers(pullback_sieve(cat, sieve, g)):
-                    violations.append(
-                        f"stability fails: pullback of a covering sieve on {obj} "
-                        f"along {path_key(g)} is not covering"
-                    )
-    for obj in cat.objects:
-        for candidate in enumerate_sieves(cat, obj, sieve_cap):
-            if not topology.covers(candidate) and _locally_covering(
-                cat, candidate, topology.covering[obj], topology.covers
+        covering = []
+        for sieve in enumerate_sieves(cat, obj, sieve_cap):
+            if topology.covers(sieve):
+                covering.append(sieve)
+                violations.extend(
+                    f"stability fails: pullback of a covering sieve on {obj} "
+                    f"along {path_key(g)} is not covering"
+                    for g in cat.morphisms_into(obj)
+                    if not topology.covers(pullback_sieve(cat, sieve, g))
+                )
+            elif all(
+                topology.covers(pullback_sieve(cat, sieve, g))
+                for g in topology.minimum[obj].in_key_order()
             ):
                 violations.append(
-                    f"transitivity fails: sieve {candidate.keys()} on {obj} "
+                    f"transitivity fails: sieve {sieve.keys()} on {obj} "
                     "is locally covering but not covering"
                 )
+        covering.sort(key=lambda s: (s.mask.bit_count(), s.keys()))
+        if topology.covering_sieves(obj) != covering:
+            violations.append(f"the covering list on {obj} differs from the sieves that cover")
     return TopologyReport(not violations, tuple(violations))
 
 
 def check_inclusion(inner: Topology, outer: Topology) -> bool:
     """True iff every covering sieve of `inner` also covers in `outer`;
     both must live on the same objects."""
-    if set(inner.covering.keys()) != set(outer.covering.keys()):
+    if set(inner.minimum) != set(outer.minimum):
         raise TopologyError("topologies live on different object sets")
-    return all(
-        inner.covering[obj] <= outer.covering[obj] for obj in inner.covering
-    )
+    return all(outer.covers(sieve) for sieve in inner.minimum.values())
 
 
 def topology_to_dict(site: Site, name: str | None = None) -> dict:

@@ -560,7 +560,7 @@ def _per_site(sites: tuple[Site, Site], check, *args) -> list[str]:
 def check_topologies(path: Site, atomic: Site, sieve_cap: int) -> list[str]:
     """Each closed-form topology against saturation of the coverage that
     defines it (all triples into each object; isomorphisms) and against
-    the topology axioms."""
+    the topology axioms, whose lattice scan also checks the covering list."""
     cat = path.category
     isomorphism_coverage = {
         obj: [[iso] for iso in _isomorphisms_into(cat, obj)] for obj in cat.objects

@@ -12,6 +12,7 @@ import time
 from pathlib import Path
 
 import numpy as np
+from click.testing import CliRunner
 
 from kgtopos import (
     MatchingFamily,
@@ -28,6 +29,7 @@ from kgtopos import (
     spectrum_formula,
     tail_incidence,
 )
+from kgtopos.cli import main
 from kgtopos.linegraph import build_out_line
 from kgtopos.verify import (
     suite_adjunction,
@@ -175,3 +177,29 @@ def test_criterion_11_cli_verify_end_to_end():
     )
     assert result.returncode == 0, result.stdout + result.stderr
     assert "all checks passed" in result.stdout
+
+
+@criterion(12, "sheaf check and sheafify on the 2x6 DAG", 4.0)
+def test_criterion_12_deep_dag_sheaf_commands():
+    # Six layers of two entities, each pointing at both entities of the
+    # next layer: 63 morphisms into each sink, and 458 330 covering
+    # sieves on it, which no sheaf command may list.  One section
+    # everywhere, so the answer is small.
+    names = [[f"L{k}n{i}" for i in range(2)] for k in range(6)]
+    triples = [f"{a} r {b}" for upper, lower in zip(names, names[1:]) for a in upper for b in lower]
+    constant = {
+        "sections": {e: ["*"] for layer in names for e in layer},
+        "restrictions": {t: {"*": "*"} for t in triples},
+    }
+    runner = CliRunner()
+    with runner.isolated_filesystem():
+        Path("dag.txt").write_text("".join(f"{t}\n" for t in triples))
+        Path("one.json").write_text(json.dumps(constant))
+        for command in ("check", "sheafify"):
+            start = time.perf_counter()
+            result = runner.invoke(
+                main, ["sheaf", command, "dag.txt", "one.json", "--sieve-cap", "100"]
+            )
+            elapsed = time.perf_counter() - start
+            assert result.exit_code == 0, result.output
+            assert elapsed < 2.0, f"sheaf {command} took {elapsed:.1f} s"

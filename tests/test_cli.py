@@ -382,6 +382,15 @@ class TestSheafCommands:
         assert data["hom_into_path_sheaf"] == data["hom_from_atomic_presheaf"] == 4
 
 
+def _with_strays(restrictions, **sections) -> dict:
+    """The fan's product presheaf with extra section sets and restriction
+    maps under keys that name no entity or triple of the fan."""
+    doc = json.loads(Path(PRODUCT).read_text())
+    doc["sections"].update(sections)
+    doc["restrictions"].update(restrictions)
+    return doc
+
+
 class TestHostileInput:
     @pytest.mark.parametrize(
         "args, env",
@@ -420,9 +429,11 @@ class TestHostileInput:
             {"sections": {"A": None, "B": [], "C": [], "D": []}, "restrictions": {}},
             {"sections": {o: ["x"] for o in "ABCD"}, "restrictions": {"A r1 B": ["x"]}},
             {"sections": {o: ["x"] for o in "ABCD"}, "restrictions": None},
+            _with_strays(Q=["q"], restrictions={"A r9 Q": {"q": "a1"}}),
+            _with_strays(restrictions={"A r9 B": {"(a1,d1)": "a1"}}),
         ],
         ids=["sections-list", "section-set-null", "restriction-map-list",
-             "restrictions-null"],
+             "restrictions-null", "stray-entity-and-triple", "stray-triple"],
     )
     def test_malformed_presheaf_exits_2(self, runner, tmp_path, command, doc):
         presheaf = tmp_path / "presheaf.json"

@@ -8,15 +8,18 @@ either side shows here.
 """
 
 import ast
+import functools
 import importlib
 import inspect
 import sys
 import textwrap
+from collections import Counter
 from pathlib import Path
+from random import Random
 
 import pytest
 
-from kgtopos import cli, matrices, parse_kg, verify
+from kgtopos import cli, freecat, linegraph, matrices, parse_kg, randgen, sheaves, sites, verify
 
 BENCH = Path(__file__).resolve().parents[1] / "perfbench"
 sys.path.insert(0, str(BENCH))
@@ -85,6 +88,47 @@ def test_traced_modules_and_classes_exist():
 @pytest.mark.parametrize("name", sorted(spans.COUNTER_HOOKS))
 def test_counter_hooks_name_traced_callables(name):
     assert _opens_a_span(name), name
+
+
+@functools.cache
+def _real_calls() -> dict:
+    """Per counter hook, the positional arguments and the result of one
+    real call, on the fan graph, of the callable the hook counts."""
+    kg = parse_kg((DATA / "fan.txt").read_text())
+    cat = freecat.build_free_category(kg)
+    head = matrices.head_incidence(kg)
+    presheaf = sheaves.constant_presheaf(kg, ("x", "y"))
+
+    def call(fn, *args):
+        return args, fn(*args)
+
+    return {
+        "matrices.IntMatrix.__matmul__": call(matrices.IntMatrix.__matmul__, head, head.transpose()),
+        "matrices.IntMatrix.__post_init__": ((head,), None),
+        "linegraph.build_out_line": call(linegraph.build_out_line, kg),
+        "linegraph.build_in_line": call(linegraph.build_in_line, kg),
+        "freecat.build_free_category": call(freecat.build_free_category, kg),
+        "sites.enumerate_sieves": call(sites.enumerate_sieves, cat, "B"),
+        "sites.generate_topology": call(sites.generate_topology, cat, sites.path_coverage(cat)),
+        "sheaves.enumerate_matching_families": call(
+            sheaves.enumerate_matching_families, presheaf, sites.maximal_sieve(cat, "B")
+        ),
+        "randgen.random_small_category": call(randgen.random_small_category, Random(0)),
+        "verify.run_verification": call(verify.run_verification, kg),
+    }
+
+
+def test_every_counter_hook_has_a_real_call():
+    assert sorted(_real_calls()) == sorted(spans.COUNTER_HOOKS)
+
+
+@pytest.mark.parametrize("name", sorted(spans.COUNTER_HOOKS))
+def test_counter_hooks_read_real_results(name):
+    # A change to the shape of what a hook reads fails here, in tier-1.
+    args, result = _real_calls()[name]
+    counters = Counter()
+    spans.COUNTER_HOOKS[name](counters, args, result)
+    assert counters and set(counters) <= _counter_names(), name
 
 
 def test_layer_metrics_read_spans_that_exist():

@@ -278,24 +278,14 @@ class TestAxioms:
 
     def test_planted_missing_pullback_fails(self):
         # On A -r-> B -s-> C the sieve {r} on B is the pullback of the
-        # covering sieve {r.s} on C along s; removing it breaks stability.
+        # covering sieve {r.s} on C along s; with M(B) maximal, {r} no
+        # longer covers, which breaks stability.
         cat = build_free_category(parse_kg("A r B\nB s C\n"))
-        topology = path_topology(cat)
-        r = cat.generator_path(0)
-        broken = dict(topology.covering)
-        broken["B"] = frozenset(
-            s for s in broken["B"] if s.members != frozenset({r})
-        )
-        report = verify_topology_axioms(Site(cat, Topology(broken)))
+        broken = dict(path_topology(cat).minimum)
+        broken["B"] = maximal_sieve(cat, "B")
+        report = verify_topology_axioms(Site(cat, Topology(cat, broken)))
         assert not report.passed
         assert any("stability" in v for v in report.violations)
-
-    def test_planted_missing_maximal_fails(self, fan_cat, fan_path_site):
-        broken = dict(fan_path_site.topology.covering)
-        broken["A"] = frozenset()
-        report = verify_topology_axioms(Site(fan_cat, Topology(broken)))
-        assert not report.passed
-        assert any("maximality" in v for v in report.violations)
 
     @settings(max_examples=20, deadline=None)
     @given(st.integers(0, 10**9))
@@ -309,35 +299,22 @@ class TestAxioms:
     @settings(max_examples=10, deadline=None)
     @given(st.integers(0, 10**9))
     def test_saturation_is_minimal(self, seed):
-        # The saturation is a least fixpoint: dropping any covering sieve
-        # that is not a generator closure or a maximal sieve must violate
+        # The saturation is a least fixpoint: raising M(b) to any larger
+        # covering sieve other than the maximal one drops M(b) but keeps
+        # the sieve of the triples into b covering, so it must violate
         # one of the axioms.
-        from kgtopos.sites import path_coverage, sieve_generated_by
-
         cat = random_small_category(
             Random(seed), max_entities=5, max_triples=5, max_morphisms=30, sieve_cap=8
         )
         topology = path_topology(cat)
-        base = {
-            obj: {
-                sieve_generated_by(cat, obj, family).members
-                for family in families
-            }
-            for obj, families in path_coverage(cat).items()
-        }
         for obj in cat.objects:
             for sieve in topology.covering_sieves(obj):
-                if sieve.members == maximal_sieve(cat, obj).members:
+                if sieve in (topology.minimum[obj], maximal_sieve(cat, obj)):
                     continue
-                if sieve.members in base.get(obj, set()):
-                    continue
-                reduced = dict(topology.covering)
-                reduced[obj] = frozenset(
-                    s for s in reduced[obj] if s != sieve
-                )
-                report = verify_topology_axioms(Site(cat, Topology(reduced)))
+                higher = {**topology.minimum, obj: sieve}
+                report = verify_topology_axioms(Site(cat, Topology(cat, higher)))
                 assert not report.passed, (
-                    f"sieve {sieve.keys()} on {obj} was not forced by saturation"
+                    f"M({obj}) = {topology.minimum[obj].keys()} was not forced by saturation"
                 )
 
 
@@ -434,22 +411,18 @@ class TestClosedForm:
         assert elapsed < 1.0
 
     def test_planted_missing_sieve_fails_verify(self, monkeypatch):
-        # Dropping the covering sieve {t1, t3} on B keeps the axioms
-        # intact on the fan, so only the saturation oracle can see it.
+        # M(B) maximal drops the covering sieve {t1, t3} on B and keeps
+        # the axioms intact on the fan, so only the saturation oracle can
+        # see it.
         real = sites.path_topology
 
         def planted(cat, sieve_cap=sites.DEFAULT_SIEVE_CAP):
-            topology = real(cat, sieve_cap)
-            covering = dict(topology.covering)
+            minimum = dict(real(cat, sieve_cap).minimum)
             for obj in cat.objects:
-                non_maximal = [
-                    s for s in topology.covering_sieves(obj)
-                    if s != maximal_sieve(cat, obj)
-                ]
-                if non_maximal:
-                    covering[obj] = covering[obj] - {non_maximal[-1]}
+                if minimum[obj] != maximal_sieve(cat, obj):
+                    minimum[obj] = maximal_sieve(cat, obj)
                     break
-            return Topology(covering)
+            return Topology(cat, minimum)
 
         monkeypatch.setattr(verify_module, "path_topology", planted)
         result = CliRunner().invoke(

@@ -205,6 +205,29 @@ def _first_well_typed_image(real):
     return planted
 
 
+def _skips_last_triple_into_each_object(real):
+    # M(b) loses the paths whose last triple is the last one into b, so
+    # that triple pulls M(b) back to the empty sieve, which covers nothing.
+    def planted(cat, sieve_cap=sites.DEFAULT_SIEVE_CAP):
+        minimum = dict(real(cat, sieve_cap).minimum)
+        for obj, fibre in cat.kg.tail_fibres.items():
+            if fibre:
+                index, last = cat.key_index[obj], fibre[-1:]
+                skipped = sum(
+                    1 << k for k, p in enumerate(index.paths) if p.arrows[-1:] == last
+                )
+                minimum[obj] = sites.Sieve(obj, minimum[obj].mask & ~skipped, index)
+        return sites.Topology(cat, minimum)
+
+    return planted
+
+
+def _covering_list_drops_its_last_sieve(real):
+    return property(lambda topology: {
+        obj: sieves[:-1] for obj, sieves in real.__get__(topology).items()
+    })
+
+
 def _statuses(output: str) -> dict[str, str]:
     """Check name (suite size stripped) -> status, from verify's text output."""
     statuses = {}
@@ -324,8 +347,7 @@ RANDOM_20 = [FAN, "--random", "--cases", "20"]
             ["incidence.gram"],
         ),
         (
-            [(sites, "pullback_sieve"), (sheaves, "pullback_sieve"),
-             (verify, "pullback_sieve")],
+            [(sites, "pullback_sieve"), (verify, "pullback_sieve")],
             _drop_a_member,
             RANDOM_20,
             ["sites.axioms", "sheaf.omega", "suite.topologies", "suite.omega"],
@@ -336,6 +358,20 @@ RANDOM_20 = [FAN, "--random", "--cases", "20"]
             _pull_drops_its_highest_bit,
             RANDOM_20,
             ["suite.topologies"],
+            [],
+        ),
+        (
+            [(sites, "path_topology"), (verify, "path_topology")],
+            _skips_last_triple_into_each_object,
+            RANDOM_20,
+            ["sites.axioms", "suite.topologies"],
+            [],
+        ),
+        (
+            [(sites.Topology, "covering")],
+            _covering_list_drops_its_last_sieve,
+            RANDOM_20,
+            ["sites.axioms", "suite.topologies"],
             [],
         ),
         (
@@ -363,6 +399,8 @@ RANDOM_20 = [FAN, "--random", "--cases", "20"]
         "row-entry-moved",
         "pullback-sieve-drops-a-member",
         "pull-table-drops-its-highest-bit",
+        "minimum-sieve-skips-a-triple",
+        "covering-list-drops-its-last-sieve",
         "extension-takes-first-well-typed-image",
     ],
 )
