@@ -290,7 +290,7 @@ def glue_cmd(graph, presheaf, family_path, topology, max_path_length, sieve_cap)
     )
     family = load_family(site.category, data, _read_json(family_path))
     obj = family.sieve.obj
-    if not site.topology.covers(family.sieve):
+    if not site.covers(family.sieve):
         raise SchemaError(f"the given family does not generate a covering sieve on {obj}")
     _emit_json({"object": obj, "section": glue(data, family)})
 

@@ -137,15 +137,10 @@ def tail_partition(kg: KnowledgeGraph) -> Partition:
     return Partition.from_blocks(f for f in kg.tail_fibres.values() if f)
 
 
-@dataclass(frozen=True)
-class SccTheoremReport:
-    passed: bool
-    failures: tuple[str, ...] = field(default_factory=tuple)
-
-
-def verify_scc_theorem(kg: KnowledgeGraph) -> SccTheoremReport:
-    """Check that line-digraph components equal head/tail fibres and that
-    every vertex in a fibre of size k has in- and out-degree k-1."""
+def verify_scc_theorem(kg: KnowledgeGraph) -> list[str]:
+    """The violations of line-digraph components equalling head/tail
+    fibres and of every vertex in a fibre of size k having in- and
+    out-degree k-1."""
     failures: list[str] = []
     for label, build, fibres in (
         ("out", build_out_line, head_partition),
@@ -171,7 +166,7 @@ def verify_scc_theorem(kg: KnowledgeGraph) -> SccTheoremReport:
                         f"{label}-line vertex {v}: degree (out={out_deg}, "
                         f"in={in_degree[v]}) != {want}"
                     )
-    return SccTheoremReport(not failures, tuple(failures))
+    return failures
 
 
 @dataclass(frozen=True)

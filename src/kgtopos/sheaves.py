@@ -52,6 +52,7 @@ from .sites import (
     Site,
     _fold_over_triples,
     sieve_generated_by,
+    sieve_order,
 )
 
 DEFAULT_SECTION_CAP = 3
@@ -386,7 +387,7 @@ def is_sheaf(presheaf: Presheaf, site: Site) -> SheafCheck:
     """
     cat = site.category
     for obj in cat.objects:
-        proper = not site.topology.minimum[obj].mask >> cat.key_index[obj].bits[()] & 1
+        proper = not site.minimum[obj].mask >> cat.key_index[obj].bits[()] & 1
         if proper and not _restrictions_biject(presheaf, obj):
             return _first_failure(presheaf, site)
     return SheafCheck(True)
@@ -413,7 +414,7 @@ def _first_failure(presheaf: Presheaf, site: Site) -> SheafCheck:
     amalgamations are the sections filed under the family's values, in
     section order, as `amalgamations` would list them."""
     for obj in site.category.objects:
-        for sieve in site.topology.covering_sieves(obj):
+        for sieve in site.covering_sieves(obj):
             members = sieve.sorted_members()
             tables = [restrict(presheaf, f) for f in members]
             by_trace: dict[tuple[str, ...], list[str]] = {}
@@ -651,10 +652,7 @@ def sheafify(presheaf: Presheaf, site: Site) -> SheafificationResult:
     """Plus construction applied twice, with the canonical map into the
     result.  The output satisfies the sheaf condition for the site; when
     the input already does, the canonical map is objectwise bijective."""
-    factors = {
-        obj: _factorizations(site.topology.min_covering_sieve(obj))
-        for obj in site.category.objects
-    }
+    factors = {obj: _factorizations(m) for obj, m in site.minimum.items()}
     once, unit1 = _plus(presheaf, factors)
     twice, unit2 = _plus(once, factors)
     unit = NatTransformation(presheaf, twice, compose_components(unit2, unit1))
@@ -733,13 +731,12 @@ def omega(site: Site) -> Presheaf:
 
     A sieve other than the maximal one is closed iff it does not cover
     and its pullback along every triple into its object is closed."""
-    cat, topology = site.category, site.topology
-    closed = _fold_over_triples(cat, lambda s: not topology.covers(s))
-    labels: dict[str, dict[int, str]] = {}
-    for obj, sieves in closed.items():
-        # By size, then by the list of keys: not the joined label's order.
-        keyed = sorted(((s.keys(), s.mask) for s in sieves), key=lambda ks: (len(ks[0]), ks[0]))
-        labels[obj] = {mask: "{" + ";".join(keys) + "}" for keys, mask in keyed}
+    cat = site.category
+    closed = _fold_over_triples(cat, lambda s: not site.covers(s))
+    labels = {
+        obj: {s.mask: sieve_label(s) for s in sorted(sieves, key=sieve_order)}
+        for obj, sieves in closed.items()
+    }
     sections = {obj: tuple(labels[obj].values()) for obj in cat.objects}
     restrictions: dict[int, dict[str, str]] = {}
     indexes = cat.key_index

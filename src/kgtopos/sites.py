@@ -7,8 +7,8 @@ each triple t: a -> b, and pulling back along t reads off component t.
 So the path topology is J(b) = {max} + prod_{t: a -> b} J(a), with
 J = {max} at sources, and the atomic topology is {max} at every object,
 since an acyclic graph's free category has only identities as
-isomorphisms.  A topology is stored as M(b), the intersection of J(b):
-the paths from sources on the path site, the maximal sieve on the
+isomorphisms.  A Site stores its topology as M(b), the intersection of
+J(b): the paths from sources on the path site, the maximal sieve on the
 atomic site.  Covering is one mask test against M(b); J(b) is folded
 out of the product above only to be printed or searched, and
 `sheaves.omega` builds the closed sieves by the same fold.
@@ -34,7 +34,7 @@ from operator import and_
 from typing import Callable, Iterable, Mapping
 
 from .errors import SizeCapError, TopologyError
-from .freecat import FreeCategory, KeyIndex, Path, gather, path_key
+from .freecat import FreeCategory, KeyIndex, Path, build_free_category, gather, path_key
 
 DEFAULT_SIEVE_CAP = 12
 
@@ -60,10 +60,6 @@ class Sieve:
     obj: str
     mask: int
     index: KeyIndex = field(compare=False, repr=False)
-
-    def __contains__(self, p: Path) -> bool:
-        k = self.index.bits.get(p.arrows) if p.target == self.obj else None
-        return k is not None and self.mask >> k & 1 == 1
 
     @cached_property
     def members(self) -> frozenset[Path]:
@@ -165,16 +161,25 @@ def enumerate_sieves(
     return sieves
 
 
+def sieve_order(sieve: Sieve) -> tuple[int, list[int]]:
+    """By size, then by the list of keys, which ascending bits give."""
+    return sieve.mask.bit_count(), _bits(sieve.mask)
+
+
 @dataclass(frozen=True)
-class Topology:
-    """A Grothendieck topology on a finite category, stored as its minimum
+class Site:
+    """A free category with a Grothendieck topology, stored as its minimum
     covering sieve M(b) per object b.  The covering sieves on b are closed
     under intersection and upward, so they are exactly the sieves that
-    contain M(b) (Mac Lane and Moerdijk III.2).  A topology built by hand
-    must be a Grothendieck topology; verify_topology_axioms checks one."""
+    contain M(b) (Mac Lane and Moerdijk III.2).  A site built by hand
+    must carry a Grothendieck topology; verify_topology_axioms checks one."""
 
     category: FreeCategory = field(compare=False, repr=False)
     minimum: dict[str, Sieve]
+
+    def __post_init__(self):
+        if set(self.minimum) != set(self.category.objects):
+            raise TopologyError("topology objects differ from category objects")
 
     def covers(self, sieve: Sieve) -> bool:
         return not self.minimum[sieve.obj].mask & ~sieve.mask
@@ -186,34 +191,19 @@ class Topology:
         return _fold_over_triples(self.category, self.covers)
 
     def covering_sieves(self, obj: str) -> list[Sieve]:
-        """By size, then by the list of keys, which ascending bits give."""
-        return sorted(
-            self.covering[obj], key=lambda s: (s.mask.bit_count(), _bits(s.mask))
-        )
-
-    def min_covering_sieve(self, obj: str) -> Sieve:
-        return self.minimum[obj]
-
-
-@dataclass(frozen=True)
-class Site:
-    category: FreeCategory
-    topology: Topology
-
-    def __post_init__(self):
-        if set(self.topology.minimum) != set(self.category.objects):
-            raise TopologyError("topology objects differ from category objects")
+        return sorted(self.covering[obj], key=sieve_order)
 
 
 def generate_topology(
     cat: FreeCategory,
     coverage: Mapping[str, Iterable[Iterable[Path]]],
     sieve_cap: int = DEFAULT_SIEVE_CAP,
-) -> Topology:
-    """Smallest topology whose covering sieves include those generated by
-    the coverage, computed by saturation over the finite sieve lattice.
-    The closed-form topologies are checked against it in `verify`.  M(b)
-    is the intersection of b's list, which must hold every sieve above it.
+) -> Site:
+    """The site on cat of the smallest topology whose covering sieves
+    include those generated by the coverage, computed by saturation over
+    the finite sieve lattice.  The closed-form sites are checked against
+    it in `verify`.  M(b) is the intersection of b's list, which must
+    hold every sieve above it.
 
     Empty generating families are rejected; unknown objects in the
     coverage are an error.
@@ -255,14 +245,14 @@ def generate_topology(
                 ):
                     covering[obj].add(candidate)
                     changed = True
-    topology = Topology(cat, {
+    site = Site(cat, {
         obj: Sieve(obj, reduce(and_, (s.mask for s in covering[obj])), cat.key_index[obj])
         for obj in cat.objects
     })
     for obj in cat.objects:
-        if covering[obj] != set(filter(topology.covers, lattice[obj])):
+        if covering[obj] != set(filter(site.covers, lattice[obj])):
             raise TopologyError(f"saturation on {obj} is not the sieves above its intersection")
-    return topology
+    return site
 
 
 def _locally_covering(
@@ -291,14 +281,15 @@ def _require_sieve_lattices(cat: FreeCategory, sieve_cap: int) -> None:
 
 def atomic_topology(
     cat: FreeCategory, sieve_cap: int = DEFAULT_SIEVE_CAP
-) -> Topology:
-    """Topology generated by isomorphism-only covering families.
+) -> Site:
+    """The site of the topology generated by isomorphism-only covering
+    families.
 
     On the free category of an acyclic graph the only isomorphisms are
     identities, so only the maximal sieve covers: M(b) is maximal.
     """
     _require_sieve_lattices(cat, sieve_cap)
-    return Topology(cat, {obj: maximal_sieve(cat, obj) for obj in cat.objects})
+    return Site(cat, {obj: maximal_sieve(cat, obj) for obj in cat.objects})
 
 
 def path_coverage(cat: FreeCategory) -> dict[str, list[list[Path]]]:
@@ -337,8 +328,8 @@ def _fold_over_triples(
 
 def path_topology(
     cat: FreeCategory, sieve_cap: int = DEFAULT_SIEVE_CAP
-) -> Topology:
-    """Topology of relational propagation along incoming paths: the
+) -> Site:
+    """The site of relational propagation along incoming paths: the
     smallest topology in which the triples into each object cover it.
 
     M(b) is the set of paths into b from sources (the maximal sieve at a
@@ -350,7 +341,7 @@ def path_topology(
     for obj, index in cat.key_index.items():
         bits = [k for k, p in enumerate(index.paths) if not fibres[p.source]]
         minimum[obj] = Sieve(obj, sum(1 << k for k in bits), index)
-    return Topology(cat, minimum)
+    return Site(cat, minimum)
 
 
 def build_site(
@@ -360,59 +351,48 @@ def build_site(
     sieve_cap: int = DEFAULT_SIEVE_CAP,
 ) -> Site:
     """Convenience: free category plus a named topology ('path' or 'atomic')."""
-    from .freecat import build_free_category
-
     builders = {"path": path_topology, "atomic": atomic_topology}
     if topology not in builders:
         raise TopologyError(f"unknown topology {topology!r}; use 'path' or 'atomic'")
-    cat = build_free_category(kg, max_path_length)
-    return Site(cat, builders[topology](cat, sieve_cap))
+    return builders[topology](build_free_category(kg, max_path_length), sieve_cap)
 
 
-@dataclass(frozen=True)
-class TopologyReport:
-    passed: bool
-    violations: tuple[str, ...] = field(default_factory=tuple)
-
-
-def verify_topology_axioms(
-    site: Site, sieve_cap: int = DEFAULT_SIEVE_CAP
-) -> TopologyReport:
-    """Exhaustively check pullback stability and transitivity, and that
-    the covering list holds, in order, the sieves that cover, over one
+def verify_topology_axioms(site: Site, sieve_cap: int = DEFAULT_SIEVE_CAP) -> list[str]:
+    """The violations of pullback stability and transitivity, and of the
+    covering list holding, in order, the sieves that cover, found over one
     scan of each object's sieve lattice.  Maximality and closure under
     intersection and upward hold by construction: a sieve covers iff it
     contains M(b), so transitivity need only pull back along M(b)."""
-    cat, topology = site.category, site.topology
+    cat = site.category
     violations: list[str] = []
     for obj in cat.objects:
         covering = []
         for sieve in enumerate_sieves(cat, obj, sieve_cap):
-            if topology.covers(sieve):
+            if site.covers(sieve):
                 covering.append(sieve)
                 violations.extend(
                     f"stability fails: pullback of a covering sieve on {obj} "
                     f"along {path_key(g)} is not covering"
                     for g in cat.morphisms_into(obj)
-                    if not topology.covers(pullback_sieve(cat, sieve, g))
+                    if not site.covers(pullback_sieve(cat, sieve, g))
                 )
             elif all(
-                topology.covers(pullback_sieve(cat, sieve, g))
-                for g in topology.minimum[obj].in_key_order()
+                site.covers(pullback_sieve(cat, sieve, g))
+                for g in site.minimum[obj].in_key_order()
             ):
                 violations.append(
                     f"transitivity fails: sieve {sieve.keys()} on {obj} "
                     "is locally covering but not covering"
                 )
         covering.sort(key=lambda s: (s.mask.bit_count(), s.keys()))
-        if topology.covering_sieves(obj) != covering:
+        if site.covering_sieves(obj) != covering:
             violations.append(f"the covering list on {obj} differs from the sieves that cover")
-    return TopologyReport(not violations, tuple(violations))
+    return violations
 
 
-def check_inclusion(inner: Topology, outer: Topology) -> bool:
-    """True iff every covering sieve of `inner` also covers in `outer`;
-    both must live on the same objects."""
+def check_inclusion(inner: Site, outer: Site) -> bool:
+    """True iff every covering sieve of `inner`'s topology also covers in
+    `outer`'s; both must live on the same objects."""
     if set(inner.minimum) != set(outer.minimum):
         raise TopologyError("topologies live on different object sets")
     return all(outer.covers(sieve) for sieve in inner.minimum.values())
@@ -422,7 +402,7 @@ def topology_to_dict(site: Site, name: str | None = None) -> dict:
     data = {
         "objects": list(site.category.objects),
         "covering": {
-            obj: [sieve.keys() for sieve in site.topology.covering_sieves(obj)]
+            obj: [sieve.keys() for sieve in site.covering_sieves(obj)]
             for obj in site.category.objects
         },
     }

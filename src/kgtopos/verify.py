@@ -128,7 +128,7 @@ class VerifyReport:
 
 def _run(name: str, fn) -> CheckResult:
     """Run one check; fn returns a list of failure strings.  A size cap
-    skips the check; any other library error fails it with its text."""
+    skips the check; any other error fails it (see _failure_text)."""
     start = time.perf_counter()
     try:
         failures = fn()
@@ -136,10 +136,15 @@ def _run(name: str, fn) -> CheckResult:
         detail = "" if not failures else "; ".join(failures[:5])
     except SizeCapError as exc:
         status, detail = "skipped", f"size cap: {exc}"
-    except KgToposError as exc:
-        status, detail = "fail", str(exc)
+    except Exception as exc:
+        status, detail = "fail", _failure_text(exc)
     elapsed = time.perf_counter() - start
     return CheckResult(name, status, detail, elapsed)
+
+
+def _failure_text(exc: Exception) -> str:
+    """A library error's text; any other exception's type and text."""
+    return str(exc) if isinstance(exc, KgToposError) else f"{type(exc).__name__}: {exc}"
 
 
 def _case_rng(suite: str, seed: int, case: int) -> Random:
@@ -305,11 +310,6 @@ def check_spectrum(kg: KnowledgeGraph) -> list[str]:
     return failures
 
 
-def check_scc_theorem(kg: KnowledgeGraph) -> list[str]:
-    report = lg.verify_scc_theorem(kg)
-    return list(report.failures)
-
-
 def check_line_digraph_consistency(kg: KnowledgeGraph) -> list[str]:
     failures = []
     columns = tuple(range(kg.triple_count))
@@ -332,7 +332,7 @@ _INCIDENCE_LINE_CHECKS = (
     ("incidence.line_operator_identity", check_line_operator_identity),
     ("incidence.rank", check_rank),
     ("incidence.spectrum", check_spectrum),
-    ("line.scc_theorem", check_scc_theorem),
+    ("line.scc_theorem", lg.verify_scc_theorem),
     ("line.matrix_consistency", check_line_digraph_consistency),
 )
 
@@ -494,11 +494,11 @@ def _closed_sieves_by_scan(
     """Oracle for omega: every sieve of the lattice scan that is J-closed
     (no morphism outside it pulls it back to a covering sieve), in
     omega's section order."""
-    cat, topology = site.category, site.topology
+    cat = site.category
 
     def closed(s: Sieve) -> bool:
         return not any(
-            g not in s.members and topology.covers(pullback_sieve(cat, s, g))
+            g not in s.members and site.covers(pullback_sieve(cat, s, g))
             for g in cat.morphisms_into(s.obj)
         )
 
@@ -515,7 +515,7 @@ def _is_sheaf_by_scan(presheaf: Presheaf, site: Site) -> SheafCheck:
     """Oracle for is_sheaf: every matching family's amalgamations found
     by scanning every section against every sieve member."""
     for obj in site.category.objects:
-        for sieve in site.topology.covering_sieves(obj):
+        for sieve in site.covering_sieves(obj):
             for family in enumerate_matching_families(presheaf, sieve):
                 glued = amalgamations(presheaf, family)
                 if len(glued) != 1:
@@ -540,11 +540,8 @@ def _is_sheaf_against_scan(
 
 
 def _sites(cat: FreeCategory, sieve_cap: int = DEFAULT_SIEVE_CAP) -> tuple[Site, Site]:
-    """The path and the atomic site on cat, each topology built once."""
-    return (
-        Site(cat, path_topology(cat, sieve_cap)),
-        Site(cat, atomic_topology(cat, sieve_cap)),
-    )
+    """The path and the atomic site on cat, each built once."""
+    return path_topology(cat, sieve_cap), atomic_topology(cat, sieve_cap)
 
 
 def _per_site(sites: tuple[Site, Site], check, *args) -> list[str]:
@@ -570,16 +567,14 @@ def check_topologies(path: Site, atomic: Site, sieve_cap: int) -> list[str]:
         ("path", path, path_coverage(cat)),
         ("atomic", atomic, isomorphism_coverage),
     ):
-        if site.topology != generate_topology(cat, coverage, sieve_cap):
+        if site != generate_topology(cat, coverage, sieve_cap):
             failures.append(f"{name} topology differs from saturation of its coverage")
-        failures.extend(
-            f"{name}: {v}" for v in verify_topology_axioms(site, sieve_cap).violations
-        )
+        failures.extend(f"{name}: {v}" for v in verify_topology_axioms(site, sieve_cap))
     return failures
 
 
 def check_site_inclusion(path: Site, atomic: Site) -> list[str]:
-    if check_inclusion(atomic.topology, path.topology):
+    if check_inclusion(atomic, path):
         return []
     return ["atomic covering sieves are not all path-covering"]
 
@@ -653,8 +648,8 @@ def check_sheaf_adjunction(rng: Random, path_site: Site, section_cap: int) -> li
 def _suite(name: str, cases: int, run_case) -> list[CheckResult]:
     """One CheckResult for `cases` seeded cases; run_case(case, failures)
     appends its failure strings, each reported as `case k: <failure>`.
-    A library error other than a size cap ends only its own case and
-    becomes that case's last failure, after those it had collected."""
+    Any error other than a size cap ends only its own case and becomes
+    that case's last failure, after those it had collected."""
 
     def body() -> list[str]:
         failures: list[str] = []
@@ -664,8 +659,8 @@ def _suite(name: str, cases: int, run_case) -> list[CheckResult]:
                 run_case(case, found)
             except SizeCapError:
                 raise
-            except KgToposError as exc:
-                found.append(str(exc))
+            except Exception as exc:
+                found.append(_failure_text(exc))
             failures.extend(f"case {case}: {failure}" for failure in found)
         return failures
 
@@ -714,7 +709,7 @@ def suite_topologies(
         failures.extend(check_site_inclusion(*sites))
         failures.extend(check_pullbacks_against_paths(cat, sieve_cap))
         # A second saturation, so the graph's sites.axioms leaves it out.
-        path = sites[0].topology
+        path = sites[0]
         own = {
             obj: [s.sorted_members() for s in path.covering_sieves(obj)]
             for obj in cat.objects
@@ -729,7 +724,7 @@ def _tiny_site(rng: Random) -> Site:
     cat = random_small_category(
         rng, max_entities=4, max_triples=4, max_morphisms=30, sieve_cap=8
     )
-    return Site(cat, path_topology(cat))
+    return path_topology(cat)
 
 
 def check_sheafification_product(
@@ -820,8 +815,7 @@ def _plus_by_search(
     on each minimum covering sieve found by search, labelled m0, m1, ...
     in the order of their sorted (path key, value) pairs, with the
     restriction tables and the unit read off the families."""
-    cat = site.category
-    minimum = {obj: site.topology.min_covering_sieve(obj) for obj in cat.objects}
+    cat, minimum = site.category, site.minimum
     families: dict[str, list[MatchingFamily]] = {}
     labels: dict[str, dict[tuple, str]] = {}
     sections: dict[str, tuple[str, ...]] = {}
@@ -887,7 +881,7 @@ def suite_sheafification(seed: int, cases: int = 30) -> list[CheckResult]:
         presheaf = random_presheaf(rng, site.category.kg, max_sections=3)
         result = sheafify(presheaf, site)
         failures.extend(check_sheafification_product(presheaf, site, result))
-        atomic = Site(site.category, atomic_topology(site.category))
+        atomic = atomic_topology(site.category)
         failures.extend(
             _per_site((site, atomic), check_sheafify_against_search, presheaf)
         )

@@ -100,8 +100,8 @@ def sheaf_for(presheaf, covering) -> SheafCheck:
     return SheafCheck(True)
 
 
-def listed(topology) -> dict:
-    return {obj: topology.covering_sieves(obj) for obj in topology.category.objects}
+def listed(site) -> dict:
+    return {obj: site.covering_sieves(obj) for obj in site.category.objects}
 
 
 def random_coverage(rng, cat) -> dict:
@@ -129,7 +129,7 @@ def tiny_site(seed, **kwargs) -> Site:
     cat = random_small_category(
         Random(seed), max_entities=4, max_triples=4, max_morphisms=30, sieve_cap=8
     )
-    return Site(cat, path_topology(cat))
+    return path_topology(cat)
 
 
 def brute_force_global_sections(presheaf) -> int:
@@ -367,7 +367,7 @@ class TestMatchingFamilies:
     def test_maximal_sieve_families_biject_with_sections(
         self, fan_cat, fan_path_site, fan_product_presheaf
     ):
-        sieve = fan_path_site.topology.covering_sieves("B")[-1]
+        sieve = fan_path_site.covering_sieves("B")[-1]
         assert fan_cat.identity("B") in sieve.members
         families = enumerate_matching_families(fan_product_presheaf, sieve)
         assert len(families) == len(fan_product_presheaf.sections["B"])
@@ -402,7 +402,7 @@ class TestMatchingFamilies:
         cat = site.category
         presheaf = random_presheaf(rng, cat.kg, max_sections=2, min_sections=0)
         for obj in cat.objects:
-            for sieve in site.topology.covering_sieves(obj):
+            for sieve in site.covering_sieves(obj):
                 members = sieve.sorted_members()
                 compatible = []
                 for values in product(*(presheaf.sections[p.source] for p in members)):
@@ -427,7 +427,7 @@ class TestMatchingFamilies:
         site = tiny_site(seed)
         presheaf = random_presheaf(rng, site.category.kg, max_sections=3, min_sections=0)
         for obj in site.category.objects:
-            for sieve in site.topology.covering_sieves(obj):
+            for sieve in site.covering_sieves(obj):
                 families = enumerate_matching_families(presheaf, sieve)
                 fixed = {
                     p: rng.choice(presheaf.sections[p.source])
@@ -477,7 +477,7 @@ class TestIsSheaf:
         cat = random_small_category(
             rng, max_entities=4, max_triples=4, max_morphisms=30, sieve_cap=8
         )
-        site = Site(cat, atomic_topology(cat))
+        site = atomic_topology(cat)
         assert is_sheaf(random_presheaf(rng, cat.kg), site)
 
     @settings(max_examples=40, deadline=None)
@@ -509,17 +509,16 @@ class TestIsSheaf:
         )
         drawn = random_coverage(rng, cat)
         saturated = generate_topology(cat, drawn, sieve_cap=8)
-        for topology in (path_topology(cat), atomic_topology(cat), saturated):
-            site = Site(cat, topology)
+        for site in (path_topology(cat), atomic_topology(cat), saturated):
             check = is_sheaf(presheaf, site)
             assert check == _first_failure(presheaf, site)
-            assert check == sheaf_for(presheaf, listed(topology))
-        for coverage, topology in (
+            assert check == sheaf_for(presheaf, listed(site))
+        for coverage, site in (
             (path_coverage(cat), path_topology(cat)),
             (drawn, saturated),
         ):
             assert bool(sheaf_for(presheaf, unsaturated(cat, coverage))) == bool(
-                is_sheaf(presheaf, Site(cat, topology))
+                is_sheaf(presheaf, site)
             )
 
     def test_unstable_coverage_is_searched(self, fan_cat, fan_path_site):
@@ -533,7 +532,7 @@ class TestIsSheaf:
         coverage = {"B": [[fan_cat.generator_path(0)]]}
         assert sheaf_for(presheaf, unsaturated(fan_cat, coverage, stable=False))
         assert not sheaf_for(presheaf, unsaturated(fan_cat, coverage))
-        saturated = Site(fan_cat, generate_topology(fan_cat, coverage))
+        saturated = generate_topology(fan_cat, coverage)
         assert not is_sheaf(presheaf, saturated)
         assert not is_sheaf(presheaf, fan_path_site)
 
@@ -593,7 +592,7 @@ class TestNoReferenceCycles:
         "call",
         [
             lambda site, p: enumerate_matching_families(
-                p, site.topology.min_covering_sieve("B")
+                p, site.minimum["B"]
             ),
             lambda site, p: is_sheaf(p, site),
             lambda site, p: global_sections(p),
@@ -628,7 +627,7 @@ class TestGlue:
     def test_maximal_family_returns_inducing_section(
         self, fan_cat, fan_path_site, fan_product_presheaf
     ):
-        sieve = fan_path_site.topology.covering_sieves("B")[-1]
+        sieve = fan_path_site.covering_sieves("B")[-1]
         section = "(a2,d1)"
         family = MatchingFamily(
             sieve,
@@ -772,7 +771,7 @@ class TestSheafify:
         cat = random_small_category(
             rng, max_entities=4, max_triples=4, max_morphisms=30, sieve_cap=8
         )
-        site = Site(cat, path_topology(cat))
+        site = path_topology(cat)
         presheaf = random_presheaf(rng, cat.kg)
         result = sheafify(presheaf, site)
         assert is_sheaf(result.sheaf, site)
@@ -796,12 +795,11 @@ class TestSheafify:
             rng, cat.kg, max_sections=3, min_sections=min_sections
         )
         drawn = random_coverage(rng, cat)
-        for topology in (
+        for site in (
             path_topology(cat),
             atomic_topology(cat),
             generate_topology(cat, drawn, sieve_cap=8),
         ):
-            site = Site(cat, topology)
             result = sheafify(presheaf, site)
             once, unit1 = _plus_by_search(presheaf, site)
             twice, unit2 = _plus_by_search(once, site)
@@ -986,7 +984,7 @@ class TestTransports:
         cat = random_small_category(
             rng, max_entities=3, max_triples=3, max_morphisms=20, sieve_cap=8
         )
-        site = Site(cat, path_topology(cat))
+        site = path_topology(cat)
         f = random_presheaf(rng, cat.kg, max_sections=2)
         g = random_presheaf(rng, cat.kg, max_sections=2)
         lhs = inverse_image(product_presheaf(f, g), site)
@@ -1054,7 +1052,7 @@ class TestAdjunction:
         cat = random_small_category(
             rng, max_entities=4, max_triples=4, max_morphisms=25, sieve_cap=8
         )
-        site = Site(cat, path_topology(cat))
+        site = path_topology(cat)
         atomic_side = random_presheaf(rng, cat.kg, max_sections=2)
         candidate = sheafify(random_presheaf(rng, cat.kg, max_sections=2), site).sheaf
         if any(len(v) > 2 for v in candidate.sections.values()):
@@ -1083,7 +1081,7 @@ class TestOmega:
         for sieve in enumerate_sieves(cat, "B"):
             closed = all(
                 g in sieve.members
-                or not fan_path_site.topology.covers(pullback_sieve(cat, sieve, g))
+                or not fan_path_site.covers(pullback_sieve(cat, sieve, g))
                 for g in cat.morphisms_into("B")
             )
             closed_count += closed
@@ -1115,8 +1113,7 @@ class TestOmega:
         cat = random_small_category(
             Random(seed), max_entities=5, max_triples=6, max_morphisms=40, sieve_cap=8
         )
-        for topology in (path_topology(cat), atomic_topology(cat)):
-            site = Site(cat, topology)
+        for site in (path_topology(cat), atomic_topology(cat)):
             classifier, scanned = omega(site), _closed_sieves_by_scan(site)
             assert list(classifier.sections.items()) == [
                 (obj, tuple(map(sieve_label, scanned[obj]))) for obj in cat.objects

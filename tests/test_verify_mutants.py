@@ -217,15 +217,23 @@ def _skips_last_triple_into_each_object(real):
                     1 << k for k, p in enumerate(index.paths) if p.arrows[-1:] == last
                 )
                 minimum[obj] = sites.Sieve(obj, minimum[obj].mask & ~skipped, index)
-        return sites.Topology(cat, minimum)
+        return sites.Site(cat, minimum)
 
     return planted
 
 
 def _covering_list_drops_its_last_sieve(real):
-    return property(lambda topology: {
-        obj: sieves[:-1] for obj, sieves in real.__get__(topology).items()
+    return property(lambda site: {
+        obj: sieves[:-1] for obj, sieves in real.__get__(site).items()
     })
+
+
+def _raises_key_error(real):
+    # A fault outside the library's own errors, as a lookup bug would raise.
+    def planted(inner, outer):
+        raise KeyError("planted")
+
+    return planted
 
 
 def _statuses(output: str) -> dict[str, str]:
@@ -368,10 +376,17 @@ RANDOM_20 = [FAN, "--random", "--cases", "20"]
             [],
         ),
         (
-            [(sites.Topology, "covering")],
+            [(sites.Site, "covering")],
             _covering_list_drops_its_last_sieve,
             RANDOM_20,
             ["sites.axioms", "suite.topologies"],
+            [],
+        ),
+        (
+            [(sites, "check_inclusion"), (verify, "check_inclusion")],
+            _raises_key_error,
+            RANDOM_20,
+            ["sites.inclusion", "suite.topologies"],
             [],
         ),
         (
@@ -401,6 +416,7 @@ RANDOM_20 = [FAN, "--random", "--cases", "20"]
         "pull-table-drops-its-highest-bit",
         "minimum-sieve-skips-a-triple",
         "covering-list-drops-its-last-sieve",
+        "inclusion-raises-key-error",
         "extension-takes-first-well-typed-image",
     ],
 )
