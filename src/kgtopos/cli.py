@@ -1,9 +1,10 @@
 """Command-line interface.
 
-Exit codes: 0 success, 1 check failure, 2 input error, 3 size-cap abort.
-Commands raise library errors; the root group's `invoke` is the one
-place where a KgToposError becomes `error: ...` on stderr and exit 3
-(SizeCapError) or 2 (any other).  A closed stdout pipe (`kgtopos
+Exit codes: 0 success, 1 check failure, 2 input error, 3 size-cap abort
+or memory exhaustion.  Commands raise library errors; the root group's
+`invoke` is the one place where a KgToposError becomes `error: ...` on
+stderr and exit 3 (SizeCapError) or 2 (any other), and a MemoryError
+`error: out of memory ...` and exit 3.  A closed stdout pipe (`kgtopos
 matrices g.txt | head`) is not an error: the rest of the output is
 dropped, nothing goes to stderr, and the exit code is 0.  All
 randomness is seeded; --seed falls back to the KGTOPOS_SEED environment
@@ -108,8 +109,9 @@ def _emit_json(data: dict) -> None:
 
 
 class KgToposGroup(click.Group):
-    """Root group: maps every library error raised by a command to its
-    exit code, and a closed stdout pipe to a quiet exit."""
+    """Root group: maps every library error raised by a command, and
+    memory exhaustion, to its exit code, and a closed stdout pipe to a
+    quiet exit."""
 
     def invoke(self, ctx: click.Context):
         try:
@@ -118,6 +120,9 @@ class KgToposGroup(click.Group):
             except KgToposError as exc:
                 click.echo(f"error: {exc}", err=True)
                 ctx.exit(SIZE_ERROR if isinstance(exc, SizeCapError) else INPUT_ERROR)
+            except MemoryError:
+                click.echo("error: out of memory; use a smaller graph or lower caps", err=True)
+                ctx.exit(SIZE_ERROR)
             finally:
                 sys.stdout.flush()  # so a closed pipe shows here, not at shutdown
         except BrokenPipeError:
@@ -212,7 +217,10 @@ def line(graph: str, direction: str, fmt: str) -> None:
         out.writelines(map(mx.csv_row, mx.matrix_rows(kg, f"adjacency-{direction}")))
         out.flush()
         return
-    digraph = lg.build_out_line(kg) if direction == "out" else lg.build_in_line(kg)
+    if direction == "out":
+        digraph, partition = lg.build_out_line(kg), lg.head_partition
+    else:
+        digraph, partition = lg.build_in_line(kg), lg.tail_partition
     if fmt == "dot":
         sys.stdout.write(lg.to_dot(digraph, kg, name=f"{direction}_line"))
     else:
@@ -221,7 +229,8 @@ def line(graph: str, direction: str, fmt: str) -> None:
                 "direction": direction,
                 "vertices": [str(t) for t in kg.triples],
                 "adjacency": digraph.adjacency,
-                "components": lg.scc(digraph).blocks,
+                # The line digraph's components are its fibres.
+                "components": partition(kg),
             }
         )
 
@@ -378,7 +387,8 @@ def adjoint_cmd(graph, presheaf, other, section_cap, max_path_length, sieve_cap)
 @graph_argument(required=False)
 @click.option("--random", "random_mode", is_flag=True, help="Run the seeded property suites.")
 @click.option("--cases", type=click.IntRange(min=1), default=200, show_default=True)
-@click.option("--seed", type=int, default=None, help="Defaults to $KGTOPOS_SEED, then 0.")
+@click.option("--seed", type=int, default=0, envvar="KGTOPOS_SEED",
+              help="Defaults to $KGTOPOS_SEED, then 0.")
 @click.option("--max-size", type=click.IntRange(min=1), default=60, show_default=True,
               help="Largest random graph (triples) in the property suites.")
 @max_path_length_option
@@ -389,14 +399,6 @@ def verify(
     graph, random_mode, cases, seed, max_size, max_path_length, sieve_cap, section_cap, fmt
 ) -> None:
     """Run every applicable structural check on GRAPH and/or random cases."""
-    if seed is None:
-        raw_seed = os.environ.get("KGTOPOS_SEED", "0")
-        try:
-            seed = int(raw_seed)
-        except ValueError as exc:
-            raise KgToposError(
-                f"KGTOPOS_SEED must be an integer, got {raw_seed!r}"
-            ) from exc
     if graph is None and not random_mode:
         raise KgToposError("give a graph file, --random, or both")
     report = run_verification(

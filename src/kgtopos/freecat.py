@@ -351,10 +351,10 @@ def induced_functor(
 ) -> Functor:
     """Functor between free categories induced by a graph homomorphism:
     objects map by the entity map, paths arrowwise by the triple map."""
-    result = check_hom(f)
-    if not result:
+    violations = check_hom(f)
+    if violations:
         raise TypingError(
-            f"not a homomorphism; {len(result.violations)} source triples "
+            f"not a homomorphism; {len(violations)} source triples "
             "have no image triple"
         )
     if source_cat is None:

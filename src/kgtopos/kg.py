@@ -9,7 +9,7 @@ enumeration downstream indexes rows, columns and vertices by them.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Mapping
 
@@ -193,17 +193,9 @@ class KgHomomorphism:
         )
 
 
-@dataclass(frozen=True)
-class HomCheckResult:
-    valid: bool
-    violations: tuple[Triple, ...] = field(default_factory=tuple)
-
-    def __bool__(self) -> bool:
-        return self.valid
-
-
-def check_hom(f: KgHomomorphism) -> HomCheckResult:
-    """True iff every source triple maps to a target triple.
+def check_hom(f: KgHomomorphism) -> list[Triple]:
+    """The source triples whose image is not a target triple; empty iff
+    f is a homomorphism.
 
     Raises HomDomainError when a map is not total on the source.
     """
@@ -214,10 +206,7 @@ def check_hom(f: KgHomomorphism) -> HomCheckResult:
             f"map not total: missing entities {missing_e}, predicates {missing_p}"
         )
     target_triples = set(f.target.triples)
-    violations = tuple(
-        t for t in f.source.triples if f.apply_triple(t) not in target_triples
-    )
-    return HomCheckResult(not violations, violations)
+    return [t for t in f.source.triples if f.apply_triple(t) not in target_triples]
 
 
 def compose_homs(g: KgHomomorphism, f: KgHomomorphism) -> KgHomomorphism:

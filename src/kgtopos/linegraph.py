@@ -3,7 +3,7 @@ structure checks tying components to head/tail fibres."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable
 
 from .errors import HomDomainError
@@ -32,32 +32,9 @@ class Digraph:
                 yield v, w
 
 
-@dataclass(frozen=True)
-class Partition:
-    """Disjoint blocks of vertex indices covering 0..n-1."""
-
-    blocks: tuple[tuple[int, ...], ...]
-
-    @classmethod
-    def from_blocks(cls, blocks: Iterable[Iterable[int]]) -> "Partition":
-        normalized = sorted(
-            (tuple(sorted(set(b))) for b in blocks), key=lambda b: b[0]
-        )
-        return cls(tuple(normalized))
-
-    def __post_init__(self):
-        seen: set[int] = set()
-        for block in self.blocks:
-            if not block:
-                raise ValueError("empty block")
-            if seen & set(block):
-                raise ValueError("blocks are not disjoint")
-            seen.update(block)
-        if seen and seen != set(range(max(seen) + 1)):
-            raise ValueError("blocks do not cover a contiguous vertex range")
-
-    def as_sets(self) -> set[frozenset[int]]:
-        return {frozenset(b) for b in self.blocks}
+def _normal_form(blocks: Iterable[Iterable[int]]) -> tuple[tuple[int, ...], ...]:
+    """A partition's blocks, each ascending, ordered by their least vertex."""
+    return tuple(sorted((tuple(sorted(b)) for b in blocks), key=lambda b: b[0]))
 
 
 def _grouped_line(m: int, fibres: dict[str, tuple[int, ...]]) -> Digraph:
@@ -78,8 +55,10 @@ def build_in_line(kg: KnowledgeGraph) -> Digraph:
     return _grouped_line(kg.triple_count, kg.tail_fibres)
 
 
-def scc(g: Digraph) -> Partition:
-    """Strongly connected components via iterative Tarjan, linear time."""
+def scc(g: Digraph) -> tuple[tuple[int, ...], ...]:
+    """Strongly connected components via iterative Tarjan, linear time,
+    in normal form.  The line digraphs' components are their fibres, so
+    this serves as verify_scc_theorem's independent route."""
     n = g.vertex_count
     index: list[int | None] = [None] * n
     lowlink = [0] * n
@@ -125,16 +104,18 @@ def scc(g: Digraph) -> Partition:
                     if w == v:
                         break
                 components.append(component)
-    return Partition.from_blocks(components)
+    return _normal_form(components)
 
 
-def head_partition(kg: KnowledgeGraph) -> Partition:
-    """Triples grouped by head entity (nonempty fibres only)."""
-    return Partition.from_blocks(f for f in kg.head_fibres.values() if f)
+def head_partition(kg: KnowledgeGraph) -> tuple[tuple[int, ...], ...]:
+    """Triples grouped by head entity (nonempty fibres only), in normal
+    form: the components of the out-line digraph."""
+    return _normal_form(f for f in kg.head_fibres.values() if f)
 
 
-def tail_partition(kg: KnowledgeGraph) -> Partition:
-    return Partition.from_blocks(f for f in kg.tail_fibres.values() if f)
+def tail_partition(kg: KnowledgeGraph) -> tuple[tuple[int, ...], ...]:
+    """Triples grouped by tail entity: the in-line digraph's components."""
+    return _normal_form(f for f in kg.tail_fibres.values() if f)
 
 
 def verify_scc_theorem(kg: KnowledgeGraph) -> list[str]:
@@ -149,15 +130,15 @@ def verify_scc_theorem(kg: KnowledgeGraph) -> list[str]:
         digraph = build(kg)
         components = scc(digraph)
         expected = fibres(kg)
-        if components.as_sets() != expected.as_sets():
+        if components != expected:
             failures.append(
-                f"{label}-line components {sorted(map(sorted, components.as_sets()))} "
-                f"!= fibre partition {sorted(map(sorted, expected.as_sets()))}"
+                f"{label}-line components {sorted(map(sorted, components))} "
+                f"!= fibre partition {sorted(map(sorted, expected))}"
             )
         in_degree = [0] * digraph.vertex_count
         for _, w in digraph.edges():
             in_degree[w] += 1
-        for block in expected.blocks:
+        for block in expected:
             want = len(block) - 1
             for v in block:
                 out_deg = len(digraph.adjacency[v])
@@ -169,39 +150,16 @@ def verify_scc_theorem(kg: KnowledgeGraph) -> list[str]:
     return failures
 
 
-@dataclass(frozen=True)
-class LineMapReport:
-    vertex_map: tuple[int, ...]
-    passed: bool
-    failures: tuple[str, ...] = field(default_factory=tuple)
-
-
-def induced_line_map(f: KgHomomorphism) -> LineMapReport:
-    """Vertex map on triples induced by a homomorphism, with an edge check.
-
-    Each source triple goes to its image triple's canonical index in the
-    target.  Edges whose endpoints merge are collapsed, which counts as
-    valid; an edge mapping to a non-edge between distinct vertices is a
-    failure (none can occur for a valid homomorphism).
-    """
-    result = check_hom(f)
-    if not result:
+def induced_line_map(f: KgHomomorphism) -> tuple[int, ...]:
+    """Vertex map on triples induced by a homomorphism: each source triple
+    goes to its image triple's canonical index in the target."""
+    violations = check_hom(f)
+    if violations:
         raise HomDomainError(
-            f"not a homomorphism; {len(result.violations)} triples have no image"
+            f"not a homomorphism; {len(violations)} triples have no image"
         )
     target_index = f.target.triple_index
-    vertex_map = tuple(target_index[f.apply_triple(t)] for t in f.source.triples)
-    failures: list[str] = []
-    for label, build in (("out", build_out_line), ("in", build_in_line)):
-        source_line = build(f.source)
-        target_line = build(f.target)
-        for v, w in source_line.edges():
-            iv, iw = vertex_map[v], vertex_map[w]
-            if iv != iw and iw not in target_line.adjacency[iv]:
-                failures.append(
-                    f"{label}-line edge {v}->{w} maps to non-edge {iv}->{iw}"
-                )
-    return LineMapReport(vertex_map, not failures, tuple(failures))
+    return tuple(target_index[f.apply_triple(t)] for t in f.source.triples)
 
 
 def to_dot(digraph: Digraph, kg: KnowledgeGraph, name: str = "line") -> str:

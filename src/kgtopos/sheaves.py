@@ -722,8 +722,12 @@ def check_adjunction(
     return AdjunctionReport(passed, len(left), len(right), bijective, tuple(details))
 
 
+def _braced(keys: Iterable[str]) -> str:
+    return "{" + ";".join(keys) + "}"
+
+
 def sieve_label(sieve: Sieve) -> str:
-    return "{" + ";".join(sieve.keys()) + "}"
+    return _braced(sieve.keys())
 
 
 def omega(site: Site) -> Presheaf:
@@ -732,14 +736,18 @@ def omega(site: Site) -> Presheaf:
     A sieve other than the maximal one is closed iff it does not cover
     and its pullback along every triple into its object is closed."""
     cat = site.category
+    indexes = cat.key_index
     closed = _fold_over_triples(cat, lambda s: not site.covers(s))
-    labels = {
-        obj: {s.mask: sieve_label(s) for s in sorted(sieves, key=sieve_order)}
-        for obj, sieves in closed.items()
-    }
+    labels = {}
+    for obj, sieves in closed.items():
+        # The order and the label both read the sieve's one list of bits.
+        keys = indexes[obj].keys
+        ranked = sorted((sieve_order(s), s.mask) for s in sieves)
+        labels[obj] = {
+            mask: _braced([keys[k] for k in bits]) for (_, bits), mask in ranked
+        }
     sections = {obj: tuple(labels[obj].values()) for obj in cat.objects}
     restrictions: dict[int, dict[str, str]] = {}
-    indexes = cat.key_index
     for i, t in enumerate(cat.kg.triples):
         pull, head = indexes[t.tail].pull[i], labels[t.head]
         # A pullback that is not closed keeps its own label, which

@@ -206,6 +206,19 @@ class TestCovers:
         result = runner.invoke(main, ["covers", str(wide)])
         assert result.exit_code == 3
 
+    def test_out_of_memory_exit_3(self, runner, monkeypatch):
+        from kgtopos import cli as cli_module
+
+        def exhausted(*args):
+            raise MemoryError
+
+        monkeypatch.setattr(cli_module, "build_site", exhausted)
+        result = runner.invoke(main, ["covers", FAN])
+        assert result.exit_code == 3
+        assert isinstance(result.exception, SystemExit)
+        assert result.stdout == ""
+        assert result.stderr.startswith("error: ")
+
 
 class TestSheafCommands:
     # SHA-256 of stdout and the exit code, recorded while a presheaf

@@ -116,7 +116,7 @@ def _line_json(kg, direction: str) -> str:
             "direction": direction,
             "vertices": [str(t) for t in kg.triples],
             "adjacency": [list(row) for row in digraph.adjacency],
-            "components": [list(b) for b in scc(digraph).blocks],
+            "components": [list(b) for b in scc(digraph)],
         }
     )
 

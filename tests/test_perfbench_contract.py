@@ -150,6 +150,17 @@ def test_check_spans_name_checks_that_verify_runs():
     assert set(run.CHECK_NAMES) <= names
 
 
+def test_tracer_wraps_every_incidence_and_line_check():
+    # A check held where the tracer does not patch opens no span of its own.
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        for name, check in verify._INCIDENCE_LINE_CHECKS.items():
+            assert hasattr(check, "__wrapped__"), name
+    finally:
+        tracer.uninstall()
+
+
 def test_patched_holders_exist():
     # The objects perfbench/tests pin, and the check runner the tracer wraps.
     assert cli.MATRIX_BUILDERS["head"] is matrices.head_incidence

@@ -111,10 +111,10 @@ def _memo_keyed_by_endpoints(real):
 
 def _merge_first_two_components(real):
     def merged(g):
-        blocks = real(g).blocks
+        blocks = real(g)
         if len(blocks) < 2:
-            return real(g)
-        return lg.Partition.from_blocks([blocks[0] + blocks[1], *blocks[2:]])
+            return blocks
+        return (tuple(sorted(blocks[0] + blocks[1])), *blocks[2:])
 
     return merged
 
@@ -228,6 +228,12 @@ def _covering_list_drops_its_last_sieve(real):
     })
 
 
+def _key_ignores_last_object(real):
+    # Transformations that differ only at the last object share a key, so
+    # distinct ones look equal to the hom-set bijection.
+    return lambda transformation: real(transformation)[:-1]
+
+
 def _raises_key_error(real):
     # A fault outside the library's own errors, as a lookup bug would raise.
     def planted(inner, outer):
@@ -246,6 +252,7 @@ def _statuses(output: str) -> dict[str, str]:
 
 
 RANDOM_20 = [FAN, "--random", "--cases", "20"]
+RANDOM_200 = [FAN, "--random", "--cases", "200"]
 
 
 @pytest.mark.parametrize(
@@ -396,6 +403,16 @@ RANDOM_20 = [FAN, "--random", "--cases", "20"]
             ["suite.categories"],
             [],
         ),
+        # suite.adjunction runs a tenth of --cases; its first two cases
+        # draw no pair of transformations that differ at the last object
+        # alone, so it takes --cases 200 to fail.
+        (
+            [(sheaves.NatTransformation, "canonical_key")],
+            _key_ignores_last_object,
+            RANDOM_200,
+            ["sheaf.adjunction", "suite.adjunction"],
+            [],
+        ),
     ],
     ids=[
         "rank-off-by-one",
@@ -418,6 +435,7 @@ RANDOM_20 = [FAN, "--random", "--cases", "20"]
         "covering-list-drops-its-last-sieve",
         "inclusion-raises-key-error",
         "extension-takes-first-well-typed-image",
+        "adjunction-key-ignores-last-object",
     ],
 )
 def test_planted_fault_fails_its_checks(
