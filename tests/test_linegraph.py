@@ -171,6 +171,13 @@ class TestInducedLineMap:
         with pytest.raises(HomDomainError):
             induced_line_map(broken)
 
+    def test_edge_check_rejects_a_non_edge_image(self, fan_kg):
+        # Swapping t1 and t2 sends the out-line edge t0 -> t1 (head A) to
+        # t0 -> t2, whose heads A and D differ.
+        identity = identity_hom(fan_kg)
+        assert _line_map_keeps_edges(identity, (0, 1, 2, 3))
+        assert not _line_map_keeps_edges(identity, (0, 2, 1, 3))
+
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 10**9))
     def test_functor_laws_on_chains(self, seed):
