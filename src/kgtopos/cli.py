@@ -17,6 +17,8 @@ from __future__ import annotations
 import json
 import os
 import sys
+from functools import partial
+from itertools import chain, repeat
 from pathlib import Path as FilePath
 from typing import Iterable
 
@@ -26,7 +28,7 @@ from . import matrices as mx
 from . import linegraph as lg
 from .errors import KgParseError, KgToposError, SchemaError, SizeCapError
 from .freecat import build_free_category
-from .jsonout import write_json
+from .jsonout import JoinedRows, write_json
 from .kg import KnowledgeGraph, parse_kg
 from .sheaves import (
     DEFAULT_SECTION_CAP,
@@ -165,7 +167,7 @@ def site_options(fn):
 
 
 # Matrix name -> its dense builder.  `matrices` prints the same rows,
-# streamed one at a time from `mx.matrix_rows`; perfbench's tracer
+# streamed one at a time as text from `mx.row_texts`; perfbench's tracer
 # patches the builders in this table.
 MATRIX_BUILDERS = {
     "head": mx.head_incidence,
@@ -193,7 +195,12 @@ def matrices(graph: str, selected: str | None, fmt: str) -> None:
     kg = _read_graph(graph)
     names = [selected] if selected else list(MATRIX_BUILDERS)
     if fmt == "json":
-        _emit_json({name.replace("-", "_"): mx.matrix_rows(kg, name) for name in names})
+        _emit_json(
+            {
+                name.replace("-", "_"): JoinedRows(partial(mx.row_texts, kg, name))
+                for name in names
+            }
+        )
         return
     out = _Pieces()
     for k, name in enumerate(names):
@@ -201,8 +208,13 @@ def matrices(graph: str, selected: str | None, fmt: str) -> None:
             if k:
                 out.write("\n")
             out.write(f"# {name}\n")
-        out.writelines(map(mx.csv_row, mx.matrix_rows(kg, name)))
+        _write_csv(out, kg, name)
     out.flush()
+
+
+def _write_csv(out: _Pieces, kg: KnowledgeGraph, name: str) -> None:
+    """The named matrix as CSV: one line of comma-separated entries per row."""
+    out.writelines(chain.from_iterable(zip(mx.row_texts(kg, name, ","), repeat("\n"))))
 
 
 @main.command()
@@ -214,7 +226,7 @@ def line(graph: str, direction: str, fmt: str) -> None:
     kg = _read_graph(graph)
     if fmt == "csv":
         out = _Pieces()
-        out.writelines(map(mx.csv_row, mx.matrix_rows(kg, f"adjacency-{direction}")))
+        _write_csv(out, kg, f"adjacency-{direction}")
         out.flush()
         return
     if direction == "out":

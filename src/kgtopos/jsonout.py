@@ -8,7 +8,8 @@ encoder, `int` by its repr, `bool`, `None` and floats by their JSON
 text.  Scalars are matched by exact type, so a `bool` is never an int.
 Chunks are written as they are produced, so no document is ever one
 string, and any iterator is written as an array: rows can stream from a
-generator without ever being a list.
+generator without ever being a list.  A `JoinedRows` value is an array
+of arrays whose rows come as text, with their items already joined.
 """
 
 from __future__ import annotations
@@ -42,6 +43,19 @@ _SMALL_INTS = {i: repr(i) for i in range(-256, 256)}
 _INTS = {int}
 _STR_KEYS = {str}
 _END = object()
+
+
+class JoinedRows:
+    """An array of arrays of scalars, given by `texts(separator)`: an
+    iterable of one string per inner array, its items' JSON texts joined
+    by `separator`.  write_json passes the separator of the array's
+    depth and writes the brackets, so a row is one string, not one per
+    item."""
+
+    __slots__ = ("texts",)
+
+    def __init__(self, texts: Callable[[str], Iterable[str]]) -> None:
+        self.texts = texts
 
 
 def write_json(doc, write: Callable[[str], object]) -> None:
@@ -91,6 +105,8 @@ def _value(value, write, newline: str) -> None:
         _object(value, write, newline)
     elif kind is list or kind is tuple or isinstance(value, Iterator):
         _array(value, write, newline)
+    elif kind is JoinedRows:
+        _joined_rows(value.texts, write, newline)
     else:
         # Newlines occur only between tokens, so re-indenting is a replace.
         write(dumps(value, indent=2).replace("\n", newline))
@@ -121,6 +137,22 @@ def _array(items, write, newline: str) -> None:
         write("," + inner)
         _value(item, write, inner)
     write(newline + "]")
+
+
+def _joined_rows(texts, write, newline: str) -> None:
+    inner = newline + INDENT
+    item = inner + INDENT
+    separator = "[" + inner
+    for text in texts("," + item):
+        if text:
+            write(separator + "[" + item)
+            write(text)
+            write(inner + "]")
+        else:
+            write(separator + "[]")
+        separator = "," + inner
+    # The separator still opens the array when there was no row.
+    write("[]" if separator[0] == "[" else newline + "]")
 
 
 def _object(obj: dict, write, newline: str) -> None:

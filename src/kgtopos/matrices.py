@@ -88,7 +88,7 @@ class IntMatrix:
 
     def to_csv(self) -> str:
         """One row per line, comma-separated integers, trailing newline."""
-        return "".join(map(csv_row, self.to_rows()))
+        return "".join(",".join(map(repr, row)) + "\n" for row in self.to_rows())
 
 
 def _combination(terms: Iterable[tuple[int, Sequence[int]]], width: int) -> list[int]:
@@ -123,11 +123,6 @@ def is_symmetric_support(rows: Sequence[dict[int, int]]) -> bool:
     )
 
 
-def csv_row(row: Iterable[int]) -> str:
-    """One matrix row as a CSV line: comma-separated integers, newline."""
-    return ",".join(map(repr, row)) + "\n"
-
-
 Fibres = dict[str, tuple[int, ...]]
 
 
@@ -145,6 +140,15 @@ def _incidence_rows(fibres: Fibres, m: int) -> Iterator[list[int]]:
         yield _indicator(fibre, m)
 
 
+def _holders(fibres: Fibres, m: int) -> list[tuple[int, ...]]:
+    """The fibre holding each triple, by triple index."""
+    holder: list[tuple[int, ...]] = [()] * m
+    for fibre in fibres.values():
+        for i in fibre:
+            holder[i] = fibre
+    return holder
+
+
 def _fibre_rows(fibres: Fibres, m: int, diagonal: int) -> Iterator[list[int]]:
     """Rows of an m x m fibre operator: row i is the indicator of the
     fibre holding triple i, with entry i set to `diagonal`.
@@ -152,11 +156,7 @@ def _fibre_rows(fibres: Fibres, m: int, diagonal: int) -> Iterator[list[int]]:
     Each row costs O(m) for the row plus the size of its fibre, and only
     one row is alive at a time.
     """
-    holder: list[tuple[int, ...]] = [()] * m
-    for fibre in fibres.values():
-        for i in fibre:
-            holder[i] = fibre
-    for i, fibre in enumerate(holder):
+    for i, fibre in enumerate(_holders(fibres, m)):
         row = _indicator(fibre, m)
         row[i] = diagonal
         yield row
@@ -176,7 +176,7 @@ def _fibre_operator(fibres: Fibres, m: int, diagonal: int) -> IntMatrix:
 
 
 # Matrix name -> (use tail fibres, diagonal); incidence matrices have none.
-_MATRICES = {
+MATRICES = {
     "head": (False, None),
     "tail": (True, None),
     "gram-out": (False, 1),
@@ -190,11 +190,53 @@ def matrix_rows(kg: KnowledgeGraph, name: str) -> Iterator[list[int]]:
     """The rows of the named matrix ("head", "tail", "gram-out",
     "gram-in", "adjacency-out" or "adjacency-in"), one at a time, from
     the same row source as the dense builders."""
-    use_tails, diagonal = _MATRICES[name]
+    use_tails, diagonal = MATRICES[name]
     fibres = kg.tail_fibres if use_tails else kg.head_fibres
     if diagonal is None:
         return _incidence_rows(fibres, kg.triple_count)
     return _fibre_rows(fibres, kg.triple_count, diagonal)
+
+
+_ONE = ord("1")
+
+
+def _ones(zeros: bytes, columns: Iterable[int], stride: int) -> bytearray:
+    """A copy of the all-zeros row text with a 1 at each of `columns`."""
+    row = bytearray(zeros)
+    for j in columns:
+        row[j * stride] = _ONE
+    return row
+
+
+def row_texts(kg: KnowledgeGraph, name: str, separator: str) -> Iterator[str]:
+    """The rows of the named matrix as text, one string per row: the
+    entries of each row of `matrix_rows(kg, name)` joined by the ASCII
+    `separator`.
+
+    Every entry is one character, 0 or 1, so entry j sits at
+    j * (len(separator) + 1) in a row's text, and a row is the all-zeros
+    text with a 1 spliced in at each column of its fibre (and its
+    diagonal entry set, in a fibre operator). That is O(fibre) Python
+    steps and one O(m) copy per row, where joining the entries makes m
+    calls. Successive rows of one fibre share its spliced text.
+    """
+    use_tails, diagonal = MATRICES[name]
+    fibres = kg.tail_fibres if use_tails else kg.head_fibres
+    m, stride = kg.triple_count, len(separator) + 1
+    zeros = separator.join("0" * m).encode("ascii")
+    if diagonal is None:
+        for fibre in fibres.values():
+            yield _ones(zeros, fibre, stride).decode("ascii")
+        return
+    mark = ord(str(diagonal))
+    row, held = bytearray(), None
+    for i, fibre in enumerate(_holders(fibres, m)):
+        if fibre is not held:
+            row, held = _ones(zeros, fibre, stride), fibre
+        position = i * stride
+        row[position] = mark
+        yield row.decode("ascii")
+        row[position] = _ONE  # i is in its own fibre
 
 
 def head_incidence(kg: KnowledgeGraph) -> IntMatrix:

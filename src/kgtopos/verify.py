@@ -1,7 +1,8 @@
 """Machine checks for every structural statement the library implements.
 
 Each check compares an implementation against an independent route:
-matrix identities against direct recomputation from triples, component
+matrix identities against direct recomputation from triples, spliced
+matrix row texts against their rows rendered entry by entry, component
 partitions against fibre grouping, spectra against a blockwise eigensolver,
 morphism counts against walk counting by matrix powers, closed-form
 topologies against saturation over the sieve lattice, the subobject
@@ -323,6 +324,30 @@ def check_line_digraph_consistency(kg: KnowledgeGraph) -> list[str]:
             if neighbours != ones:
                 failures.append(f"{name}-line digraph row {i} differs from matrix")
     return failures
+
+
+# Row separators for the row-text oracle: CSV's, and the one `matrices
+# --format json` passes at the depth of a matrix's entries.
+_ROW_SEPARATORS = (",", ",\n      ")
+# Entry -> its digit, byte for byte; entries past 255 or below 0 make
+# bytes() raise, which fails the check.
+_DIGITS = bytes.maketrans(bytes(range(10)), b"0123456789")
+
+
+def check_row_texts(kg: KnowledgeGraph, name: str, separator: str) -> list[str]:
+    """The spliced row texts of one matrix against its rows from
+    `matrix_rows`, each row's entries rendered as digits and joined."""
+    texts = zip_longest(
+        mx.row_texts(kg, name, separator),
+        (
+            separator.join(bytes(row).translate(_DIGITS).decode("ascii"))
+            for row in mx.matrix_rows(kg, name)
+        ),
+    )
+    for i, (text, expected) in enumerate(texts):
+        if text != expected:
+            return [f"row_texts of {name} differs from its rows at row {i}"]
+    return []
 
 
 # The incidence and line checks, run on the given graph and on every
@@ -688,6 +713,11 @@ def suite_incidence_line(
         kg = random_kg(_case_rng("incidence", seed, case), max_entities, max_triples)
         for check in _INCIDENCE_LINE_CHECKS.values():
             failures.extend(check(kg))
+        # One matrix's row texts per case, rotating through the matrices
+        # and then the separators.
+        names = tuple(mx.MATRICES)
+        separator = _ROW_SEPARATORS[case // len(names) % len(_ROW_SEPARATORS)]
+        failures.extend(check_row_texts(kg, names[case % len(names)], separator))
 
     return _suite("suite.incidence_line", cases, run_case)
 

@@ -22,7 +22,7 @@ from kgtopos import (
     scc,
 )
 from kgtopos.cli import MATRIX_BUILDERS, main
-from kgtopos.jsonout import write_json
+from kgtopos.jsonout import JoinedRows, write_json
 from kgtopos.randgen import random_kg
 from kgtopos.sites import topology_to_dict
 
@@ -89,6 +89,17 @@ class TestWriter:
         rows = [[i, 0, -1, 10**20] for i in range(3)]
         assert written({"rows": (list(row) for row in rows)}) == stdlib({"rows": rows})
 
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.lists(st.integers(0, 1), max_size=5), max_size=4), st.integers(0, 2))
+    @example([[], [0, 1], []], 1)
+    def test_joined_rows_match_their_lists(self, rows, depth):
+        # At depth 0, 1 or 2: the array itself, in an object, in a list.
+        doc = JoinedRows(lambda separator: (separator.join(map(str, r)) for r in rows))
+        expected = rows
+        for wrap in (lambda value: {"rows": value}, lambda value: [value])[:depth]:
+            doc, expected = wrap(doc), wrap(expected)
+        assert written(doc) == stdlib(expected)
+
     def test_rejects_what_json_rejects(self):
         with pytest.raises(TypeError):
             written({(1, 2): 3})
@@ -106,6 +117,38 @@ def graph_files(tmp_path_factory) -> list[Path]:
         path = tmp_path_factory.mktemp("graphs") / f"random{seed}.txt"
         path.write_text("".join(f"{t.head} {t.predicate} {t.tail}\n" for t in kg.triples))
         files.append(path)
+    return files
+
+
+def _multigraph(m: int, n: int) -> str:
+    """m distinct triples over n entities and 3 predicates, seed m."""
+    rng = Random(m)
+    triples: dict[str, None] = {}
+    while len(triples) < m:
+        triples[f"e{rng.randrange(n)} p{rng.randrange(3)} e{rng.randrange(n)}\n"] = None
+    return "".join(triples)
+
+
+# Graphs at the edges of the row splicing: no triple at all, one triple,
+# an entity heading nothing between two that head triples (an all-zero
+# incidence row), one head fibre of three triples (identical gram rows),
+# and more triples than the small-int table of the JSON writer.
+EDGE_GRAPHS = {
+    "empty": "",
+    "one-triple": "A r B\n",
+    "zero-row": "A r B\nB s C\nD t C\n",
+    "three-fibre": (Path(__file__).parent / "data" / "three_triple_fibre.txt").read_text(),
+    "m300": _multigraph(300, 40),
+}
+
+
+@pytest.fixture(scope="module")
+def edge_graph_files(tmp_path_factory) -> dict[str, Path]:
+    root = tmp_path_factory.mktemp("edge-graphs")
+    files = {}
+    for name, text in EDGE_GRAPHS.items():
+        files[name] = root / f"{name}.txt"
+        files[name].write_text(text)
     return files
 
 
@@ -183,9 +226,37 @@ def test_cli_output_matches_materialised_document(graph_files, graph, command):
     assert result.output == expected_output(parse_kg(path.read_text()), command)
 
 
+# The m300 graph is cyclic and too large for a site, so it runs only the
+# commands that print matrices and line digraphs.
+@pytest.mark.parametrize(
+    "graph, command",
+    [
+        (graph, command)
+        for graph in EDGE_GRAPHS
+        for command in COMMANDS
+        if graph != "m300" or command[0] in ("matrices", "line")
+    ],
+    ids=lambda value: value if isinstance(value, str) else " ".join(value),
+)
+def test_edge_graph_output_matches_materialised_document(edge_graph_files, graph, command):
+    path = edge_graph_files[graph]
+    argv = [*command[0].split(), str(path), *command[1:]]
+    result = CliRunner().invoke(main, argv)
+    assert result.exit_code == 0, result.output
+    assert result.output == expected_output(parse_kg(path.read_text()), command)
+
+
 @pytest.mark.parametrize("name", list(MATRIX_BUILDERS))
 def test_single_matrix_json_matches_rows(graph_files, name):
     for path in graph_files:
         argv = ["matrices", str(path), f"--{name}", "--format", "json"]
         rows = MATRIX_BUILDERS[name](parse_kg(path.read_text())).to_rows()
         assert CliRunner().invoke(main, argv).output == stdlib({name.replace("-", "_"): rows})
+
+
+@pytest.mark.parametrize("name", list(MATRIX_BUILDERS))
+def test_single_matrix_csv_matches_rows(graph_files, edge_graph_files, name):
+    for path in [*graph_files, *edge_graph_files.values()]:
+        argv = ["matrices", str(path), f"--{name}"]
+        expected = MATRIX_BUILDERS[name](parse_kg(path.read_text())).to_csv()
+        assert CliRunner().invoke(main, argv).output == expected

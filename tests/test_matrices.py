@@ -220,13 +220,13 @@ class TestRowSupports:
             assert mx.is_symmetric_support(supports) == (a == a.transpose())
 
 
-def seeded_multigraph() -> KnowledgeGraph:
-    """2000 distinct triples over 700 entities and 3 predicates, seed 2000."""
-    rng = Random(2000)
-    entities = tuple(f"e{i}" for i in range(700))
+def seeded_multigraph(m: int = 2000, n: int = 700) -> KnowledgeGraph:
+    """m distinct triples over n entities and 3 predicates, seed m."""
+    rng = Random(m)
+    entities = tuple(f"e{i}" for i in range(n))
     predicates = ("p0", "p1", "p2")
     triples: dict[Triple, None] = {}
-    while len(triples) < 2000:
+    while len(triples) < m:
         triples[
             Triple(rng.choice(entities), rng.choice(predicates), rng.choice(entities))
         ] = None
@@ -273,6 +273,20 @@ class TestFibreOperators:
                 [x - (i == j) for j, x in enumerate(row)]
                 for i, row in enumerate(product.to_rows())
             ]
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(0, 10**9), st.integers(0, 3), st.sampled_from([",", ", ", ",\n      "])
+    )
+    def test_row_texts_join_the_rows(self, seed, isolated, separator):
+        kg = with_isolated_entities(
+            random_kg(Random(seed), max_entities=10, max_triples=25), isolated
+        )
+        for name in mx.MATRICES:
+            assert list(mx.row_texts(kg, name, separator)) == [
+                separator.join(map(str, row)) for row in mx.matrix_rows(kg, name)
+            ]
+            assert verify.check_row_texts(kg, name, separator) == []
 
     def test_planted_gram_mismatch_fails_check(self, fan_kg, monkeypatch):
         real = mx.matrix_rows
@@ -346,17 +360,24 @@ class TestFibreOperators:
         ]
 
 
-@pytest.fixture()
-def multigraph_file(tmp_path):
-    path = tmp_path / "graph.txt"
-    triples = seeded_multigraph().triples
+def write_multigraph(path, m: int = 2000, n: int = 700):
+    triples = seeded_multigraph(m, n).triples
     path.write_text("".join(f"{t.head} {t.predicate} {t.tail}\n" for t in triples))
     return path
 
 
-def run_matrices(graph, *options):
+@pytest.fixture()
+def multigraph_file(tmp_path):
+    return write_multigraph(tmp_path / "graph.txt")
+
+
+def run_command(*argv):
     with open(os.devnull, "w") as sink, redirect_stdout(sink):
-        assert main(["matrices", str(graph), *options], standalone_mode=False) is None
+        assert main([*map(str, argv)], standalone_mode=False) is None
+
+
+def run_matrices(graph, *options):
+    run_command("matrices", graph, *options)
 
 
 class TestStreamedOutput:
@@ -377,6 +398,25 @@ class TestStreamedOutput:
         finally:
             tracemalloc.stop()
         assert peak < 8_000_000
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["matrices"],
+        ["matrices", "--format", "json"],
+        ["line", "--direction", "in", "--format", "csv"],
+    ],
+    ids=" ".join,
+)
+def test_five_thousand_triples_under_five_seconds(tmp_path, argv):
+    # m = 5000, n = 1700: CSV output of about 234 MB, JSON of about 1 GB.
+    # Each row is one spliced copy of a zero-row text, so the time goes to
+    # copying text, not to one call per entry.
+    graph = write_multigraph(tmp_path / "graph.txt", 5000, 1700)
+    start = time.perf_counter()
+    run_command(argv[0], graph, *argv[1:])
+    assert time.perf_counter() - start < 5.0
 
 
 class TestVerifyBudget:

@@ -16,6 +16,8 @@ from kgtopos import freecat, sheaves, sites, verify
 from kgtopos.cli import main
 
 FAN = str(Path(__file__).parent / "data" / "fan.txt")
+# A r1 B, A r2 C, A r3 D, E r4 B: one head fibre of three triples.
+THREE_TRIPLE_FIBRE = str(Path(__file__).parent / "data" / "three_triple_fibre.txt")
 
 
 def _rank_off_by_one(real):
@@ -158,6 +160,47 @@ def _move_a_row_entry(real):
                 row[row.index(1)], row[wrong[0]] = 0, 1
                 break
         yield from rows
+
+    return planted
+
+
+def _large_fibre_row_misses_its_first(real):
+    # In a fibre of three or more triples, the row of its second triple
+    # loses the 1 of its first, so the gram is no longer H^T H. The fan's
+    # fibres hold two triples each.
+    def planted(fibres, m, diagonal):
+        middles = {fibre[1]: fibre[0] for fibre in fibres.values() if len(fibre) > 2}
+        for i, row in enumerate(real(fibres, m, diagonal)):
+            if i in middles:
+                row[middles[i]] = 0
+            yield row
+
+    return planted
+
+
+def _column_one_in_a_second_row(real):
+    # Column 0's 1 is written into the next entity's row as well.
+    def planted(fibres, m):
+        matrix = real(fibres, m)
+        if m == 0 or matrix.rows < 2:
+            return matrix
+        rows = matrix.to_rows()
+        k = next(k for k, row in enumerate(rows) if row[0])
+        rows[(k + 1) % len(rows)][0] = 1
+        return mx.IntMatrix.from_rows(rows)
+
+    return planted
+
+
+def _last_one_moves_right(real):
+    # In each row's text, the last 1 is written one entry to the right.
+    def planted(kg, name, separator):
+        stride = len(separator) + 1
+        for text in real(kg, name, separator):
+            k = text.rfind("1")
+            if 0 <= k < len(text) - stride:
+                text = text[:k] + "0" + text[k + 1 : k + stride] + "1" + text[k + stride + 1 :]
+            yield text
 
     return planted
 
@@ -362,6 +405,30 @@ RANDOM_200 = [FAN, "--random", "--cases", "200"]
             ["incidence.gram"],
         ),
         (
+            [(mx, "_fibre_rows")],
+            _large_fibre_row_misses_its_first,
+            [THREE_TRIPLE_FIBRE],
+            ["incidence.gram", "incidence.line_operator_identity",
+             "line.matrix_consistency"],
+            [],
+        ),
+        (
+            [(mx, "_incidence")],
+            _column_one_in_a_second_row,
+            RANDOM_20,
+            ["incidence.column_sums", "incidence.gram", "suite.incidence_line"],
+            [],
+        ),
+        # The graph checks read matrix_rows, not the row texts, so only
+        # the suite's row-text oracle sees this.
+        (
+            [(mx, "row_texts")],
+            _last_one_moves_right,
+            RANDOM_20,
+            ["suite.incidence_line"],
+            ["incidence.gram", "line.matrix_consistency"],
+        ),
+        (
             [(sites, "pullback_sieve"), (verify, "pullback_sieve")],
             _drop_a_member,
             RANDOM_20,
@@ -429,6 +496,9 @@ RANDOM_200 = [FAN, "--random", "--cases", "200"]
         "fibre-operator-empties-a-row",
         "stray-line-edge-across-fibres",
         "row-entry-moved",
+        "large-fibre-row-misses-its-first",
+        "column-one-in-a-second-row",
+        "row-text-last-one-moves-right",
         "pullback-sieve-drops-a-member",
         "pull-table-drops-its-highest-bit",
         "minimum-sieve-skips-a-triple",
