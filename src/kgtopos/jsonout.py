@@ -37,10 +37,6 @@ _RENDER = {
     type(None): lambda _: "null",
 }
 _SCALARS = frozenset(_RENDER)
-# Texts of the small ints matrix rows are made of, so that rendering a
-# row allocates no string per entry.
-_SMALL_INTS = {i: repr(i) for i in range(-256, 256)}
-_INTS = {int}
 _STR_KEYS = {str}
 _END = object()
 
@@ -77,13 +73,6 @@ def _texts(values, kinds: set) -> Iterable[str] | None:
     return map(_RENDER[kinds.pop()] if len(kinds) == 1 else _scalar, values)
 
 
-def _join_ints(separator: str, items) -> str:
-    try:
-        return separator.join(map(_SMALL_INTS.__getitem__, items))
-    except KeyError:
-        return separator.join(map(repr, items))
-
-
 def _key(key) -> str:
     """An object key as json.dumps writes it: str as is; int, float,
     bool and None by their JSON text, quoted."""
@@ -118,11 +107,7 @@ def _array(items, write, newline: str) -> None:
         if not items:
             write("[]")
             return
-        kinds = set(map(type, items))
-        if kinds == _INTS:
-            write("[" + inner + _join_ints("," + inner, items) + newline + "]")
-            return
-        texts = _texts(items, kinds)
+        texts = _texts(items, set(map(type, items)))
         if texts is not None:
             write("[" + inner + ("," + inner).join(texts) + newline + "]")
             return

@@ -25,6 +25,7 @@ from kgtopos.cli import MATRIX_BUILDERS, main
 from kgtopos.jsonout import JoinedRows, write_json
 from kgtopos.randgen import random_kg
 from kgtopos.sites import topology_to_dict
+from test_matrices import seeded_multigraph
 
 FAN = Path(__file__).parent / "data" / "fan.txt"
 
@@ -107,46 +108,36 @@ class TestWriter:
             written([object()])
 
 
-@pytest.fixture(scope="module")
-def graph_files(tmp_path_factory) -> list[Path]:
-    files = [FAN]
-    # Seeds whose graphs have 5 to 7 triples and at most 10 morphisms
-    # into any object, within the default sieve cap.
-    for seed in (6, 7, 11):
-        kg = random_kg(Random(seed), max_entities=7, max_triples=12, acyclic=True)
-        path = tmp_path_factory.mktemp("graphs") / f"random{seed}.txt"
-        path.write_text("".join(f"{t.head} {t.predicate} {t.tail}\n" for t in kg.triples))
-        files.append(path)
-    return files
-
-
-def _multigraph(m: int, n: int) -> str:
-    """m distinct triples over n entities and 3 predicates, seed m."""
-    rng = Random(m)
-    triples: dict[str, None] = {}
-    while len(triples) < m:
-        triples[f"e{rng.randrange(n)} p{rng.randrange(3)} e{rng.randrange(n)}\n"] = None
-    return "".join(triples)
+def _triples_text(kg) -> str:
+    return "".join(f"{t.head} {t.predicate} {t.tail}\n" for t in kg.triples)
 
 
 # Graphs at the edges of the row splicing: no triple at all, one triple,
 # an entity heading nothing between two that head triples (an all-zero
 # incidence row), one head fibre of three triples (identical gram rows),
-# and more triples than the small-int table of the JSON writer.
+# and a 300-triple multigraph, whose rows are long.
 EDGE_GRAPHS = {
     "empty": "",
     "one-triple": "A r B\n",
     "zero-row": "A r B\nB s C\nD t C\n",
     "three-fibre": (Path(__file__).parent / "data" / "three_triple_fibre.txt").read_text(),
-    "m300": _multigraph(300, 40),
+    "m300": _triples_text(seeded_multigraph(300, 40)),
 }
+GRAPHS = ["fan", "random6", "random7", "random11", *EDGE_GRAPHS]
 
 
 @pytest.fixture(scope="module")
-def edge_graph_files(tmp_path_factory) -> dict[str, Path]:
-    root = tmp_path_factory.mktemp("edge-graphs")
+def graph_files(tmp_path_factory) -> dict[str, Path]:
+    texts = {"fan": FAN.read_text()}
+    # Seeds whose graphs have 5 to 7 triples and at most 10 morphisms
+    # into any object, within the default sieve cap.
+    for seed in (6, 7, 11):
+        kg = random_kg(Random(seed), max_entities=7, max_triples=12, acyclic=True)
+        texts[f"random{seed}"] = _triples_text(kg)
+    texts.update(EDGE_GRAPHS)
+    root = tmp_path_factory.mktemp("graphs")
     files = {}
-    for name, text in EDGE_GRAPHS.items():
+    for name, text in texts.items():
         files[name] = root / f"{name}.txt"
         files[name].write_text(text)
     return files
@@ -216,30 +207,20 @@ COMMANDS = [
 ]
 
 
-@pytest.mark.parametrize("graph", range(4), ids=["fan", "random6", "random7", "random11"])
-@pytest.mark.parametrize("command", COMMANDS, ids=" ".join)
-def test_cli_output_matches_materialised_document(graph_files, graph, command):
-    path = graph_files[graph]
-    argv = [*command[0].split(), str(path), *command[1:]]
-    result = CliRunner().invoke(main, argv)
-    assert result.exit_code == 0, result.output
-    assert result.output == expected_output(parse_kg(path.read_text()), command)
-
-
 # The m300 graph is cyclic and too large for a site, so it runs only the
 # commands that print matrices and line digraphs.
 @pytest.mark.parametrize(
-    "graph, command",
+    "command, graph",
     [
-        (graph, command)
-        for graph in EDGE_GRAPHS
+        (command, graph)
         for command in COMMANDS
+        for graph in GRAPHS
         if graph != "m300" or command[0] in ("matrices", "line")
     ],
     ids=lambda value: value if isinstance(value, str) else " ".join(value),
 )
-def test_edge_graph_output_matches_materialised_document(edge_graph_files, graph, command):
-    path = edge_graph_files[graph]
+def test_cli_output_matches_materialised_document(graph_files, command, graph):
+    path = graph_files[graph]
     argv = [*command[0].split(), str(path), *command[1:]]
     result = CliRunner().invoke(main, argv)
     assert result.exit_code == 0, result.output
@@ -248,15 +229,15 @@ def test_edge_graph_output_matches_materialised_document(edge_graph_files, graph
 
 @pytest.mark.parametrize("name", list(MATRIX_BUILDERS))
 def test_single_matrix_json_matches_rows(graph_files, name):
-    for path in graph_files:
+    for path in graph_files.values():
         argv = ["matrices", str(path), f"--{name}", "--format", "json"]
         rows = MATRIX_BUILDERS[name](parse_kg(path.read_text())).to_rows()
         assert CliRunner().invoke(main, argv).output == stdlib({name.replace("-", "_"): rows})
 
 
 @pytest.mark.parametrize("name", list(MATRIX_BUILDERS))
-def test_single_matrix_csv_matches_rows(graph_files, edge_graph_files, name):
-    for path in [*graph_files, *edge_graph_files.values()]:
+def test_single_matrix_csv_matches_rows(graph_files, name):
+    for path in graph_files.values():
         argv = ["matrices", str(path), f"--{name}"]
         expected = MATRIX_BUILDERS[name](parse_kg(path.read_text())).to_csv()
         assert CliRunner().invoke(main, argv).output == expected
