@@ -10,18 +10,18 @@ The sheaf condition is phrased with matching families on covering
 sieves, which needs no pullbacks in the underlying category: a matching
 family assigns a section to every member of a sieve compatibly with all
 precompositions, and a sheaf admits exactly one amalgamation per family.
-On a free category that condition is local, one bijection per object
-(see is_sheaf); the search over matching families finds a failure's
-witness and serves gluing.
+As paths factor uniquely, the families on a sieve are the tuples in
+prod_g P(dom g) over its generators g, the members with no proper suffix
+in it (Mac Lane and Moerdijk III.4-III.5).  The library reads families
+off that product (a failure's witness, gluing, the plus construction);
+the backtracking search is `verify`'s oracle.  On a free category the
+sheaf condition is local, one bijection per object (see is_sheaf).
 
 Sheafification applies the plus construction twice.  On a finite
 saturated topology the covering sieves on an object are closed under
-intersection, so the colimit defining the plus construction is the set
-of matching families on the minimum covering sieve M(b).  Such a family
-is fixed by its values on M(b)'s generators, the members with no proper
-suffix in M(b), since paths factor uniquely; so P+(b) is built directly
-as the product of P(dom g) over those generators (id_b when M(b) is
-maximal, the paths from sources on the path site), with no search.
+intersection, so P+(b), the colimit over them, is the set of families
+on the minimum covering sieve M(b): the product over its generators,
+id_b when M(b) is maximal, the paths from sources on the path site.
 
 The subobject classifier's closed sieves come from the fold that builds
 the path topology, as masks over the morphisms into each object (see
@@ -208,10 +208,10 @@ def load_family(cat: FreeCategory, presheaf: Presheaf, data: Mapping) -> Matchin
             raise SchemaError(f"'{label}' on path {key} is not a section at {p.source}")
         given[p] = label
     sieve = sieve_generated_by(cat, obj, given)
-    families = enumerate_matching_families(presheaf, sieve, given)
-    if not families:
+    forced = {m: restrict(presheaf, p)[given[g]] for m, g, p in _factorizations(sieve)}
+    if any(forced[p] != label for p, label in given.items()):
         raise GluingError("assignment is not a matching family")
-    return families[0]
+    return MatchingFamily(sieve, forced)
 
 
 def constant_presheaf(kg: KnowledgeGraph, labels: Iterable[str] = ("*",)) -> Presheaf:
@@ -281,11 +281,9 @@ def is_matching_family(presheaf: Presheaf, family: MatchingFamily) -> bool:
     return True
 
 
-def enumerate_matching_families(
-    presheaf: Presheaf, sieve: Sieve, fixed: Mapping[Path, str] | None = None
-) -> list[MatchingFamily]:
-    """All matching families on a sieve, in a deterministic order; with
-    `fixed`, only those taking the given values on the given members.
+def enumerate_matching_families(presheaf: Presheaf, sieve: Sieve) -> list[MatchingFamily]:
+    """All matching families on a sieve, in a deterministic order, by a
+    backtracking search: verify's oracle for the generators' product.
 
     Members are assigned shortest-first.  A member t.rest, with t its
     first triple, whose rest is a member too has its value P(t)(x(rest))
@@ -295,7 +293,6 @@ def enumerate_matching_families(
     sieve.
     """
     members = sieve.sorted_members()
-    pinned = [fixed.get(g) for g in members] if fixed else [None] * len(members)
     # Members all end at the sieve's object, so their arrows name them.
     by_arrows = {g.arrows: g for g in members}
     forcing = [
@@ -313,16 +310,11 @@ def enumerate_matching_families(
             results.append(MatchingFamily(sieve, dict(assignment)))
             return
         g = members[i]
-        forced = pinned[i]
         if forcing[i] is not None:
             rest, table = forcing[i]
-            value = table[assignment[rest]]
-            if forced is not None and forced != value:
-                return
-            forced = value
-        candidates = (
-            [forced] if forced is not None else list(presheaf.sections[g.source])
-        )
+            candidates = [table[assignment[rest]]]
+        else:
+            candidates = presheaf.sections[g.source]
         for value in candidates:
             assignment[g] = value
             search(i + 1)
@@ -382,8 +374,7 @@ def is_sheaf(presheaf: Presheaf, site: Site) -> SheafCheck:
     sieve, so, given that P is a sheaf for those pullbacks, P is a sheaf
     for S iff the bijection holds at b.  By induction along the paths, P
     is then a sheaf iff the bijection holds at every object with such an
-    S, that is, where M(b) lacks the identity.  The matching families are
-    searched only to report the first failure (_first_failure).
+    S, that is, where M(b) lacks the identity.
     """
     cat = site.category
     for obj in cat.objects:
@@ -406,26 +397,35 @@ def _restrictions_biject(presheaf: Presheaf, obj: str) -> bool:
 
 
 def _first_failure(presheaf: Presheaf, site: Site) -> SheafCheck:
-    """The sheaf condition by search: every matching family on every
-    covering sieve, in order, until one has other than one amalgamation.
+    """_sheaf_for_sieve on each covering sieve in order, to the first failure."""
+    checks = (
+        _sheaf_for_sieve(presheaf, sieve)
+        for obj in site.category.objects
+        for sieve in site.covering_sieves(obj)
+    )
+    return next((check for check in checks if not check), SheafCheck(True))
 
-    Per sieve, each section at the object is filed under its trace, the
-    tuple of its restrictions along the members; a family's
-    amalgamations are the sections filed under the family's values, in
-    section order, as `amalgamations` would list them."""
-    for obj in site.category.objects:
-        for sieve in site.covering_sieves(obj):
-            members = sieve.sorted_members()
-            tables = [restrict(presheaf, f) for f in members]
-            by_trace: dict[tuple[str, ...], list[str]] = {}
-            for s in presheaf.sections[obj]:
-                by_trace.setdefault(tuple(t[s] for t in tables), []).append(s)
-            for family in enumerate_matching_families(presheaf, sieve):
-                trace = tuple(family.assignment[f] for f in members)
-                glued = by_trace.get(trace, [])
-                if len(glued) != 1:
-                    return SheafCheck.refuted(family, glued)
-    return SheafCheck(True)
+
+def _sheaf_for_sieve(presheaf: Presheaf, sieve: Sieve) -> SheafCheck:
+    """The sheaf condition for one sieve: x -> (P(g)(x))_g is a bijection
+    onto its families, prod P(dom g) over its generators g (t.rest is one
+    iff rest is not a member).  Else the first family, generators shortest
+    first as the search lists them, with other than one amalgamation."""
+    arrows = {p.arrows for p in sieve.members}
+    generators = [g for g in sieve.sorted_members() if not g.arrows or g.arrows[1:] not in arrows]
+    sections = presheaf.sections[sieve.obj]
+    tables = [restrict(presheaf, g) for g in generators]
+    by_trace: dict[tuple[str, ...], list[str]] = {}
+    for s in sections:
+        by_trace.setdefault(tuple([t[s] for t in tables]), []).append(s)
+    domains = [presheaf.sections[g.source] for g in generators]
+    if len(by_trace) == len(sections) == prod(map(len, domains)):
+        return SheafCheck(True)
+    values = next(x for x in product(*domains) if len(by_trace.get(x, ())) != 1)
+    given = dict(zip(generators, values))
+    forced = {m: restrict(presheaf, p)[given[g]] for m, g, p in _factorizations(sieve)}
+    family = MatchingFamily(sieve, {m: forced[m] for m in sieve.sorted_members()})
+    return SheafCheck.refuted(family, by_trace.get(values, []))
 
 
 def glue(presheaf: Presheaf, family: MatchingFamily) -> str:

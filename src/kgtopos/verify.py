@@ -19,7 +19,7 @@ from __future__ import annotations
 import time
 from collections import Counter
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cache, partial
 from itertools import chain, compress, groupby, zip_longest
 from math import prod
 from random import Random
@@ -578,7 +578,7 @@ def _is_sheaf_against_scan(
 
 
 def _sites(cat: FreeCategory, sieve_cap: int = DEFAULT_SIEVE_CAP) -> tuple[Site, Site]:
-    """The path and the atomic site on cat, each built once."""
+    """The path and the atomic site on cat, for a check to build where _run sees a fault."""
     return path_topology(cat, sieve_cap), atomic_topology(cat, sieve_cap)
 
 
@@ -1018,13 +1018,13 @@ def graph_checks(
             f"category has {cat.total_morphisms} morphisms; site and sheaf "
             f"checks are gated at {SITE_CHECK_MORPHISM_LIMIT} and sieve cap {sieve_cap}"
         )
-    sites = None if reason else _sites(cat, sieve_cap)
+    sites = cache(partial(_sites, cat, sieve_cap))
     rng = Random(f"graph-adjunction:{kg.triple_count}")
     return results + _gated(reason, [
-        ("sites.axioms", lambda: check_topologies(*sites, sieve_cap)),
-        ("sites.inclusion", lambda: check_site_inclusion(*sites)),
-        ("sheaf.omega", lambda: _per_site(sites, check_omega, sieve_cap)),
-        ("sheaf.adjunction", lambda: check_sheaf_adjunction(rng, sites[0], section_cap)),
+        ("sites.axioms", lambda: check_topologies(*sites(), sieve_cap)),
+        ("sites.inclusion", lambda: check_site_inclusion(*sites())),
+        ("sheaf.omega", lambda: _per_site(sites(), check_omega, sieve_cap)),
+        ("sheaf.adjunction", lambda: check_sheaf_adjunction(rng, sites()[0], section_cap)),
     ])
 
 

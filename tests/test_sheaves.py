@@ -42,7 +42,7 @@ from kgtopos import (
 )
 from kgtopos import sheaves
 from kgtopos.cli import main
-from kgtopos.freecat import compose
+from kgtopos.freecat import compose, path_key
 from kgtopos.randgen import random_presheaf, random_small_category
 from kgtopos.sheaves import (
     SheafCheck,
@@ -421,24 +421,40 @@ class TestMatchingFamilies:
     @settings(max_examples=25, deadline=None)
     @given(st.integers(0, 10**9))
     def test_fixed_values_select_agreeing_families(self, seed):
-        # Pinning sections on some members leaves exactly the families
-        # that take those values there, in the same order.
+        # load_family reads the family off the values given on some paths
+        # into an object: it must be the one family, on the sieve those
+        # paths generate, that the search finds taking the given values,
+        # or GluingError when the search finds none.  Half the documents
+        # take their values off one section, so that some families agree.
         rng = Random(seed)
-        site = tiny_site(seed)
-        presheaf = random_presheaf(rng, site.category.kg, max_sections=3, min_sections=0)
-        for obj in site.category.objects:
-            for sieve in site.covering_sieves(obj):
-                families = enumerate_matching_families(presheaf, sieve)
-                fixed = {
-                    p: rng.choice(presheaf.sections[p.source])
-                    for p in sieve.sorted_members()
+        cat = tiny_site(seed).category
+        presheaf = random_presheaf(rng, cat.kg, max_sections=3, min_sections=0)
+        for obj in cat.objects:
+            for _ in range(3):
+                section = rng.choice([None, *presheaf.sections[obj]])
+                given = {
+                    p: restrict(presheaf, p)[section]
+                    if section is not None
+                    else rng.choice(presheaf.sections[p.source])
+                    for p in cat.morphisms_into(obj)
                     if presheaf.sections[p.source] and rng.random() < 0.5
                 }
-                expected = [
-                    f for f in families
-                    if all(f.assignment[p] == v for p, v in fixed.items())
+                document = {
+                    "object": obj,
+                    "assignment": {path_key(p): v for p, v in given.items()},
+                }
+                agreeing = [
+                    f
+                    for f in enumerate_matching_families(
+                        presheaf, sieve_generated_by(cat, obj, given)
+                    )
+                    if all(f.assignment[p] == v for p, v in given.items())
                 ]
-                assert enumerate_matching_families(presheaf, sieve, fixed) == expected
+                if agreeing:
+                    assert [load_family(cat, presheaf, document)] == agreeing
+                else:
+                    with pytest.raises(GluingError):
+                        load_family(cat, presheaf, document)
 
 
 class TestIsSheaf:
@@ -553,14 +569,20 @@ class TestIsSheaf:
         ] == [{2}, {4}, {16}, {256}]
         assert elapsed < 8.0, f"omega + is_sheaf took {elapsed:.1f} s"
 
-    def test_no_search_on_a_sheaf(self, monkeypatch):
+    def test_no_search_on_a_sheaf(
+        self, monkeypatch, fan_path_site, fan_product_presheaf, undersized_presheaf_data
+    ):
         # On the layered DAG, where Omega has 256 sections at each sink,
         # the search visited thousands of matching families per sheaf;
-        # the local bijections decide with none.
+        # the local bijections decide with none.  A non-sheaf's witness
+        # and a glued family are read off the generators, so no library
+        # route searches: the search is verify's oracle alone.
         site = layered_dag_site()
-        product = load_presheaf(
-            site.category.kg, json.loads((DATA / "layered_dag_product.json").read_text())
+        product, undersized = (
+            load_presheaf(site.category.kg, json.loads((DATA / name).read_text()))
+            for name in ("layered_dag_product.json", "layered_dag_undersized.json")
         )
+        fan_undersized = load_presheaf(fan_path_site.category.kg, undersized_presheaf_data)
         classifier = omega(site)
         searched = []
         real = sheaves.enumerate_matching_families
@@ -571,6 +593,13 @@ class TestIsSheaf:
         )
         assert is_sheaf(classifier, site)
         assert is_sheaf(product, site)
+        assert not is_sheaf(undersized, site)
+        assert not is_sheaf(fan_undersized, fan_path_site)
+        family = json.loads((DATA / "fan_family.json").read_text())
+        assert glue(
+            fan_product_presheaf,
+            load_family(fan_path_site.category, fan_product_presheaf, family),
+        )
         assert searched == []
 
     def test_layered_dag_counterexample_unchanged(self):

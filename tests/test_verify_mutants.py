@@ -11,13 +11,61 @@ from click.testing import CliRunner
 
 from kgtopos import linegraph as lg
 from kgtopos import matrices as mx
-from kgtopos import Presheaf, build_free_category, parse_kg
+from kgtopos import KnowledgeGraph, Presheaf, build_free_category, parse_kg, run_verification
 from kgtopos import freecat, sheaves, sites, verify
 from kgtopos.cli import main
 
 FAN = str(Path(__file__).parent / "data" / "fan.txt")
 # A r1 B, A r2 C, A r3 D, E r4 B: one head fibre of three triples.
 THREE_TRIPLE_FIBRE = str(Path(__file__).parent / "data" / "three_triple_fibre.txt")
+
+
+def _drops_the_last_triple(real):
+    return lambda kg: real(KnowledgeGraph(kg.entities, kg.predicates, kg.triples[:-1]))
+
+
+def _drops_the_longest_path(real):
+    # The first longest morphism goes missing from its hom-set; on the fan
+    # that is triple 0's path, so the sieve index meets a KeyError there.
+    def planted(kg, max_length=None):
+        cat = real(kg, max_length)
+        longest = max(cat.morphisms(), key=len)
+        hom_sets = {
+            ends: kept
+            for ends, paths in cat.hom_sets.items()
+            if (kept := tuple(p for p in paths if p != longest))
+        }
+        return freecat.FreeCategory(kg, hom_sets, cat.max_length, cat.complete)
+
+    return planted
+
+
+def _fibre_drops_its_last_index(real):
+    # The first fibre of two or more triples loses its last one, in the
+    # head and the tail index alike.
+    def planted(kg, ends):
+        fibres = real(kg, ends)
+        end = next((e for e, fibre in fibres.items() if len(fibre) > 1), None)
+        if end is not None:
+            fibres[end] = fibres[end][:-1]
+        return fibres
+
+    return planted
+
+
+def _sieve_test_drops_size_test(real):
+    # The witness walk's per-sieve bijection test without its size test:
+    # a sieve whose sections restrict to distinct families passes, even
+    # when they miss some.  is_sheaf's own test still finds the failure,
+    # so the walk reports a later sieve, or none.
+    def planted(presheaf, sieve):
+        tables = [sheaves.restrict(presheaf, m) for m in sieve.sorted_members()]
+        sections = presheaf.sections[sieve.obj]
+        if len({tuple(t[s] for t in tables) for s in sections}) == len(sections):
+            return sheaves.SheafCheck(True)
+        return real(presheaf, sieve)
+
+    return planted
 
 
 def _rank_off_by_one(real):
@@ -298,215 +346,252 @@ RANDOM_20 = [FAN, "--random", "--cases", "20"]
 RANDOM_200 = [FAN, "--random", "--cases", "200"]
 
 
+MUTANT_ROWS = [
+    (
+        [(mx, "rank_exact")],
+        _rank_off_by_one,
+        RANDOM_20,
+        ["incidence.rank", "suite.incidence_line"],
+        [],
+    ),
+    (
+        [(mx, "rank_exact")],
+        _nonzero_rows,
+        RANDOM_20,
+        ["suite.incidence_line"],
+        ["incidence.rank"],
+    ),
+    (
+        [(mx, "spectrum_formula")],
+        _drop_one_eigenvalue,
+        [FAN],
+        ["incidence.spectrum"],
+        [],
+    ),
+    (
+        [(sheaves, "_fold_over_triples")],
+        _keep_covering_sieves,
+        RANDOM_20,
+        ["sheaf.omega", "suite.omega"],
+        [],
+    ),
+    (
+        [(sheaves, "_fold_over_triples")],
+        _drop_empty_sieve_at_sources,
+        RANDOM_20,
+        ["sheaf.omega", "suite.omega"],
+        [],
+    ),
+    # Omega is a sheaf, so among the omega checks only the subsheaves of
+    # 1 against Hom(1, omega) catch this, and that scan of every subset
+    # of objects runs in suite.omega alone.
+    (
+        [(sheaves, "is_sheaf"), (verify, "is_sheaf")],
+        _always_a_sheaf,
+        RANDOM_20,
+        ["suite.omega", "suite.sheafification"],
+        [],
+    ),
+    (
+        [(sheaves, "_restrictions_biject")],
+        _injective_only,
+        RANDOM_20,
+        ["suite.sheafification", "suite.omega"],
+        [],
+    ),
+    (
+        [(sheaves, "_plus")],
+        _swap_two_images,
+        RANDOM_20,
+        ["suite.sheafification"],
+        [],
+    ),
+    (
+        [(sheaves, "_factorizations")],
+        _misses_identity_generator,
+        RANDOM_20,
+        ["suite.sheafification"],
+        [],
+    ),
+    (
+        [(sheaves, "restrict"), (verify, "restrict")],
+        _memo_keyed_by_endpoints,
+        RANDOM_20,
+        ["suite.sheafification"],
+        [],
+    ),
+    (
+        [(lg, "scc")],
+        _merge_first_two_components,
+        RANDOM_20,
+        ["line.scc_theorem", "suite.incidence_line"],
+        [],
+    ),
+    (
+        [(mx, "_fibre_rows")],
+        _empty_a_row_of_large_fibres,
+        RANDOM_20,
+        ["suite.incidence_line"],
+        ["incidence.gram"],
+    ),
+    (
+        [(mx, "_fibre_rows")],
+        _stray_line_edge_across_fibres,
+        RANDOM_20,
+        ["incidence.spectrum", "incidence.line_operator_identity",
+         "line.matrix_consistency", "suite.incidence_line"],
+        ["incidence.gram"],
+    ),
+    (
+        [(mx, "_fibre_rows")],
+        _move_a_row_entry,
+        RANDOM_20,
+        ["incidence.line_operator_identity", "incidence.spectrum",
+         "line.matrix_consistency", "suite.incidence_line"],
+        ["incidence.gram"],
+    ),
+    (
+        [(mx, "_fibre_rows")],
+        _large_fibre_row_misses_its_first,
+        [THREE_TRIPLE_FIBRE],
+        ["incidence.gram", "incidence.line_operator_identity",
+         "line.matrix_consistency"],
+        [],
+    ),
+    (
+        [(mx, "_incidence")],
+        _column_one_in_a_second_row,
+        RANDOM_20,
+        ["incidence.column_sums", "incidence.gram", "suite.incidence_line"],
+        [],
+    ),
+    # The graph checks read matrix_rows, not the row texts, so only
+    # the suite's row-text oracle sees this.
+    (
+        [(mx, "row_texts")],
+        _last_one_moves_right,
+        RANDOM_20,
+        ["suite.incidence_line"],
+        ["incidence.gram", "line.matrix_consistency"],
+    ),
+    (
+        [(sites, "pullback_sieve"), (verify, "pullback_sieve")],
+        _drop_a_member,
+        RANDOM_20,
+        ["sites.axioms", "sheaf.omega", "suite.topologies", "suite.omega"],
+        [],
+    ),
+    (
+        [(freecat, "_key_indexes")],
+        _pull_drops_its_highest_bit,
+        RANDOM_20,
+        ["suite.topologies"],
+        [],
+    ),
+    (
+        [(sites, "path_topology"), (verify, "path_topology")],
+        _skips_last_triple_into_each_object,
+        RANDOM_20,
+        ["sites.axioms", "suite.topologies"],
+        [],
+    ),
+    (
+        [(sites.Site, "covering")],
+        _covering_list_drops_its_last_sieve,
+        RANDOM_20,
+        ["sites.axioms", "suite.topologies"],
+        [],
+    ),
+    (
+        [(sites, "check_inclusion"), (verify, "check_inclusion")],
+        _raises_key_error,
+        RANDOM_20,
+        ["sites.inclusion", "suite.topologies"],
+        [],
+    ),
+    (
+        [(freecat, "extend_functor"), (verify, "extend_functor")],
+        _first_well_typed_image,
+        RANDOM_20,
+        ["suite.categories"],
+        [],
+    ),
+    # suite.adjunction runs a tenth of --cases; its first two cases
+    # draw no pair of transformations that differ at the last object
+    # alone, so it takes --cases 200 to fail.
+    (
+        [(sheaves.NatTransformation, "canonical_key")],
+        _key_ignores_last_object,
+        RANDOM_200,
+        ["sheaf.adjunction", "suite.adjunction"],
+        [],
+    ),
+    (
+        [(verify, "serialize_kg")],
+        _drops_the_last_triple,
+        [FAN],
+        ["kg.roundtrip"],
+        ["freecat.walk_count", "freecat.fibres"],
+    ),
+    # Building the sites meets the missing path, and every check that
+    # reads them fails with the KeyError.
+    (
+        [(verify, "build_free_category")],
+        _drops_the_longest_path,
+        [FAN],
+        ["freecat.walk_count", "sites.axioms", "sites.inclusion",
+         "sheaf.omega", "sheaf.adjunction"],
+        ["kg.roundtrip", "freecat.fibres"],
+    ),
+    (
+        [(KnowledgeGraph, "_fibres")],
+        _fibre_drops_its_last_index,
+        [FAN],
+        ["freecat.fibres"],
+        ["kg.roundtrip"],
+    ),
+    (
+        [(sheaves, "_sheaf_for_sieve")],
+        _sieve_test_drops_size_test,
+        RANDOM_20,
+        ["suite.sheafification"],
+        [],
+    ),
+]
+MUTANT_IDS = [
+    "rank-off-by-one",
+    "rank-counts-nonzero-rows",
+    "spectrum-drops-an-eigenvalue",
+    "omega-keeps-covering-sieves",
+    "omega-drops-empty-sieve-at-sources",
+    "is-sheaf-always-passes",
+    "local-condition-drops-size-test",
+    "plus-swaps-two-images",
+    "plus-misses-identity-generator",
+    "restriction-memo-keys-by-endpoints",
+    "scc-merges-two-components",
+    "fibre-operator-empties-a-row",
+    "stray-line-edge-across-fibres",
+    "row-entry-moved",
+    "large-fibre-row-misses-its-first",
+    "column-one-in-a-second-row",
+    "row-text-last-one-moves-right",
+    "pullback-sieve-drops-a-member",
+    "pull-table-drops-its-highest-bit",
+    "minimum-sieve-skips-a-triple",
+    "covering-list-drops-its-last-sieve",
+    "inclusion-raises-key-error",
+    "extension-takes-first-well-typed-image",
+    "adjunction-key-ignores-last-object",
+    "roundtrip-drops-the-last-triple",
+    "free-category-drops-the-longest-path",
+    "fibre-drops-its-last-index",
+    "witness-sieve-test-drops-size-test",
+]
+
+
 @pytest.mark.parametrize(
-    "targets, mutant, args, failing, passing",
-    [
-        (
-            [(mx, "rank_exact")],
-            _rank_off_by_one,
-            RANDOM_20,
-            ["incidence.rank", "suite.incidence_line"],
-            [],
-        ),
-        (
-            [(mx, "rank_exact")],
-            _nonzero_rows,
-            RANDOM_20,
-            ["suite.incidence_line"],
-            ["incidence.rank"],
-        ),
-        (
-            [(mx, "spectrum_formula")],
-            _drop_one_eigenvalue,
-            [FAN],
-            ["incidence.spectrum"],
-            [],
-        ),
-        (
-            [(sheaves, "_fold_over_triples")],
-            _keep_covering_sieves,
-            RANDOM_20,
-            ["sheaf.omega", "suite.omega"],
-            [],
-        ),
-        (
-            [(sheaves, "_fold_over_triples")],
-            _drop_empty_sieve_at_sources,
-            RANDOM_20,
-            ["sheaf.omega", "suite.omega"],
-            [],
-        ),
-        # Omega is a sheaf, so among the omega checks only the subsheaves of
-        # 1 against Hom(1, omega) catch this, and that scan of every subset
-        # of objects runs in suite.omega alone.
-        (
-            [(sheaves, "is_sheaf"), (verify, "is_sheaf")],
-            _always_a_sheaf,
-            RANDOM_20,
-            ["suite.omega", "suite.sheafification"],
-            [],
-        ),
-        (
-            [(sheaves, "_restrictions_biject")],
-            _injective_only,
-            RANDOM_20,
-            ["suite.sheafification", "suite.omega"],
-            [],
-        ),
-        (
-            [(sheaves, "_plus")],
-            _swap_two_images,
-            RANDOM_20,
-            ["suite.sheafification"],
-            [],
-        ),
-        (
-            [(sheaves, "_factorizations")],
-            _misses_identity_generator,
-            RANDOM_20,
-            ["suite.sheafification"],
-            [],
-        ),
-        (
-            [(sheaves, "restrict"), (verify, "restrict")],
-            _memo_keyed_by_endpoints,
-            RANDOM_20,
-            ["suite.sheafification"],
-            [],
-        ),
-        (
-            [(lg, "scc")],
-            _merge_first_two_components,
-            RANDOM_20,
-            ["line.scc_theorem", "suite.incidence_line"],
-            [],
-        ),
-        (
-            [(mx, "_fibre_rows")],
-            _empty_a_row_of_large_fibres,
-            RANDOM_20,
-            ["suite.incidence_line"],
-            ["incidence.gram"],
-        ),
-        (
-            [(mx, "_fibre_rows")],
-            _stray_line_edge_across_fibres,
-            RANDOM_20,
-            ["incidence.spectrum", "incidence.line_operator_identity",
-             "line.matrix_consistency", "suite.incidence_line"],
-            ["incidence.gram"],
-        ),
-        (
-            [(mx, "_fibre_rows")],
-            _move_a_row_entry,
-            RANDOM_20,
-            ["incidence.line_operator_identity", "incidence.spectrum",
-             "line.matrix_consistency", "suite.incidence_line"],
-            ["incidence.gram"],
-        ),
-        (
-            [(mx, "_fibre_rows")],
-            _large_fibre_row_misses_its_first,
-            [THREE_TRIPLE_FIBRE],
-            ["incidence.gram", "incidence.line_operator_identity",
-             "line.matrix_consistency"],
-            [],
-        ),
-        (
-            [(mx, "_incidence")],
-            _column_one_in_a_second_row,
-            RANDOM_20,
-            ["incidence.column_sums", "incidence.gram", "suite.incidence_line"],
-            [],
-        ),
-        # The graph checks read matrix_rows, not the row texts, so only
-        # the suite's row-text oracle sees this.
-        (
-            [(mx, "row_texts")],
-            _last_one_moves_right,
-            RANDOM_20,
-            ["suite.incidence_line"],
-            ["incidence.gram", "line.matrix_consistency"],
-        ),
-        (
-            [(sites, "pullback_sieve"), (verify, "pullback_sieve")],
-            _drop_a_member,
-            RANDOM_20,
-            ["sites.axioms", "sheaf.omega", "suite.topologies", "suite.omega"],
-            [],
-        ),
-        (
-            [(freecat, "_key_indexes")],
-            _pull_drops_its_highest_bit,
-            RANDOM_20,
-            ["suite.topologies"],
-            [],
-        ),
-        (
-            [(sites, "path_topology"), (verify, "path_topology")],
-            _skips_last_triple_into_each_object,
-            RANDOM_20,
-            ["sites.axioms", "suite.topologies"],
-            [],
-        ),
-        (
-            [(sites.Site, "covering")],
-            _covering_list_drops_its_last_sieve,
-            RANDOM_20,
-            ["sites.axioms", "suite.topologies"],
-            [],
-        ),
-        (
-            [(sites, "check_inclusion"), (verify, "check_inclusion")],
-            _raises_key_error,
-            RANDOM_20,
-            ["sites.inclusion", "suite.topologies"],
-            [],
-        ),
-        (
-            [(freecat, "extend_functor"), (verify, "extend_functor")],
-            _first_well_typed_image,
-            RANDOM_20,
-            ["suite.categories"],
-            [],
-        ),
-        # suite.adjunction runs a tenth of --cases; its first two cases
-        # draw no pair of transformations that differ at the last object
-        # alone, so it takes --cases 200 to fail.
-        (
-            [(sheaves.NatTransformation, "canonical_key")],
-            _key_ignores_last_object,
-            RANDOM_200,
-            ["sheaf.adjunction", "suite.adjunction"],
-            [],
-        ),
-    ],
-    ids=[
-        "rank-off-by-one",
-        "rank-counts-nonzero-rows",
-        "spectrum-drops-an-eigenvalue",
-        "omega-keeps-covering-sieves",
-        "omega-drops-empty-sieve-at-sources",
-        "is-sheaf-always-passes",
-        "local-condition-drops-size-test",
-        "plus-swaps-two-images",
-        "plus-misses-identity-generator",
-        "restriction-memo-keys-by-endpoints",
-        "scc-merges-two-components",
-        "fibre-operator-empties-a-row",
-        "stray-line-edge-across-fibres",
-        "row-entry-moved",
-        "large-fibre-row-misses-its-first",
-        "column-one-in-a-second-row",
-        "row-text-last-one-moves-right",
-        "pullback-sieve-drops-a-member",
-        "pull-table-drops-its-highest-bit",
-        "minimum-sieve-skips-a-triple",
-        "covering-list-drops-its-last-sieve",
-        "inclusion-raises-key-error",
-        "extension-takes-first-well-typed-image",
-        "adjunction-key-ignores-last-object",
-    ],
+    "targets, mutant, args, failing, passing", MUTANT_ROWS, ids=MUTANT_IDS
 )
 def test_planted_fault_fails_its_checks(
     monkeypatch, targets, mutant, args, failing, passing
@@ -522,6 +607,15 @@ def test_planted_fault_fails_its_checks(
         **{name: "FAIL" for name in failing},
         **{name: "PASS" for name in passing},
     }
+
+
+def test_every_check_has_a_mutant_row():
+    # Every check verify lists, each suite's [n] dropped, must be one that
+    # some planted fault makes FAIL, so that no check can land untested.
+    report = run_verification(parse_kg(Path(FAN).read_text()), random_mode=True)
+    names = {check.name.split("[")[0] for check in report.checks}
+    failing = {name for _, _, _, row_failing, _ in MUTANT_ROWS for name in row_failing}
+    assert sorted(names - failing) == []
 
 
 def test_fold_comparison_catches_an_endpoint_keyed_memo(monkeypatch):
