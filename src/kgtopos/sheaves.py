@@ -407,10 +407,10 @@ def _first_failure(presheaf: Presheaf, site: Site) -> SheafCheck:
 
 
 def _sheaf_for_sieve(presheaf: Presheaf, sieve: Sieve) -> SheafCheck:
-    """The sheaf condition for one sieve: x -> (P(g)(x))_g is a bijection
-    onto its families, prod P(dom g) over its generators g (t.rest is one
-    iff rest is not a member).  Else the first family, generators shortest
-    first as the search lists them, with other than one amalgamation."""
+    """The sheaf condition for one sieve, whose families are prod P(dom g)
+    over its generators g (t.rest is a generator iff rest is not a member):
+    x -> (P(g)(x))_g is a bijection onto them.  Else the witness is the
+    first family in the search's order with other than one amalgamation."""
     arrows = {p.arrows for p in sieve.members}
     generators = [g for g in sieve.sorted_members() if not g.arrows or g.arrows[1:] not in arrows]
     sections = presheaf.sections[sieve.obj]
