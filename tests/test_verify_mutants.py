@@ -554,7 +554,7 @@ MUTANT_ROWS = [
         [(sheaves, "_sheaf_for_sieve")],
         _sieve_test_drops_size_test,
         RANDOM_20,
-        ["suite.sheafification"],
+        ["suite.sheafification", "suite.omega"],
         [],
     ),
 ]
