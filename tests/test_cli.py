@@ -11,6 +11,7 @@ import pytest
 from click.testing import CliRunner
 
 import kgtopos
+from kgtopos import sheaves, verify
 from kgtopos.cli import main
 
 DATA = Path(__file__).parent / "data"
@@ -266,6 +267,33 @@ class TestSheafCommands:
         # verify's per-check seconds are masked as perfbench masks them.
         output = re.sub(r"\(\d+\.\d+s\)", "(s)", result.output)
         assert hashlib.sha256(output.encode()).hexdigest() == digest
+
+    def test_only_verify_searches_matching_families(self, runner, monkeypatch):
+        # Every other command reads matching families off a sieve's
+        # generators; the backtracking search is verify's oracle.
+        searched = []
+        real = sheaves.enumerate_matching_families
+        for module in (sheaves, verify):
+            monkeypatch.setattr(
+                module,
+                "enumerate_matching_families",
+                lambda *args: searched.append(args) or real(*args),
+            )
+        for args, exit_code in [
+            (["covers", FAN], 0),
+            (["sheaf", "check", FAN, UNDERSIZED], 1),
+            (["sheaf", "check", LAYERED, LAYERED_UNDERSIZED, "--sieve-cap", "15"], 1),
+            (["sheaf", "glue", FAN, PRODUCT, "--family", FAN_FAMILY], 0),
+            (["sheaf", "sheafify", FAN, UNDERSIZED], 0),
+            (["sheaf", "global", FAN, PRODUCT], 0),
+            (["sheaf", "omega", FAN], 0),
+            (["sheaf", "adjoint", FAN, UNDERSIZED, "--other", PRODUCT,
+              "--section-cap", "4"], 0),
+        ]:
+            assert runner.invoke(main, args).exit_code == exit_code
+        assert searched == []
+        runner.invoke(main, ["verify", FAN, "--random", "--cases", "20"])
+        assert searched
 
     def test_check_product_is_sheaf(self, runner):
         result = runner.invoke(main, ["sheaf", "check", FAN, PRODUCT])
