@@ -33,11 +33,7 @@ from .kg import (
 from .matrices import (
     IntMatrix,
     SpectrumReport,
-    gram_in,
-    gram_out,
     head_incidence,
-    line_adjacency_in,
-    line_adjacency_out,
     rank_exact,
     spectrum_formula,
     spectrum_numeric,

@@ -168,13 +168,6 @@ def _incidence(fibres: Fibres, m: int) -> IntMatrix:
     return IntMatrix(len(fibres), m, tuple(chain.from_iterable(rows)))
 
 
-def _fibre_operator(fibres: Fibres, m: int, diagonal: int) -> IntMatrix:
-    """m x m matrix whose row i is the indicator of the fibre holding
-    triple i, with every diagonal entry set to `diagonal`."""
-    rows = _fibre_rows(fibres, m, diagonal)
-    return IntMatrix(m, m, tuple(chain.from_iterable(rows)))
-
-
 # Matrix name -> (use tail fibres, diagonal); incidence matrices have none.
 MATRICES = {
     "head": (False, None),
@@ -188,8 +181,8 @@ MATRICES = {
 
 def matrix_rows(kg: KnowledgeGraph, name: str) -> Iterator[list[int]]:
     """The rows of the named matrix ("head", "tail", "gram-out",
-    "gram-in", "adjacency-out" or "adjacency-in"), one at a time, from
-    the same row source as the dense builders."""
+    "gram-in", "adjacency-out" or "adjacency-in"), one at a time.  This
+    is the one source of the gram and line-adjacency rows."""
     use_tails, diagonal = MATRICES[name]
     fibres = kg.tail_fibres if use_tails else kg.head_fibres
     if diagonal is None:
@@ -247,26 +240,6 @@ def head_incidence(kg: KnowledgeGraph) -> IntMatrix:
 def tail_incidence(kg: KnowledgeGraph) -> IntMatrix:
     """n x m matrix with entry (i, j) = 1 iff entity i is the tail of triple j."""
     return _incidence(kg.tail_fibres, kg.triple_count)
-
-
-def gram_out(kg: KnowledgeGraph) -> IntMatrix:
-    """m x m shared-head indicator H^T H: entry (i, j) = 1 iff heads coincide."""
-    return _fibre_operator(kg.head_fibres, kg.triple_count, 1)
-
-
-def gram_in(kg: KnowledgeGraph) -> IntMatrix:
-    """m x m shared-tail indicator H^T H: entry (i, j) = 1 iff tails coincide."""
-    return _fibre_operator(kg.tail_fibres, kg.triple_count, 1)
-
-
-def line_adjacency_out(kg: KnowledgeGraph) -> IntMatrix:
-    """Adjacency matrix of the out-line digraph: shared-head minus diagonal."""
-    return _fibre_operator(kg.head_fibres, kg.triple_count, 0)
-
-
-def line_adjacency_in(kg: KnowledgeGraph) -> IntMatrix:
-    """Adjacency matrix of the in-line digraph: shared-tail minus diagonal."""
-    return _fibre_operator(kg.tail_fibres, kg.triple_count, 0)
 
 
 def _eliminate(

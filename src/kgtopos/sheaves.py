@@ -454,12 +454,9 @@ def global_sections(presheaf: Presheaf) -> list[dict[str, str]]:
     """All object-indexed families of sections commuting with every
     restriction, in deterministic order: the maps from the terminal
     presheaf, Hom(1, P), read at its one section."""
-    cap = max([1, *(len(labels) for labels in presheaf.sections.values())])
     return [
         {obj: component["*"] for obj, component in point.components.items()}
-        for point in enumerate_nat_transformations(
-            terminal_presheaf(presheaf.kg), presheaf, cap
-        )
+        for point in enumerate_nat_transformations(terminal_presheaf(presheaf.kg), presheaf)
     ]
 
 
@@ -518,20 +515,13 @@ def compose_components(
     }
 
 
-def enumerate_nat_transformations(
-    f: Presheaf, g: Presheaf, section_cap: int = DEFAULT_SECTION_CAP
-) -> list[NatTransformation]:
+def enumerate_nat_transformations(f: Presheaf, g: Presheaf) -> list[NatTransformation]:
     """All natural families of maps f -> g, by backtracking over objects.
 
-    Raises SizeCapError when a section set of either presheaf exceeds the
-    cap; the enumeration is exponential in section counts.
+    The enumeration is exponential in section counts, so callers bound
+    their inputs (check_adjunction's section cap).
     """
     kg = f.kg
-    for obj in kg.entities:
-        if len(f.sections[obj]) > section_cap or len(g.sections[obj]) > section_cap:
-            raise SizeCapError(
-                f"section set at {obj} exceeds the cap {section_cap}"
-            )
     objects = list(kg.entities)
     rank = {obj: k for k, obj in enumerate(objects)}
     # Triple i's square is checked when the later of its ends, in search
@@ -699,13 +689,8 @@ def check_adjunction(
     if not sheaf_check:
         details.append("second argument is not a sheaf for the path site")
     result = sheafify(atomic_presheaf, path_site)
-    # The sheafified side is derived data; widen the enumeration bound to fit it.
-    cap = max(
-        section_cap,
-        max((len(v) for v in result.sheaf.sections.values()), default=0),
-    )
-    left = enumerate_nat_transformations(result.sheaf, path_sheaf, cap)
-    right = enumerate_nat_transformations(atomic_presheaf, path_sheaf, cap)
+    left = enumerate_nat_transformations(result.sheaf, path_sheaf)
+    right = enumerate_nat_transformations(atomic_presheaf, path_sheaf)
     mapped_keys = []
     for phi in left:
         composed = compose_components(phi.components, result.unit.components)

@@ -240,9 +240,7 @@ def generate_topology(
         # sieve are all covering is itself covering.
         for obj in cat.objects:
             for candidate in lattice[obj]:
-                if candidate not in covering[obj] and _locally_covering(
-                    cat, candidate, covering[obj], lambda s: s in covering[s.obj]
-                ):
+                if candidate not in covering[obj] and _locally_covering(cat, candidate, covering):
                     covering[obj].add(candidate)
                     changed = True
     site = Site(cat, {
@@ -256,19 +254,17 @@ def generate_topology(
 
 
 def _locally_covering(
-    cat: FreeCategory,
-    candidate: Sieve,
-    covering: Iterable[Sieve],
-    covers: Callable[[Sieve], bool],
+    cat: FreeCategory, candidate: Sieve, covering: dict[str, set[Sieve]]
 ) -> bool:
     """Whether candidate's pullbacks along every member of some covering
     sieve cover: the morphisms g with g*candidate covering form a mask,
-    and some covering sieve must lie inside it."""
+    and some covering sieve on candidate's object must lie inside it."""
     local = 0
     for k, g in enumerate(candidate.index.paths):
-        if covers(pullback_sieve(cat, candidate, g)):
+        pulled = pullback_sieve(cat, candidate, g)
+        if pulled in covering[pulled.obj]:
             local |= 1 << k
-    return any(not s.mask & ~local for s in covering)
+    return any(not s.mask & ~local for s in covering[candidate.obj])
 
 
 def _require_sieve_lattices(cat: FreeCategory, sieve_cap: int) -> None:
@@ -398,14 +394,12 @@ def check_inclusion(inner: Site, outer: Site) -> bool:
     return all(outer.covers(sieve) for sieve in inner.minimum.values())
 
 
-def topology_to_dict(site: Site, name: str | None = None) -> dict:
-    data = {
+def topology_to_dict(site: Site, name: str) -> dict:
+    return {
         "objects": list(site.category.objects),
         "covering": {
             obj: [sieve.keys() for sieve in site.covering_sieves(obj)]
             for obj in site.category.objects
         },
+        "topology": name,
     }
-    if name is not None:
-        data["topology"] = name
-    return data

@@ -44,6 +44,7 @@ from .kg import (
     compose_homs,
     entity_adjacency_counts,
     kg_from_json,
+    parse_kg,
     serialize_kg,
 )
 from .randgen import (
@@ -917,8 +918,23 @@ def check_sheafify_against_search(site: Site, presheaf: Presheaf) -> list[str]:
     return []
 
 
+def _generator_order_case() -> tuple[Presheaf, Site]:
+    """A non-sheaf on the path site whose witness shows the order in which
+    a sieve's generators are taken: on its first failing covering sieve,
+    M(B) = {0.1, 2}, more than one family fails, and the generators run
+    (2, 0.1) shortest first but (0.1, 2) by key."""
+    kg = parse_kg("X r0 Y\nY r1 B\nZ r2 B\n")
+    sections = {"X": ("x0", "x1"), "Y": ("y0", "y1"), "Z": ("z0", "z1"), "B": ("b0",)}
+    restrictions = {0: {"y0": "x0", "y1": "x1"}, 1: {"b0": "y0"}, 2: {"b0": "z0"}}
+    return Presheaf(kg, sections, restrictions), path_topology(build_free_category(kg))
+
+
 def suite_sheafification(seed: int, cases: int = 30) -> list[CheckResult]:
     def run_case(case: int, failures: list[str]) -> None:
+        if case == 0:  # once per suite; it draws nothing from the case RNGs
+            _is_sheaf_against_scan(
+                *_generator_order_case(), failures, "the generator-order presheaf"
+            )
         rng = _case_rng("sheafification", seed, case)
         site = _tiny_site(rng)
         presheaf = random_presheaf(rng, site.category.kg, max_sections=3)

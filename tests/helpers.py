@@ -1,6 +1,7 @@
 """Shared helpers for the test suite."""
 
-from kgtopos import KgHomomorphism
+from kgtopos import IntMatrix, KgHomomorphism
+from kgtopos.matrices import matrix_rows
 
 
 def identity_hom(kg):
@@ -18,3 +19,9 @@ def swap_hom(kg):
         {"A": "D", "D": "A", "B": "B", "C": "C"},
         {"r1": "r3", "r3": "r1", "r2": "r4", "r4": "r2"},
     )
+
+
+def dense(kg, name):
+    """The named matrix of kg ("head", "gram-out", "adjacency-in", ...) as
+    an IntMatrix, its rows read from `matrix_rows`."""
+    return IntMatrix.from_rows(list(matrix_rows(kg, name)))

@@ -462,6 +462,23 @@ class TestHostileInput:
         assert result.exception is None or isinstance(result.exception, SystemExit)
         assert "Traceback" not in result.output
 
+    @pytest.mark.parametrize(
+        "args, env, message",
+        [
+            (["verify", FAN], {"KGTOPOS_SEED": "abc"},
+             "Invalid value for '--seed' (from $KGTOPOS_SEED): 'abc' is not a valid integer."),
+            (["verify", FAN, "--seed", "x"], {"KGTOPOS_SEED": "abc"},
+             "Invalid value for '--seed': 'x' is not a valid integer."),
+        ],
+        ids=["seed-env-not-integer", "seed-option-not-integer"],
+    )
+    def test_bad_seed_names_where_it_came_from(self, runner, args, env, message):
+        # Only a value read from the environment names the variable.
+        result = runner.invoke(main, args, env=env)
+        assert result.exit_code == 2
+        assert message in result.output
+        assert result.output.count("KGTOPOS_SEED") == message.count("KGTOPOS_SEED")
+
     @pytest.mark.parametrize("command", ["check", "sheafify", "global"])
     @pytest.mark.parametrize(
         "doc",

@@ -11,6 +11,7 @@ from click.testing import CliRunner
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from kgtopos import matrices as mx
 from kgtopos import (
     build_free_category,
     build_in_line,
@@ -21,11 +22,13 @@ from kgtopos import (
     parse_kg,
     scc,
 )
-from kgtopos.cli import MATRIX_BUILDERS, main
+from kgtopos.cli import main
 from kgtopos.jsonout import JoinedRows, write_json
 from kgtopos.randgen import random_kg
 from kgtopos.sites import topology_to_dict
 from test_matrices import seeded_multigraph
+
+from helpers import dense
 
 FAN = Path(__file__).parent / "data" / "fan.txt"
 
@@ -175,14 +178,12 @@ def expected_output(kg, command: list[str]) -> str:
     name, options = command[0], command[1:]
     if name == "matrices":
         if options == ["--format", "json"]:
-            return stdlib(
-                {n.replace("-", "_"): b(kg).to_rows() for n, b in MATRIX_BUILDERS.items()}
-            )
-        return "\n".join(f"# {n}\n" + b(kg).to_csv() for n, b in MATRIX_BUILDERS.items())
+            return stdlib({n.replace("-", "_"): dense(kg, n).to_rows() for n in mx.MATRICES})
+        return "\n".join(f"# {n}\n" + dense(kg, n).to_csv() for n in mx.MATRICES)
     if name == "line":
         direction = options[options.index("--direction") + 1]
         if options[-1] == "csv":
-            return MATRIX_BUILDERS[f"adjacency-{direction}"](kg).to_csv()
+            return dense(kg, f"adjacency-{direction}").to_csv()
         return _line_json(kg, direction)
     if name == "freecat":
         return stdlib(build_free_category(kg).to_dict())
@@ -227,17 +228,17 @@ def test_cli_output_matches_materialised_document(graph_files, command, graph):
     assert result.output == expected_output(parse_kg(path.read_text()), command)
 
 
-@pytest.mark.parametrize("name", list(MATRIX_BUILDERS))
+@pytest.mark.parametrize("name", list(mx.MATRICES))
 def test_single_matrix_json_matches_rows(graph_files, name):
     for path in graph_files.values():
         argv = ["matrices", str(path), f"--{name}", "--format", "json"]
-        rows = MATRIX_BUILDERS[name](parse_kg(path.read_text())).to_rows()
+        rows = dense(parse_kg(path.read_text()), name).to_rows()
         assert CliRunner().invoke(main, argv).output == stdlib({name.replace("-", "_"): rows})
 
 
-@pytest.mark.parametrize("name", list(MATRIX_BUILDERS))
+@pytest.mark.parametrize("name", list(mx.MATRICES))
 def test_single_matrix_csv_matches_rows(graph_files, name):
     for path in graph_files.values():
         argv = ["matrices", str(path), f"--{name}"]
-        expected = MATRIX_BUILDERS[name](parse_kg(path.read_text())).to_csv()
+        expected = dense(parse_kg(path.read_text()), name).to_csv()
         assert CliRunner().invoke(main, argv).output == expected

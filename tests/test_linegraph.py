@@ -14,8 +14,6 @@ from kgtopos import (
     compose_homs,
     head_partition,
     induced_line_map,
-    line_adjacency_in,
-    line_adjacency_out,
     parse_kg,
     scc,
     tail_partition,
@@ -25,7 +23,7 @@ from kgtopos.linegraph import to_dot
 from kgtopos.randgen import random_hom, random_kg
 from kgtopos.verify import _line_map_keeps_edges
 
-from helpers import identity_hom
+from helpers import dense, identity_hom
 
 
 def brute_force_scc(g: Digraph) -> set[frozenset[int]]:
@@ -85,8 +83,8 @@ class TestLineConstruction:
     def test_matches_adjacency_matrix(self, seed):
         kg = random_kg(Random(seed), max_entities=10, max_triples=25)
         for build, matrix in (
-            (build_out_line, line_adjacency_out(kg)),
-            (build_in_line, line_adjacency_in(kg)),
+            (build_out_line, dense(kg, "adjacency-out")),
+            (build_in_line, dense(kg, "adjacency-in")),
         ):
             digraph = build(kg)
             for i in range(kg.triple_count):

@@ -17,11 +17,7 @@ from kgtopos import (
     KnowledgeGraph,
     SymmetryError,
     Triple,
-    gram_in,
-    gram_out,
     head_incidence,
-    line_adjacency_in,
-    line_adjacency_out,
     parse_kg,
     rank_exact,
     spectrum_formula,
@@ -31,6 +27,8 @@ from kgtopos import (
 )
 from kgtopos.cli import main
 from kgtopos.randgen import random_kg
+
+from helpers import dense
 
 TOL = 1e-9
 
@@ -76,7 +74,7 @@ class TestGoldenMatrices:
 
     def test_gram_out_is_blockwise_product(self, fan_kg):
         # Direct multiply of the head incidence with itself, by hand.
-        assert gram_out(fan_kg).to_rows() == [
+        assert dense(fan_kg, "gram-out").to_rows() == [
             [1, 1, 0, 0],
             [1, 1, 0, 0],
             [0, 0, 1, 1],
@@ -84,7 +82,7 @@ class TestGoldenMatrices:
         ]
 
     def test_line_adjacency_out(self, fan_kg):
-        assert line_adjacency_out(fan_kg).to_rows() == [
+        assert dense(fan_kg, "adjacency-out").to_rows() == [
             [0, 1, 0, 0],
             [1, 0, 0, 0],
             [0, 0, 0, 1],
@@ -106,8 +104,8 @@ class TestSmallCases:
         kg = parse_kg("A r B\n")
         assert head_incidence(kg).to_rows() == [[1], [0]]
         assert tail_incidence(kg).to_rows() == [[0], [1]]
-        assert gram_out(kg).to_rows() == [[1]]
-        assert line_adjacency_out(kg).to_rows() == [[0]]
+        assert dense(kg, "gram-out").to_rows() == [[1]]
+        assert dense(kg, "adjacency-out").to_rows() == [[0]]
 
     def test_reflexive_triple(self):
         kg = parse_kg("X r X\n")
@@ -117,7 +115,7 @@ class TestSmallCases:
     def test_three_triples_sharing_a_head(self):
         kg = parse_kg("A r1 B\nA r2 C\nA r3 D\n")
         expected = [[0, 1, 1], [1, 0, 1], [1, 1, 0]]  # J_3 - I_3
-        assert line_adjacency_out(kg).to_rows() == expected
+        assert dense(kg, "adjacency-out").to_rows() == expected
         assert spectrum_formula(kg) == [-1, -1, 2]
 
 
@@ -264,8 +262,8 @@ class TestFibreOperators:
             random_kg(Random(seed), max_entities=10, max_triples=25), isolated
         )
         for gram, adjacency, incidence in (
-            (gram_out(kg), line_adjacency_out(kg), head_incidence(kg)),
-            (gram_in(kg), line_adjacency_in(kg), tail_incidence(kg)),
+            (dense(kg, "gram-out"), dense(kg, "adjacency-out"), head_incidence(kg)),
+            (dense(kg, "gram-in"), dense(kg, "adjacency-in"), tail_incidence(kg)),
         ):
             product = incidence.transpose() @ incidence
             assert gram == product
@@ -347,15 +345,15 @@ class TestFibreOperators:
     def test_two_thousand_triples_within_budget(self):
         kg = seeded_multigraph()
         start = time.perf_counter()
-        built = [
-            build(kg)
-            for build in (gram_out, gram_in, line_adjacency_out, line_adjacency_in)
+        sums = [
+            sum(map(sum, mx.matrix_rows(kg, name)))
+            for name in ("gram-out", "gram-in", "adjacency-out", "adjacency-in")
         ]
         elapsed = time.perf_counter() - start
         assert elapsed < 3.0
         shared_heads = sum(len(f) ** 2 for f in kg.head_fibres.values())
         shared_tails = sum(len(f) ** 2 for f in kg.tail_fibres.values())
-        assert [sum(matrix.entries) for matrix in built] == [
+        assert sums == [
             shared_heads, shared_tails, shared_heads - 2000, shared_tails - 2000
         ]
 
@@ -508,8 +506,8 @@ class TestRank:
 class TestSpectrum:
     def test_fan_formula_vs_eigensolver(self, fan_kg):
         # Oracle: dense symmetric eigensolver on the out-line adjacency.
-        dense = np.array(line_adjacency_out(fan_kg).to_rows(), dtype=float)
-        oracle = sorted(np.linalg.eigvalsh(dense))
+        adjacency = np.array(list(mx.matrix_rows(fan_kg, "adjacency-out")), dtype=float)
+        oracle = sorted(np.linalg.eigvalsh(adjacency))
         assert spectrum_formula(fan_kg) == [-1, -1, 1, 1]
         assert max(abs(a - b) for a, b in zip([-1, -1, 1, 1], oracle)) < TOL
 
@@ -581,7 +579,7 @@ class TestInvariants:
     @given(st.integers(0, 10**9))
     def test_gram_symmetric_zero_one(self, seed):
         kg = random_kg(Random(seed), max_entities=10, max_triples=25)
-        for gram in (gram_out(kg), gram_in(kg)):
+        for gram in (dense(kg, "gram-out"), dense(kg, "gram-in")):
             assert gram == gram.transpose()
             assert set(gram.entries) <= {0, 1}
 
@@ -590,8 +588,8 @@ class TestInvariants:
     def test_line_adjacency_identity(self, seed):
         kg = random_kg(Random(seed), max_entities=10, max_triples=25)
         for adjacency, gram in (
-            (line_adjacency_out(kg), gram_out(kg)),
-            (line_adjacency_in(kg), gram_in(kg)),
+            (dense(kg, "adjacency-out"), dense(kg, "gram-out")),
+            (dense(kg, "adjacency-in"), dense(kg, "gram-in")),
         ):
             assert adjacency.to_rows() == [
                 [x - (i == j) for j, x in enumerate(row)]

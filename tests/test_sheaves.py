@@ -65,6 +65,7 @@ from kgtopos.sites import (
 )
 from kgtopos.verify import (
     _closed_sieves_by_scan,
+    _generator_order_case,
     _is_sheaf_by_scan,
     _plus_by_search,
     _sheafification_parts,
@@ -615,6 +616,21 @@ class TestIsSheaf:
         assert result.exit_code == 1
         assert result.stdout == (DATA / "layered_dag_undersized_check.json").read_text()
 
+    def test_witness_takes_generators_shortest_first(self):
+        # M(B) = {0.1, 2}: shortest first its generators run (2, 0.1), by
+        # key (0.1, 2).  b0 traces to (z0, x0), so (z0, x1) is the first
+        # family with no amalgamation shortest first, and (x0, z1) by key.
+        presheaf, site = _generator_order_case()
+        check = is_sheaf(presheaf, site)
+        assert check.counterexample == {
+            "object": "B",
+            "sieve": ["0.1", "2"],
+            "family": {"2": "z0", "0.1": "x1"},
+            "amalgamations": [],
+        }
+        assert list(check.counterexample["family"]) == ["2", "0.1"]
+        assert check == _is_sheaf_by_scan(presheaf, site)
+
 
 class TestNoReferenceCycles:
     @pytest.mark.parametrize(
@@ -626,7 +642,7 @@ class TestNoReferenceCycles:
             lambda site, p: is_sheaf(p, site),
             lambda site, p: global_sections(p),
             lambda site, p: enumerate_nat_transformations(
-                terminal_presheaf(site.category.kg), p, 4
+                terminal_presheaf(site.category.kg), p
             ),
         ],
         ids=["matching-families", "is-sheaf", "global-sections", "nat-transformations"],
@@ -1052,10 +1068,10 @@ class TestNatTransformations:
         with pytest.raises(NaturalityError):
             NatTransformation(fan_product_presheaf, fan_product_presheaf, components)
 
-    def test_cap_enforced(self, fan_cat):
-        big = constant_presheaf(fan_cat.kg, ("a", "b", "c", "d"))
+    def test_cap_enforced(self, fan_path_site):
+        big = constant_presheaf(fan_path_site.category.kg, ("a", "b", "c", "d"))
         with pytest.raises(SizeCapError):
-            enumerate_nat_transformations(big, big, section_cap=3)
+            check_adjunction(big, big, fan_path_site, section_cap=3)
 
 
 class TestAdjunction:
@@ -1183,20 +1199,14 @@ class TestOmega:
         for site in (fan_path_site, fan_atomic_site):
             one = terminal_presheaf(site.category.kg)
             classifier = omega(site)
-            cap = max(len(v) for v in classifier.sections.values())
-            homs = enumerate_nat_transformations(one, classifier, cap)
+            homs = enumerate_nat_transformations(one, classifier)
             assert count_subsheaves(one, site) == len(homs)
 
     def test_classifies_subsheaves_of_product_sheaf(
         self, fan_path_site, fan_product_presheaf
     ):
         classifier = omega(fan_path_site)
-        cap = max(
-            len(v)
-            for presheaf in (classifier, fan_product_presheaf)
-            for v in presheaf.sections.values()
-        )
-        homs = enumerate_nat_transformations(fan_product_presheaf, classifier, cap)
+        homs = enumerate_nat_transformations(fan_product_presheaf, classifier)
         assert count_subsheaves(fan_product_presheaf, fan_path_site) == len(homs)
 
 

@@ -68,6 +68,20 @@ def _sieve_test_drops_size_test(real):
     return planted
 
 
+def _generators_in_key_order(real):
+    # The witness walk takes a sieve's generators by path key instead of
+    # shortest first.  Only the first witness changes, and only where the
+    # two orders differ and more than one family fails: verify's
+    # generator-order case in suite.sheafification.
+    class KeyOrdered(sites.Sieve):
+        def sorted_members(self):
+            return tuple(self.in_key_order())
+
+    return lambda presheaf, sieve: real(
+        presheaf, KeyOrdered(sieve.obj, sieve.mask, sieve.index)
+    )
+
+
 def _rank_off_by_one(real):
     return lambda matrix: real(matrix) + 1
 
@@ -557,6 +571,13 @@ MUTANT_ROWS = [
         ["suite.sheafification", "suite.omega"],
         [],
     ),
+    (
+        [(sheaves, "_sheaf_for_sieve")],
+        _generators_in_key_order,
+        RANDOM_20,
+        ["suite.sheafification"],
+        ["suite.omega"],
+    ),
 ]
 MUTANT_IDS = [
     "rank-off-by-one",
@@ -587,6 +608,7 @@ MUTANT_IDS = [
     "free-category-drops-the-longest-path",
     "fibre-drops-its-last-index",
     "witness-sieve-test-drops-size-test",
+    "witness-generators-in-key-order",
 ]
 
 
