@@ -268,20 +268,20 @@ def _eliminate(
     return out
 
 
-def rank_exact(matrix: IntMatrix) -> int:
-    """Rank over the rationals by fraction-free elimination on sparse rows.
+def rank_exact(rows: Iterable[dict[int, int]]) -> int:
+    """Rank over the rationals, by fraction-free elimination, of the
+    matrix whose rows have these supports ({column: value} maps of their
+    nonzero entries, as `row_supports` gives them; they are not changed).
 
-    Rows are {column: value} maps of their nonzero entries. Each row is
-    reduced only against the pivot row of its leading column, as long as
-    that column has one; a row left nonzero becomes the pivot row of its
-    leading column. Pivot rows lead in distinct columns, so their number
-    is the rank. A row never touches a pivot whose column it is zero in,
-    so an incidence matrix (one nonzero per column) costs O(nnz).
+    Each row is reduced only against the pivot row of its leading column,
+    as long as that column has one; a row left nonzero becomes the pivot
+    row of its leading column. Pivot rows lead in distinct columns, so
+    their number is the rank. A row never touches a pivot whose column it
+    is zero in, so an incidence matrix (one nonzero per column) costs
+    O(nnz).
     """
-    cols, entries = matrix.cols, matrix.entries
-    rows = (entries[i * cols : (i + 1) * cols] for i in range(matrix.rows))
     pivots: dict[int, dict[int, int]] = {}
-    for row in row_supports(rows):
+    for row in rows:
         while row:
             lead = min(row)
             pivot_row = pivots.get(lead)
@@ -335,10 +335,11 @@ def _components(rows: Sequence[dict[int, int]]) -> list[list[int]]:
 
 
 def spectrum_numeric(
-    rows: Iterable[Sequence[int]], n: int, exact: Iterable[int]
+    supports: Sequence[dict[int, int]], n: int, exact: Iterable[int]
 ) -> SpectrumReport:
-    """Eigenvalues of a symmetric n x n matrix given by its rows, block
-    by block, matched against `exact`.
+    """Eigenvalues of a symmetric n x n matrix given by its row supports
+    (as `row_supports` gives them), block by block, matched against
+    `exact`.
 
     A symmetric matrix is a direct sum of its diagonal blocks on the
     connected components of its nonzero entries, so the eigenvalues of
@@ -350,7 +351,6 @@ def spectrum_numeric(
     """
     import numpy as np  # the eigensolver oracle alone needs numpy
 
-    supports = list(row_supports(rows))
     if len(supports) != n or not is_symmetric_support(supports):
         raise SymmetryError("spectrum_numeric requires a symmetric matrix")
     by_size: defaultdict[int, list[list[list[int]]]] = defaultdict(list)
@@ -379,7 +379,7 @@ def spectrum_report(kg: KnowledgeGraph, *, use_tails: bool = False) -> SpectrumR
     adjacency, read row by row from `matrix_rows`."""
     name = "adjacency-in" if use_tails else "adjacency-out"
     return spectrum_numeric(
-        matrix_rows(kg, name),
+        list(row_supports(matrix_rows(kg, name))),
         kg.triple_count,
         spectrum_formula(kg, use_tails=use_tails),
     )

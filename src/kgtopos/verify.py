@@ -17,10 +17,10 @@ of silently passing.
 from __future__ import annotations
 
 import time
-from collections import Counter
+from collections import defaultdict
 from dataclasses import dataclass, field
 from functools import cache, partial
-from itertools import chain, compress, groupby, zip_longest
+from itertools import chain, groupby, zip_longest
 from math import prod
 from random import Random
 
@@ -90,6 +90,9 @@ from .sites import (
 SPECTRUM_TOLERANCE = 1e-9
 # Site and sheaf checks on one graph run only on categories this small.
 SITE_CHECK_MORPHISM_LIMIT = 40
+# The incidence checks' dense IntMatrix cross-check runs only on graphs
+# with at most this many triples.
+DENSE_CHECK_TRIPLE_LIMIT = 8
 
 
 @dataclass(frozen=True)
@@ -162,32 +165,100 @@ def check_roundtrip(kg: KnowledgeGraph) -> list[str]:
     return [] if reparsed == kg else ["serialization round trip changed the graph"]
 
 
+# --- incidence and line checks ----------------------------------------
+# Each check reads the matrices of mx.MATRICES through `read`, one
+# graph's reading (see _reader), and compares those row supports with an
+# oracle built from the triples at O(m + sum of |fibre|^2) cost. On
+# graphs within DENSE_CHECK_TRIPLE_LIMIT, column_sums and gram also
+# compare them with the dense IntMatrix route.
+
+Supports = list[dict[int, int]]
+
+
+def _read_supports(kg: KnowledgeGraph, name: str) -> Supports:
+    """The row supports of kg's named matrix, from matrix_rows in one
+    pass. A row that is not m entries wide raises ValueError: supports
+    alone cannot show a missing or extra zero."""
+    m = kg.triple_count
+
+    def checked(rows):
+        for i, row in enumerate(rows):
+            if len(row) != m:
+                raise ValueError(f"row {i} of {name} has {len(row)} entries, not {m}")
+            yield row
+
+    return list(mx.row_supports(checked(mx.matrix_rows(kg, name))))
+
+
+def _reader(kg: KnowledgeGraph):
+    """read(name) -> the row supports of kg's named matrix, read on the
+    first call and kept by this reader alone. graph_checks and each
+    suite case make one, so a reading lives no longer than its checks,
+    and a check calls it inside its body, where _run sees a fault."""
+    return cache(partial(_read_supports, kg))
+
+
 def _column_sums(matrix: mx.IntMatrix) -> list[int]:
     entries, cols = matrix.entries, matrix.cols
     return [sum(entries[j::cols]) for j in range(cols)]
 
 
-def check_column_sums(kg: KnowledgeGraph) -> list[str]:
-    """Every column of each incidence matrix sums to 1; one matrix is
-    alive at a time."""
-    return [
-        f"{name} incidence column {j} sums to {total}"
-        for name, incidence in (("head", mx.head_incidence), ("tail", mx.tail_incidence))
-        for j, total in enumerate(_column_sums(incidence(kg)))
-        if total != 1
-    ]
+def _column_totals(supports: Supports, m: int) -> list[int]:
+    totals = [0] * m
+    for support in supports:
+        for j, x in support.items():
+            totals[j] += x
+    return totals
 
 
-def check_gram(kg: KnowledgeGraph) -> list[str]:
-    """The grams' rows against the paper's identity H^T H, by the product
-    computed row by row, plus their shape: symmetric, 0/1, unit diagonal."""
+def check_column_sums(kg: KnowledgeGraph, read=None) -> list[str]:
+    """Every column of each incidence matrix sums to 1, summed over its
+    row supports and, within the dense gate, over the IntMatrix."""
+    read = read or _reader(kg)
+    m = kg.triple_count
+    failures: dict[str, None] = {}
+    for name, incidence in (("head", mx.head_incidence), ("tail", mx.tail_incidence)):
+        routes = [_column_totals(read(name), m)]
+        if m <= DENSE_CHECK_TRIPLE_LIMIT:
+            routes.append(_column_sums(incidence(kg)))
+        failures.update(
+            (f"{name} incidence column {j} sums to {total}", None)
+            for totals in routes
+            for j, total in enumerate(totals)
+            if total != 1
+        )
+    return list(failures)
+
+
+def _gram_of_supports(rows: Supports, width: int) -> Supports:
+    """Oracle for a gram's row supports: H^T H as the sum of h h^T over
+    the supports h of H's rows, O(sum of |h|^2), zero entries dropped."""
+    gram: Supports = [{} for _ in range(width)]
+    for h in rows:
+        for j, x in h.items():
+            row = gram[j]
+            for k, y in h.items():
+                row[k] = row.get(k, 0) + x * y
+    return [{k: x for k, x in row.items() if x} for row in gram]
+
+
+def check_gram(kg: KnowledgeGraph, read=None) -> list[str]:
+    """The grams' rows against the paper's identity H^T H, summed over
+    the incidence rows' supports and, within the dense gate, computed by
+    IntMatrix.gram_rows; plus their shape: symmetric, 0/1, unit diagonal."""
+    read = read or _reader(kg)
+    m = kg.triple_count
     failures = []
-    for name, incidence in (("out", mx.head_incidence), ("in", mx.tail_incidence)):
-        gram = f"gram-{name}"
-        pairs = zip_longest(mx.matrix_rows(kg, gram), incidence(kg).gram_rows())
-        if any(row != expected for row, expected in pairs):
+    for name, end, incidence in (
+        ("out", "head", mx.head_incidence),
+        ("in", "tail", mx.tail_incidence),
+    ):
+        supports = read(f"gram-{name}")
+        if supports != _gram_of_supports(read(end), m) or (
+            m <= DENSE_CHECK_TRIPLE_LIMIT
+            and list(mx.row_supports(incidence(kg).gram_rows())) != supports
+        ):
             failures.append(f"gram_{name} differs from H^T H")
-        supports = list(mx.row_supports(mx.matrix_rows(kg, gram)))
         if not mx.is_symmetric_support(supports):
             failures.append(f"gram_{name} is not symmetric")
         if not set(chain.from_iterable(map(dict.values, supports))) <= {1}:
@@ -198,60 +269,50 @@ def check_gram(kg: KnowledgeGraph) -> list[str]:
 
 
 def _line_row_oracle(key: tuple[str, ...]):
-    """A test of row i of a line adjacency against its definition from the
-    triples' heads (or tails) `key`: the indicator of {j != i : key[j] ==
-    key[i]}. The row's nonzeros must all be 1, avoid i and share key[i],
-    and there must be as many of them as that set has members."""
-    m, counts, columns = len(key), Counter(key), tuple(range(len(key)))
+    """A test of row i's support in a line adjacency against its
+    definition from the triples' heads (or tails) `key`: the indicator
+    of {j != i : key[j] == key[i]}, with the triples grouped by key here."""
+    groups: defaultdict[str, set[int]] = defaultdict(set)
+    for j, end in enumerate(key):
+        groups[end].add(j)
 
-    def is_line_row(i: int, row: list[int]) -> bool:
-        if i >= m or len(row) != m:
-            return False
-        nonzero = list(compress(columns, row))
-        own = key[i]
-        return (
-            len(nonzero) == counts[own] - 1
-            and i not in nonzero
-            and set(map(row.__getitem__, nonzero)) <= {1}
-            and set(map(key.__getitem__, nonzero)) <= {own}
-        )
+    def is_line_row(i: int, support: dict[int, int]) -> bool:
+        return support == dict.fromkeys(groups[key[i]] - {i}, 1)
 
     return is_line_row
 
 
-def check_line_operator_identity(kg: KnowledgeGraph) -> list[str]:
+def _less_identity(i: int, support: dict[int, int]) -> dict[int, int]:
+    """The support of row i of a matrix less the identity."""
+    row = dict(support)
+    x = row.pop(i, 0) - 1
+    if x:
+        row[i] = x
+    return row
+
+
+def check_line_operator_identity(kg: KnowledgeGraph, read=None) -> list[str]:
     """Each line-adjacency row against its definition from the triples,
     and against its gram row with the diagonal entry decremented."""
+    read = read or _reader(kg)
     failures = []
     for name, key in (("out", kg.heads), ("in", kg.tails)):
-        rows = zip_longest(
-            mx.matrix_rows(kg, f"adjacency-{name}"),
-            mx.matrix_rows(kg, f"gram-{name}"),
-            fillvalue=(),
-        )
+        adjacency, gram = read(f"adjacency-{name}"), read(f"gram-{name}")
         is_line_row = _line_row_oracle(key)
-        direct = identity = True
-        for i, (row, gram_row) in enumerate(rows):
-            direct = direct and is_line_row(i, row)
-            if identity:
-                shifted = list(gram_row)
-                if i < len(shifted):
-                    shifted[i] -= 1
-                identity = shifted == row
-        if not direct:
+        if len(adjacency) != len(key) or not all(
+            map(is_line_row, range(len(key)), adjacency)
+        ):
             failures.append(f"line adjacency ({name}) differs from direct recomputation")
-        if not identity:
+        if adjacency != list(map(_less_identity, range(len(gram)), gram)):
             failures.append(f"line adjacency ({name}) != gram - identity")
     return failures
 
 
-def check_rank(kg: KnowledgeGraph) -> list[str]:
+def check_rank(kg: KnowledgeGraph, read=None) -> list[str]:
+    read = read or _reader(kg)
     failures = []
-    for name, incidence, ends in (
-        ("head", mx.head_incidence, kg.heads),
-        ("tail", mx.tail_incidence, kg.tails),
-    ):
-        got, want = mx.rank_exact(incidence(kg)), len(set(ends))
+    for name, ends in (("head", kg.heads), ("tail", kg.tails)):
+        got, want = mx.rank_exact(read(name)), len(set(ends))
         if got != want:
             failures.append(f"rank of {name} incidence {got} != distinct {name}s {want}")
     return failures
@@ -292,7 +353,8 @@ def check_rank_against_bareiss(rng: Random) -> list[str]:
     matrix = mx.IntMatrix(
         rows, cols, tuple(rng.randint(-3, 3) for _ in range(rows * cols))
     )
-    got, expected = mx.rank_exact(matrix), _rank_bareiss(matrix)
+    got = mx.rank_exact(mx.row_supports(matrix.to_rows()))
+    expected = _rank_bareiss(matrix)
     if got != expected:
         return [
             f"rank_exact {got} != Bareiss rank {expected} on a {rows}x{cols} matrix"
@@ -300,12 +362,18 @@ def check_rank_against_bareiss(rng: Random) -> list[str]:
     return []
 
 
-def check_spectrum(kg: KnowledgeGraph) -> list[str]:
+def check_spectrum(kg: KnowledgeGraph, read=None) -> list[str]:
+    """Each line adjacency's eigenvalues, blockwise from its row
+    supports, against the fibre formula."""
+    read = read or _reader(kg)
     failures = []
-    for use_tails in (False, True):
-        report = mx.spectrum_report(kg, use_tails=use_tails)
+    for side, use_tails in (("out", False), ("in", True)):
+        report = mx.spectrum_numeric(
+            read(f"adjacency-{side}"),
+            kg.triple_count,
+            mx.spectrum_formula(kg, use_tails=use_tails),
+        )
         if report.max_deviation >= SPECTRUM_TOLERANCE:
-            side = "in" if use_tails else "out"
             failures.append(
                 f"spectrum ({side}) deviation {report.max_deviation:.3e} "
                 f">= {SPECTRUM_TOLERANCE}"
@@ -313,15 +381,22 @@ def check_spectrum(kg: KnowledgeGraph) -> list[str]:
     return failures
 
 
-def check_line_digraph_consistency(kg: KnowledgeGraph) -> list[str]:
+def check_scc_theorem(kg: KnowledgeGraph, read=None) -> list[str]:
+    """linegraph.verify_scc_theorem, which reads no matrix."""
+    return lg.verify_scc_theorem(kg)
+
+
+def check_line_digraph_consistency(kg: KnowledgeGraph, read=None) -> list[str]:
+    """Each line digraph's out-neighbours against the 1s of its matrix
+    row, row by row; supports list their columns in increasing order."""
+    read = read or _reader(kg)
     failures = []
-    columns = tuple(range(kg.triple_count))
     for name, build in (("out", lg.build_out_line), ("in", lg.build_in_line)):
         rows = zip_longest(
-            build(kg).adjacency, mx.matrix_rows(kg, f"adjacency-{name}"), fillvalue=()
+            build(kg).adjacency, read(f"adjacency-{name}"), fillvalue={}
         )
-        for i, (neighbours, row) in enumerate(rows):
-            ones = tuple(j for j in compress(columns, row) if row[j] == 1)
+        for i, (neighbours, support) in enumerate(rows):
+            ones = tuple(j for j, x in support.items() if x == 1)
             if neighbours != ones:
                 failures.append(f"{name}-line digraph row {i} differs from matrix")
     return failures
@@ -360,7 +435,7 @@ _INCIDENCE_LINE_CHECKS = {
     "incidence.line_operator_identity": check_line_operator_identity,
     "incidence.rank": check_rank,
     "incidence.spectrum": check_spectrum,
-    "line.scc_theorem": lg.verify_scc_theorem,
+    "line.scc_theorem": check_scc_theorem,
     "line.matrix_consistency": check_line_digraph_consistency,
 }
 
@@ -712,8 +787,9 @@ def suite_incidence_line(
     def run_case(case: int, failures: list[str]) -> None:
         failures.extend(check_rank_against_bareiss(_case_rng("rank", seed, case)))
         kg = random_kg(_case_rng("incidence", seed, case), max_entities, max_triples)
+        read = _reader(kg)
         for check in _INCIDENCE_LINE_CHECKS.values():
-            failures.extend(check(kg))
+            failures.extend(check(kg, read))
         # One matrix's row texts per case, rotating through the matrices
         # and then the separators.
         names = tuple(mx.MATRICES)
@@ -1014,9 +1090,12 @@ def graph_checks(
 ) -> list[CheckResult]:
     """Every applicable structural check on one graph, size-gated."""
     results = [_run("kg.roundtrip", partial(check_roundtrip, kg))]
+    read = _reader(kg)
     results += [
-        _run(name, partial(check, kg)) for name, check in _INCIDENCE_LINE_CHECKS.items()
+        _run(name, partial(check, kg, read))
+        for name, check in _INCIDENCE_LINE_CHECKS.items()
     ]
+    read.cache_clear()  # the reading is not kept while the category is built
     try:
         cat = build_free_category(kg, max_path_length)
         reason = None if cat.complete else "hom-sets truncated by the length bound"

@@ -33,6 +33,12 @@ from helpers import dense
 TOL = 1e-9
 
 
+def supports(matrix):
+    """The row supports of an IntMatrix, the input of rank_exact and
+    spectrum_numeric."""
+    return list(mx.row_supports(matrix.to_rows()))
+
+
 def rank_over_q(rows):
     """Independent oracle: plain Gaussian elimination with Fractions."""
     matrix = [[Fraction(x) for x in row] for row in rows]
@@ -327,18 +333,18 @@ class TestFibreOperators:
     @pytest.mark.parametrize(
         "row, expected",
         [
-            ([0, 1, 1, 0, 0], True),
-            ([0, 1, 0, 0, 0], False),  # a member of the fibre is missing
-            ([1, 1, 0, 0, 0], False),  # right count, but on the diagonal
-            ([0, 1, 2, 0, 0], False),  # an entry is not 1
-            ([0, 1, 0, 1, 0], False),  # right count, but across fibres
-            ([0, 1, 1, 0, 0, 0], False),  # one column too many
+            ({1: 1, 2: 1}, True),
+            ({1: 1}, False),  # a member of the fibre is missing
+            ({0: 1, 1: 1}, False),  # right count, but on the diagonal
+            ({1: 1, 2: 2}, False),  # an entry is not 1
+            ({1: 1, 3: 1}, False),  # right count, but across fibres
+            ({1: 1, 2: 1, 5: 1}, False),  # a column past the last triple
         ],
         ids=["right", "short", "diagonal", "not-one", "across", "too-wide"],
     )
     def test_line_row_oracle(self, row, expected):
-        # Row 0 of the out-line adjacency when triples 0, 1 and 2 share
-        # a head and 3 and 4 share another.
+        # Row 0's support in the out-line adjacency when triples 0, 1
+        # and 2 share a head and 3 and 4 share another.
         is_line_row = verify._line_row_oracle(("A", "A", "A", "B", "B"))
         assert is_line_row(0, row) is expected
 
@@ -414,8 +420,9 @@ def test_five_thousand_triples_under_five_seconds(tmp_path, command, options):
 
 
 class TestVerifyBudget:
-    """`verify`'s graph checks at m = 2000. The incidence and line oracles
-    read the matrices row by row, so no check holds an m x m structure."""
+    """`verify`'s graph checks at m = 2000 and m = 5000. The incidence and
+    line checks read each matrix once, as row supports, so no check holds
+    a dense row of the incidence matrices or an m x m structure."""
 
     def test_two_thousand_triples_under_five_seconds(self):
         kg = seeded_multigraph()
@@ -424,10 +431,19 @@ class TestVerifyBudget:
         assert time.perf_counter() - start < 5.0
         assert {r.status for r in results} == {"pass", "skipped"}
 
+    def test_five_thousand_triples_under_three_seconds(self):
+        kg = seeded_multigraph(5000, 1700)
+        start = time.perf_counter()
+        results = verify.graph_checks(kg, 1)
+        assert time.perf_counter() - start < 3.0
+        assert {r.status for r in results} <= {"pass", "skipped"}
+
     def test_two_thousand_triples_peak_memory(self):
-        # One dense 2000 x 2000 matrix is a 4 M-slot tuple, 32 MB. The
-        # largest structure left is one 700 x 2000 incidence matrix; the
-        # peak measured 14.3 MB (Python 3.11).
+        # One dense 2000 x 2000 matrix is a 4 M-slot tuple, 32 MB, and one
+        # 700 x 2000 incidence IntMatrix 11 MB. The largest structures
+        # left are one reading's row supports, a dict per row of each
+        # matrix, dropped before the free category is built; the peak
+        # measured 3.6 MB (Python 3.11).
         kg = seeded_multigraph()
         tracemalloc.start()
         try:
@@ -435,26 +451,56 @@ class TestVerifyBudget:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 20_000_000
+        assert peak < 8_000_000
+
+    def test_no_dense_matrix_above_the_gate(self, monkeypatch):
+        # Above DENSE_CHECK_TRIPLE_LIMIT triples the incidence and line
+        # checks read row supports alone; at or below it they also build
+        # the two incidence IntMatrix (column_sums and gram each).
+        built = []
+        real = IntMatrix.__post_init__
+        monkeypatch.setattr(
+            IntMatrix, "__post_init__", lambda self: built.append(self) or real(self)
+        )
+        for m, expected in ((verify.DENSE_CHECK_TRIPLE_LIMIT + 1, 0),
+                            (verify.DENSE_CHECK_TRIPLE_LIMIT, 4)):
+            built.clear()
+            kg = seeded_multigraph(m, 6)
+            read = verify._reader(kg)
+            for name, check in verify._INCIDENCE_LINE_CHECKS.items():
+                assert check(kg, read) == [], name
+            assert len(built) == expected
+
+
+class TestGramOracle:
+    @settings(max_examples=200, deadline=None)
+    @given(integer_matrices())
+    @example(IntMatrix(3, 2, (1, 1, 2, -1, 0, 3)))
+    def test_sparse_gram_equals_dense_gram_rows(self, a):
+        # Signed entries, columns with several nonzeros, zero rows and
+        # columns, and sums that cancel to 0.
+        assert verify._gram_of_supports(supports(a), a.cols) == list(
+            mx.row_supports(a.gram_rows())
+        )
 
 
 class TestRank:
     def test_fan_head_rank(self, fan_kg):
         # Elimination by hand leaves two independent rows (A and D).
-        assert rank_exact(head_incidence(fan_kg)) == 2
+        assert rank_exact(supports(head_incidence(fan_kg))) == 2
 
     def test_full_rank_when_every_entity_heads(self):
         lines = [f"e{i} r e{(i + 1) % 5}" for i in range(5)]
         kg = parse_kg("\n".join(lines) + "\n")
         assert kg.entity_count == 5
-        assert rank_exact(head_incidence(kg)) == 5
+        assert rank_exact(supports(head_incidence(kg))) == 5
 
     def test_zero_matrix(self):
-        assert rank_exact(IntMatrix.zeros(3, 4)) == 0
+        assert rank_exact(supports(IntMatrix.zeros(3, 4))) == 0
 
     def test_signed_entries(self):
         m = IntMatrix.from_rows([[2, -1, 3], [-4, 2, -6], [1, 1, 1]])
-        assert rank_exact(m) == rank_over_q(m.to_rows()) == 2
+        assert rank_exact(supports(m)) == rank_over_q(m.to_rows()) == 2
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 10**9))
@@ -467,14 +513,14 @@ class TestRank:
         for _ in range(rng.randint(0, 5)):
             rows.append([rng.randint(-3, 3) for _ in range(width)])
         m = IntMatrix.from_rows(rows)
-        assert rank_exact(m) == rank_over_q(rows)
+        assert rank_exact(supports(m)) == rank_over_q(rows)
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 10**9))
     def test_incidence_rank_counts_heads(self, seed):
         kg = random_kg(Random(seed), max_entities=10, max_triples=25)
-        assert rank_exact(head_incidence(kg)) == len(set(kg.heads))
-        assert rank_exact(tail_incidence(kg)) == len(set(kg.tails))
+        assert rank_exact(supports(head_incidence(kg))) == len(set(kg.heads))
+        assert rank_exact(supports(tail_incidence(kg))) == len(set(kg.tails))
 
     @settings(max_examples=200, deadline=None)
     @given(integer_matrices())
@@ -483,7 +529,7 @@ class TestRank:
     @example(IntMatrix.zeros(0, 0))
     def test_sparse_elimination_against_bareiss_and_fractions(self, matrix):
         expected = rank_over_q(matrix.to_rows())
-        assert rank_exact(matrix) == verify._rank_bareiss(matrix) == expected
+        assert rank_exact(supports(matrix)) == verify._rank_bareiss(matrix) == expected
 
     def test_two_thousand_triples_rank_within_budget(self):
         # One nonzero per column: elimination never reduces a row, O(nnz).
@@ -498,7 +544,7 @@ class TestRank:
         rng = Random(100)
         matrix = IntMatrix(100, 100, tuple(rng.choice((-1, 1)) for _ in range(10_000)))
         start = time.perf_counter()
-        rank = rank_exact(matrix)
+        rank = rank_exact(supports(matrix))
         assert time.perf_counter() - start < 2.0
         assert rank == verify._rank_bareiss(matrix)
 
@@ -517,7 +563,7 @@ class TestSpectrum:
         # Oracle: one eigvalsh call on the whole matrix.
         dense = np.array(a.to_rows(), dtype=float).reshape(a.rows, a.cols)
         oracle = sorted(np.linalg.eigvalsh(dense))
-        numeric = spectrum_numeric(a.to_rows(), a.cols, [0] * a.rows).numeric_eigenvalues
+        numeric = spectrum_numeric(supports(a), a.cols, [0] * a.rows).numeric_eigenvalues
         assert len(numeric) == len(oracle)
         assert all(abs(x - y) < TOL for x, y in zip(numeric, oracle))
 
@@ -533,13 +579,13 @@ class TestSpectrum:
         assert report.max_deviation < TOL
 
     def test_single_vertex_zero_matrix(self):
-        report = spectrum_numeric([[0]], 1, [0])
+        report = spectrum_numeric([{}], 1, [0])
         assert report.numeric_eigenvalues == (0.0,)
         assert report.max_deviation == 0.0
 
     def test_non_symmetric_rejected(self):
         with pytest.raises(SymmetryError):
-            spectrum_numeric([[0, 1], [0, 0]], 2, [0, 0])
+            spectrum_numeric([{1: 1}, {}], 2, [0, 0])
 
     def test_tail_side_analog(self, fan_kg):
         report = spectrum_report(fan_kg, use_tails=True)
@@ -562,7 +608,7 @@ class TestSpectrum:
         dense = np.array(rows, dtype=float)
         exact = [int(round(x)) for x in sorted(np.linalg.eigvalsh(dense))]
         start = time.perf_counter()
-        spectrum_numeric(rows, 200, exact)
+        spectrum_numeric(list(mx.row_supports(rows)), 200, exact)
         assert time.perf_counter() - start < 1.0
 
 

@@ -18,6 +18,8 @@ from kgtopos.cli import main
 FAN = str(Path(__file__).parent / "data" / "fan.txt")
 # A r1 B, A r2 C, A r3 D, E r4 B: one head fibre of three triples.
 THREE_TRIPLE_FIBRE = str(Path(__file__).parent / "data" / "three_triple_fibre.txt")
+# The 2x4 layered DAG: 12 triples, above verify.DENSE_CHECK_TRIPLE_LIMIT.
+LAYERED_DAG = str(Path(__file__).parent / "data" / "layered_dag.txt")
 
 
 def _drops_the_last_triple(real):
@@ -83,15 +85,12 @@ def _generators_in_key_order(real):
 
 
 def _rank_off_by_one(real):
-    return lambda matrix: real(matrix) + 1
+    return lambda rows: real(rows) + 1
 
 
 def _nonzero_rows(real):
     # Right on every incidence matrix, whose nonzero rows are independent.
-    return lambda matrix: sum(
-        any(matrix.entries[i * matrix.cols : (i + 1) * matrix.cols])
-        for i in range(matrix.rows)
-    )
+    return lambda rows: sum(1 for support in rows if support)
 
 
 def _drop_one_eigenvalue(real):
@@ -240,18 +239,27 @@ def _large_fibre_row_misses_its_first(real):
     return planted
 
 
-def _column_one_in_a_second_row(real):
+def _copy_column_one(rows):
     # Column 0's 1 is written into the next entity's row as well.
-    def planted(fibres, m):
-        matrix = real(fibres, m)
-        if m == 0 or matrix.rows < 2:
-            return matrix
-        rows = matrix.to_rows()
+    if rows and rows[0]:
         k = next(k for k, row in enumerate(rows) if row[0])
         rows[(k + 1) % len(rows)][0] = 1
-        return mx.IntMatrix.from_rows(rows)
+    return rows
+
+
+def _column_one_in_a_second_row(real):
+    # In the dense IntMatrix, which only the cross-check within the gate
+    # builds.
+    def planted(fibres, m):
+        matrix = real(fibres, m)
+        return mx.IntMatrix.from_rows(_copy_column_one(matrix.to_rows()))
 
     return planted
+
+
+def _column_one_in_a_second_row_of_the_rows(real):
+    # In the rows the reading consumes, and the IntMatrix built from them.
+    return lambda fibres, m: iter(_copy_column_one(list(real(fibres, m))))
 
 
 def _last_one_moves_right(real):
@@ -578,6 +586,22 @@ MUTANT_ROWS = [
         ["suite.sheafification"],
         ["suite.omega"],
     ),
+    (
+        [(mx, "_incidence_rows")],
+        _column_one_in_a_second_row_of_the_rows,
+        RANDOM_20,
+        ["incidence.column_sums", "incidence.gram", "suite.incidence_line"],
+        [],
+    ),
+    # Above the dense gate only the row supports are read.
+    (
+        [(mx, "_fibre_rows")],
+        _stray_line_edge_across_fibres,
+        [LAYERED_DAG],
+        ["incidence.spectrum", "incidence.line_operator_identity",
+         "line.matrix_consistency"],
+        ["incidence.gram"],
+    ),
 ]
 MUTANT_IDS = [
     "rank-off-by-one",
@@ -609,6 +633,8 @@ MUTANT_IDS = [
     "fibre-drops-its-last-index",
     "witness-sieve-test-drops-size-test",
     "witness-generators-in-key-order",
+    "column-one-in-a-second-incidence-row",
+    "stray-line-edge-above-the-dense-gate",
 ]
 
 
@@ -672,3 +698,17 @@ def test_path_pullback_comparison_catches_a_short_pull_table(monkeypatch):
         "pullback of {0} on B along 0 differs from the path pullback",
         "pullback of {1} on B along 1 differs from the path pullback",
     ]
+
+
+def test_dense_cross_check_runs_within_the_gate_alone(monkeypatch):
+    # A fault in the dense IntMatrix alone: the fan (4 triples) is within
+    # the gate, so the cross-check meets it; the layered DAG (12 triples)
+    # is not, and its row supports are right.
+    monkeypatch.setattr(mx, "_incidence", _column_one_in_a_second_row(mx._incidence))
+    fan, dag = (parse_kg(Path(path).read_text()) for path in (FAN, LAYERED_DAG))
+    assert fan.triple_count <= verify.DENSE_CHECK_TRIPLE_LIMIT < dag.triple_count
+    assert verify.check_column_sums(fan) == [
+        "head incidence column 0 sums to 2",
+        "tail incidence column 0 sums to 2",
+    ]
+    assert verify.check_column_sums(dag) == []
