@@ -712,3 +712,44 @@ def test_dense_cross_check_runs_within_the_gate_alone(monkeypatch):
         "tail incidence column 0 sums to 2",
     ]
     assert verify.check_column_sums(dag) == []
+
+
+@pytest.mark.parametrize(
+    "name, resize, checks",
+    [
+        ("adjacency-out", lambda row: row + [0],
+         ["incidence.line_operator_identity", "incidence.spectrum",
+          "line.matrix_consistency"]),
+        ("head", lambda row: row[:-1],
+         ["incidence.column_sums", "incidence.gram", "incidence.rank"]),
+    ],
+    ids=["trailing-zero-added", "trailing-zero-dropped"],
+)
+def test_row_of_the_wrong_width_fails_the_checks_that_read_it(
+    monkeypatch, name, resize, checks
+):
+    # Row 0 gains or loses a trailing 0, which leaves its support as it
+    # was, so only the reading's width test can see it.  The layered DAG
+    # is above the dense gate, so no IntMatrix route runs beside it.
+    real = mx.matrix_rows
+
+    def planted(kg, matrix):
+        rows = list(real(kg, matrix))
+        if matrix == name:
+            assert rows[0][-1] == 0
+            rows[0] = resize(rows[0])
+        return iter(rows)
+
+    monkeypatch.setattr(mx, "matrix_rows", planted)
+    kg = parse_kg(Path(LAYERED_DAG).read_text())
+    m = kg.triple_count
+    width = len(resize([0] * m))
+    results = {r.name: r for r in verify.graph_checks(kg, 1)}
+    assert {
+        check: (results[check].status, results[check].detail) for check in checks
+    } == dict.fromkeys(
+        checks, ("fail", f"ValueError: row 0 of {name} has {width} entries, not {m}")
+    )
+    assert {r.status for n, r in results.items() if n not in checks} <= {
+        "pass", "skipped"
+    }
