@@ -37,7 +37,6 @@ from .matrices import (
     rank_exact,
     spectrum_formula,
     spectrum_numeric,
-    spectrum_report,
     tail_incidence,
 )
 from .linegraph import (

@@ -75,17 +75,6 @@ class IntMatrix:
             entries.extend(_combination(compress(zip(row, other_rows), row), k))
         return IntMatrix(self.rows, k, tuple(entries))
 
-    def gram_rows(self) -> Iterator[list[int]]:
-        """The rows of self^T self, one at a time: row i is the sum of
-        self[e][i] times row e of self. Column i is a stride slice of the
-        entries, so the transpose is never built."""
-        n, e = self.cols, self.entries
-        row_indices = tuple(range(self.rows))
-        for i in range(n):
-            column = e[i::n]
-            terms = compress(row_indices, column)
-            yield _combination(((column[r], e[r * n : (r + 1) * n]) for r in terms), n)
-
     def to_csv(self) -> str:
         """One row per line, comma-separated integers, trailing newline."""
         return "".join(",".join(map(repr, row)) + "\n" for row in self.to_rows())
@@ -98,18 +87,6 @@ def _combination(terms: Iterable[tuple[int, Sequence[int]]], width: int) -> list
         scaled = row if a == 1 else map(a.__mul__, row)
         acc = list(scaled) if acc is None else list(map(add, acc, scaled))
     return [0] * width if acc is None else acc
-
-
-def row_supports(rows: Iterable[Sequence[int]]) -> Iterator[dict[int, int]]:
-    """{column: entry} for the nonzero entries of each row, one row at a
-    time. `compress` picks the columns out of one shared tuple of column
-    indices, so no int is allocated per entry."""
-    columns: tuple[int, ...] = ()
-    for row in rows:
-        if len(row) > len(columns):
-            columns = tuple(range(len(row)))
-        nonzero = list(compress(columns, row))
-        yield dict(zip(nonzero, map(row.__getitem__, nonzero)))
 
 
 def is_symmetric_support(rows: Sequence[dict[int, int]]) -> bool:
@@ -126,18 +103,11 @@ def is_symmetric_support(rows: Sequence[dict[int, int]]) -> bool:
 Fibres = dict[str, tuple[int, ...]]
 
 
-def _indicator(fibre: tuple[int, ...], m: int) -> list[int]:
-    row = [0] * m
-    for j in fibre:
-        row[j] = 1
-    return row
-
-
-def _incidence_rows(fibres: Fibres, m: int) -> Iterator[list[int]]:
-    """Rows of an incidence matrix: row i is the indicator of the fibre
-    of entity i."""
+def _incidence_rows(fibres: Fibres) -> Iterator[dict[int, int]]:
+    """Row supports of an incidence matrix: row i is 1 on the fibre of
+    entity i."""
     for fibre in fibres.values():
-        yield _indicator(fibre, m)
+        yield dict.fromkeys(fibre, 1)
 
 
 def _holders(fibres: Fibres, m: int) -> list[tuple[int, ...]]:
@@ -149,23 +119,26 @@ def _holders(fibres: Fibres, m: int) -> list[tuple[int, ...]]:
     return holder
 
 
-def _fibre_rows(fibres: Fibres, m: int, diagonal: int) -> Iterator[list[int]]:
-    """Rows of an m x m fibre operator: row i is the indicator of the
-    fibre holding triple i, with entry i set to `diagonal`.
-
-    Each row costs O(m) for the row plus the size of its fibre, and only
-    one row is alive at a time.
-    """
+def _fibre_rows(fibres: Fibres, m: int, diagonal: int) -> Iterator[dict[int, int]]:
+    """Row supports of an m x m fibre operator: row i is 1 on the fibre
+    holding triple i, with entry i set to `diagonal` (and dropped when it
+    is 0). Each row costs the size of its fibre."""
     for i, fibre in enumerate(_holders(fibres, m)):
-        row = _indicator(fibre, m)
-        row[i] = diagonal
+        row = dict.fromkeys(fibre, 1)
+        if diagonal:
+            row[i] = diagonal
+        else:
+            del row[i]
         yield row
 
 
 def _incidence(fibres: Fibres, m: int) -> IntMatrix:
     """n x m matrix with entry (i, j) = 1 iff triple j is in entity i's fibre."""
-    rows = _incidence_rows(fibres, m)
-    return IntMatrix(len(fibres), m, tuple(chain.from_iterable(rows)))
+    entries = [0] * (len(fibres) * m)
+    for i, fibre in enumerate(fibres.values()):
+        for j in fibre:
+            entries[i * m + j] = 1
+    return IntMatrix(len(fibres), m, tuple(entries))
 
 
 # Matrix name -> (use tail fibres, diagonal); incidence matrices have none.
@@ -179,14 +152,16 @@ MATRICES = {
 }
 
 
-def matrix_rows(kg: KnowledgeGraph, name: str) -> Iterator[list[int]]:
-    """The rows of the named matrix ("head", "tail", "gram-out",
-    "gram-in", "adjacency-out" or "adjacency-in"), one at a time.  This
-    is the one source of the gram and line-adjacency rows."""
+def matrix_rows(kg: KnowledgeGraph, name: str) -> Iterator[dict[int, int]]:
+    """The row supports of the named matrix ("head", "tail", "gram-out",
+    "gram-in", "adjacency-out" or "adjacency-in"), one at a time: each
+    row as {column: entry} over its nonzero entries, columns in
+    increasing order.  This is the one source of matrix rows, built from
+    the fibres in O(m + sum of |fibre|^2)."""
     use_tails, diagonal = MATRICES[name]
     fibres = kg.tail_fibres if use_tails else kg.head_fibres
     if diagonal is None:
-        return _incidence_rows(fibres, kg.triple_count)
+        return _incidence_rows(fibres)
     return _fibre_rows(fibres, kg.triple_count, diagonal)
 
 
@@ -203,8 +178,7 @@ def _ones(zeros: bytes, columns: Iterable[int], stride: int) -> bytearray:
 
 def row_texts(kg: KnowledgeGraph, name: str, separator: str) -> Iterator[str]:
     """The rows of the named matrix as text, one string per row: the
-    entries of each row of `matrix_rows(kg, name)` joined by the ASCII
-    `separator`.
+    entries of each row, zeros included, joined by the ASCII `separator`.
 
     Every entry is one character, 0 or 1, so entry j sits at
     j * (len(separator) + 1) in a row's text, and a row is the all-zeros
@@ -271,7 +245,7 @@ def _eliminate(
 def rank_exact(rows: Iterable[dict[int, int]]) -> int:
     """Rank over the rationals, by fraction-free elimination, of the
     matrix whose rows have these supports ({column: value} maps of their
-    nonzero entries, as `row_supports` gives them; they are not changed).
+    nonzero entries, as `matrix_rows` yields them; they are not changed).
 
     Each row is reduced only against the pivot row of its leading column,
     as long as that column has one; a row left nonzero becomes the pivot
@@ -338,7 +312,7 @@ def spectrum_numeric(
     supports: Sequence[dict[int, int]], n: int, exact: Iterable[int]
 ) -> SpectrumReport:
     """Eigenvalues of a symmetric n x n matrix given by its row supports
-    (as `row_supports` gives them), block by block, matched against
+    (as `matrix_rows` yields them), block by block, matched against
     `exact`.
 
     A symmetric matrix is a direct sum of its diagonal blocks on the
@@ -372,14 +346,3 @@ def spectrum_numeric(
         (abs(a - b) for a, b in zip(exact_sorted, numeric)), default=0.0
     )
     return SpectrumReport(tuple(exact_sorted), tuple(numeric), deviation)
-
-
-def spectrum_report(kg: KnowledgeGraph, *, use_tails: bool = False) -> SpectrumReport:
-    """Formula-vs-eigensolver report for the out-line (or in-line)
-    adjacency, read row by row from `matrix_rows`."""
-    name = "adjacency-in" if use_tails else "adjacency-out"
-    return spectrum_numeric(
-        list(row_supports(matrix_rows(kg, name))),
-        kg.triple_count,
-        spectrum_formula(kg, use_tails=use_tails),
-    )

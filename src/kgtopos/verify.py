@@ -90,9 +90,6 @@ from .sites import (
 SPECTRUM_TOLERANCE = 1e-9
 # Site and sheaf checks on one graph run only on categories this small.
 SITE_CHECK_MORPHISM_LIMIT = 40
-# The incidence checks' dense IntMatrix cross-check runs only on graphs
-# with at most this many triples.
-DENSE_CHECK_TRIPLE_LIMIT = 8
 
 
 @dataclass(frozen=True)
@@ -168,26 +165,25 @@ def check_roundtrip(kg: KnowledgeGraph) -> list[str]:
 # --- incidence and line checks ----------------------------------------
 # Each check reads the matrices of mx.MATRICES through `read`, one
 # graph's reading (see _reader), and compares those row supports with an
-# oracle built from the triples at O(m + sum of |fibre|^2) cost. On
-# graphs within DENSE_CHECK_TRIPLE_LIMIT, column_sums and gram also
-# compare them with the dense IntMatrix route.
+# oracle built from the triples at O(m + sum of |fibre|^2) cost.
 
 Supports = list[dict[int, int]]
 
 
 def _read_supports(kg: KnowledgeGraph, name: str) -> Supports:
     """The row supports of kg's named matrix, from matrix_rows in one
-    pass. A row that is not m entries wide raises ValueError: supports
-    alone cannot show a missing or extra zero."""
+    pass. A column outside 0..m-1, or a row count other than n for an
+    incidence matrix and m for the others, raises ValueError: the
+    oracles index by column and by row."""
     m = kg.triple_count
-
-    def checked(rows):
-        for i, row in enumerate(rows):
-            if len(row) != m:
-                raise ValueError(f"row {i} of {name} has {len(row)} entries, not {m}")
-            yield row
-
-    return list(mx.row_supports(checked(mx.matrix_rows(kg, name))))
+    supports = list(mx.matrix_rows(kg, name))
+    for i, row in enumerate(supports):
+        if row and not (0 <= min(row) and max(row) < m):
+            raise ValueError(f"row {i} of {name} has a column outside 0..{m - 1}")
+    count = kg.entity_count if mx.MATRICES[name][1] is None else m
+    if len(supports) != count:
+        raise ValueError(f"{name} has {len(supports)} rows, not {count}")
+    return supports
 
 
 def _reader(kg: KnowledgeGraph):
@@ -196,11 +192,6 @@ def _reader(kg: KnowledgeGraph):
     suite case make one, so a reading lives no longer than its checks,
     and a check calls it inside its body, where _run sees a fault."""
     return cache(partial(_read_supports, kg))
-
-
-def _column_sums(matrix: mx.IntMatrix) -> list[int]:
-    entries, cols = matrix.entries, matrix.cols
-    return [sum(entries[j::cols]) for j in range(cols)]
 
 
 def _column_totals(supports: Supports, m: int) -> list[int]:
@@ -212,22 +203,14 @@ def _column_totals(supports: Supports, m: int) -> list[int]:
 
 
 def check_column_sums(kg: KnowledgeGraph, read=None) -> list[str]:
-    """Every column of each incidence matrix sums to 1, summed over its
-    row supports and, within the dense gate, over the IntMatrix."""
+    """Every column of each incidence matrix sums to 1 over its row supports."""
     read = read or _reader(kg)
-    m = kg.triple_count
-    failures: dict[str, None] = {}
-    for name, incidence in (("head", mx.head_incidence), ("tail", mx.tail_incidence)):
-        routes = [_column_totals(read(name), m)]
-        if m <= DENSE_CHECK_TRIPLE_LIMIT:
-            routes.append(_column_sums(incidence(kg)))
-        failures.update(
-            (f"{name} incidence column {j} sums to {total}", None)
-            for totals in routes
-            for j, total in enumerate(totals)
-            if total != 1
-        )
-    return list(failures)
+    return [
+        f"{name} incidence column {j} sums to {total}"
+        for name in ("head", "tail")
+        for j, total in enumerate(_column_totals(read(name), kg.triple_count))
+        if total != 1
+    ]
 
 
 def _gram_of_supports(rows: Supports, width: int) -> Supports:
@@ -244,20 +227,13 @@ def _gram_of_supports(rows: Supports, width: int) -> Supports:
 
 def check_gram(kg: KnowledgeGraph, read=None) -> list[str]:
     """The grams' rows against the paper's identity H^T H, summed over
-    the incidence rows' supports and, within the dense gate, computed by
-    IntMatrix.gram_rows; plus their shape: symmetric, 0/1, unit diagonal."""
+    the incidence rows' supports; plus their shape: symmetric, 0/1, unit
+    diagonal."""
     read = read or _reader(kg)
-    m = kg.triple_count
     failures = []
-    for name, end, incidence in (
-        ("out", "head", mx.head_incidence),
-        ("in", "tail", mx.tail_incidence),
-    ):
+    for name, end in (("out", "head"), ("in", "tail")):
         supports = read(f"gram-{name}")
-        if supports != _gram_of_supports(read(end), m) or (
-            m <= DENSE_CHECK_TRIPLE_LIMIT
-            and list(mx.row_supports(incidence(kg).gram_rows())) != supports
-        ):
+        if supports != _gram_of_supports(read(end), kg.triple_count):
             failures.append(f"gram_{name} differs from H^T H")
         if not mx.is_symmetric_support(supports):
             failures.append(f"gram_{name} is not symmetric")
@@ -345,6 +321,11 @@ def _rank_bareiss(matrix: mx.IntMatrix) -> int:
     return rank
 
 
+def row_supports(rows: list[list[int]]) -> Supports:
+    """{column: entry} for the nonzero entries of each dense row."""
+    return [{j: x for j, x in enumerate(row) if x} for row in rows]
+
+
 def check_rank_against_bareiss(rng: Random) -> list[str]:
     """rank_exact against Bareiss on one dense integer matrix of at most
     6 x 8 with entries in -3..3; incidence matrices alone cannot tell a
@@ -353,7 +334,7 @@ def check_rank_against_bareiss(rng: Random) -> list[str]:
     matrix = mx.IntMatrix(
         rows, cols, tuple(rng.randint(-3, 3) for _ in range(rows * cols))
     )
-    got = mx.rank_exact(mx.row_supports(matrix.to_rows()))
+    got = mx.rank_exact(row_supports(matrix.to_rows()))
     expected = _rank_bareiss(matrix)
     if got != expected:
         return [
@@ -406,19 +387,29 @@ def check_line_digraph_consistency(kg: KnowledgeGraph, read=None) -> list[str]:
 # --format json` passes at the depth of a matrix's entries.
 _ROW_SEPARATORS = (",", ",\n      ")
 # Entry -> its digit, byte for byte; entries past 255 or below 0 make
-# bytes() raise, which fails the check.
+# the bytearray raise, which fails the check.
 _DIGITS = bytes.maketrans(bytes(range(10)), b"0123456789")
 
 
-def check_row_texts(kg: KnowledgeGraph, name: str, separator: str) -> list[str]:
-    """The spliced row texts of one matrix against its rows from
-    `matrix_rows`, each row's entries rendered as digits and joined."""
+def _row_text(support: dict[int, int], m: int, separator: str) -> str:
+    """Row text oracle: the m entries of one row support, zeros filled
+    in, rendered as digits and joined by `separator`."""
+    row = bytearray(m)
+    for j, x in support.items():
+        row[j] = x
+    return separator.join(row.translate(_DIGITS).decode("ascii"))
+
+
+def check_row_texts(
+    kg: KnowledgeGraph, name: str, separator: str, read=None
+) -> list[str]:
+    """The spliced row texts of one matrix against its row supports,
+    each rendered entry by entry."""
+    read = read or _reader(kg)
+    m = kg.triple_count
     texts = zip_longest(
         mx.row_texts(kg, name, separator),
-        (
-            separator.join(bytes(row).translate(_DIGITS).decode("ascii"))
-            for row in mx.matrix_rows(kg, name)
-        ),
+        (_row_text(support, m, separator) for support in read(name)),
     )
     for i, (text, expected) in enumerate(texts):
         if text != expected:
@@ -794,7 +785,7 @@ def suite_incidence_line(
         # and then the separators.
         names = tuple(mx.MATRICES)
         separator = _ROW_SEPARATORS[case // len(names) % len(_ROW_SEPARATORS)]
-        failures.extend(check_row_texts(kg, names[case % len(names)], separator))
+        failures.extend(check_row_texts(kg, names[case % len(names)], separator, read))
 
     return _suite("suite.incidence_line", cases, run_case)
 

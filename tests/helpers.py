@@ -21,7 +21,19 @@ def swap_hom(kg):
     )
 
 
+def dense_rows(kg, name):
+    """The rows of kg's named matrix ("head", "gram-out", "adjacency-in",
+    ...) as dense lists of ints, zeros filled in around the row supports
+    that `matrix_rows` yields."""
+    rows = []
+    for support in matrix_rows(kg, name):
+        row = [0] * kg.triple_count
+        for j, x in support.items():
+            row[j] = x
+        rows.append(row)
+    return rows
+
+
 def dense(kg, name):
-    """The named matrix of kg ("head", "gram-out", "adjacency-in", ...) as
-    an IntMatrix, its rows read from `matrix_rows`."""
-    return IntMatrix.from_rows(list(matrix_rows(kg, name)))
+    """The named matrix of kg as an IntMatrix, its rows from `dense_rows`."""
+    return IntMatrix.from_rows(dense_rows(kg, name))

@@ -30,7 +30,7 @@ from kgtopos import (
 )
 from kgtopos.cli import main
 from kgtopos.linegraph import build_out_line
-from kgtopos.matrices import matrix_rows, row_texts
+from kgtopos.matrices import row_texts
 from kgtopos.verify import (
     suite_adjunction,
     suite_categories,
@@ -39,6 +39,8 @@ from kgtopos.verify import (
     suite_sheafification,
     suite_topologies,
 )
+
+from helpers import dense_rows
 
 DATA = Path(__file__).parent / "data"
 SEED = 42
@@ -96,7 +98,7 @@ def test_criterion_3_spectrum_cross_check():
     kg = parse_kg((DATA / "fan.txt").read_text())
     formula = spectrum_formula(kg)
     assert formula == [-1, -1, 1, 1]
-    adjacency = np.array(list(matrix_rows(kg, "adjacency-out")), dtype=float)
+    adjacency = np.array(dense_rows(kg, "adjacency-out"), dtype=float)
     numeric = sorted(np.linalg.eigvalsh(adjacency))
     assert max(abs(a - b) for a, b in zip(formula, numeric)) < TOL
 

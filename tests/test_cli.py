@@ -677,6 +677,30 @@ class TestVerify:
         ):
             assert run(args) == run(args)
 
+    def test_byte_identical_under_two_hash_seeds(self):
+        # The matrix rows are dicts, on the path to the printed matrices
+        # and to verify's checks: no output may depend on the hash seed.
+        src = str(Path(kgtopos.__file__).parents[1])
+
+        def run(args, hash_seed):
+            env = dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=hash_seed)
+            env.pop("KGTOPOS_SEED", None)
+            out = subprocess.run(
+                [sys.executable, "-m", "kgtopos", *args],
+                env=env,
+                capture_output=True,
+                timeout=120,
+                check=True,
+            ).stdout
+            return re.sub(rb"\(\d+\.\d+s\)", b"(s)", out)
+
+        for args in (
+            ["matrices", FAN, "--format", "json"],
+            ["line", FAN, "--format", "csv"],
+            ["verify", "--random", "--cases", "20", "--seed", "42"],
+        ):
+            assert run(args, "0") == run(args, "1"), args
+
     def test_gated_checks_report_skipped(self, runner, tmp_path):
         # Fourteen morphisms point into T, past the sieve cap: the site
         # and sheaf checks must say so instead of silently passing.
@@ -741,7 +765,7 @@ class TestVerify:
         def planted(fibres, m, diagonal):
             emptied = {fibre[-1] for fibre in fibres.values() if len(fibre) > 2}
             for i, row in enumerate(real(fibres, m, diagonal)):
-                yield [0] * m if i in emptied else row
+                yield {} if i in emptied else row
 
         monkeypatch.setattr(mx, "_fibre_rows", planted)
         monkeypatch.setattr(verify_module, "_run", collecting_run)

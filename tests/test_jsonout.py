@@ -28,7 +28,7 @@ from kgtopos.randgen import random_kg
 from kgtopos.sites import topology_to_dict
 from test_matrices import seeded_multigraph
 
-from helpers import dense
+from helpers import dense, dense_rows
 
 FAN = Path(__file__).parent / "data" / "fan.txt"
 
@@ -178,7 +178,7 @@ def expected_output(kg, command: list[str]) -> str:
     name, options = command[0], command[1:]
     if name == "matrices":
         if options == ["--format", "json"]:
-            return stdlib({n.replace("-", "_"): dense(kg, n).to_rows() for n in mx.MATRICES})
+            return stdlib({n.replace("-", "_"): dense_rows(kg, n) for n in mx.MATRICES})
         return "\n".join(f"# {n}\n" + dense(kg, n).to_csv() for n in mx.MATRICES)
     if name == "line":
         direction = options[options.index("--direction") + 1]
@@ -232,7 +232,7 @@ def test_cli_output_matches_materialised_document(graph_files, command, graph):
 def test_single_matrix_json_matches_rows(graph_files, name):
     for path in graph_files.values():
         argv = ["matrices", str(path), f"--{name}", "--format", "json"]
-        rows = dense(parse_kg(path.read_text()), name).to_rows()
+        rows = dense_rows(parse_kg(path.read_text()), name)
         assert CliRunner().invoke(main, argv).output == stdlib({name.replace("-", "_"): rows})
 
 

@@ -22,13 +22,12 @@ from kgtopos import (
     rank_exact,
     spectrum_formula,
     spectrum_numeric,
-    spectrum_report,
     tail_incidence,
 )
 from kgtopos.cli import main
 from kgtopos.randgen import random_kg
 
-from helpers import dense
+from helpers import dense, dense_rows
 
 TOL = 1e-9
 
@@ -36,7 +35,7 @@ TOL = 1e-9
 def supports(matrix):
     """The row supports of an IntMatrix, the input of rank_exact and
     spectrum_numeric."""
-    return list(mx.row_supports(matrix.to_rows()))
+    return verify.row_supports(matrix.to_rows())
 
 
 def rank_over_q(rows):
@@ -189,13 +188,6 @@ class TestMatmul:
         with pytest.raises(ValueError):
             IntMatrix.zeros(2, 3) @ IntMatrix.zeros(2, 3)
 
-    @settings(max_examples=150, deadline=None)
-    @given(signed_matrices())
-    @example(IntMatrix(0, 3, ()))
-    @example(IntMatrix(4, 0, ()))
-    def test_gram_rows_against_triple_loop(self, a):
-        assert list(a.gram_rows()) == naive_product(a.transpose(), a)
-
 
 class TestTranspose:
     @settings(max_examples=150, deadline=None)
@@ -215,7 +207,7 @@ class TestRowSupports:
     @settings(max_examples=150, deadline=None)
     @given(signed_matrices())
     def test_against_entry_definition(self, a):
-        supports = list(mx.row_supports(a.to_rows()))
+        supports = verify.row_supports(a.to_rows())
         assert supports == [
             {j: a.get(i, j) for j in range(a.cols) if a.get(i, j)}
             for i in range(a.rows)
@@ -288,7 +280,7 @@ class TestFibreOperators:
         )
         for name in mx.MATRICES:
             assert list(mx.row_texts(kg, name, separator)) == [
-                separator.join(map(str, row)) for row in mx.matrix_rows(kg, name)
+                separator.join(map(str, row)) for row in dense_rows(kg, name)
             ]
             assert verify.check_row_texts(kg, name, separator) == []
 
@@ -296,13 +288,14 @@ class TestFibreOperators:
         real = mx.matrix_rows
 
         def planted(kg, name):
-            # Flip entry (0, 2) of the out-gram and its mirror: the gram
-            # stays symmetric, 0/1 and unit-diagonal, so only the H^T H
-            # oracle can see it.
+            # Set entry (0, 2) of the out-gram and its mirror, both 0, to
+            # 1: the gram stays symmetric, 0/1 and unit-diagonal, so only
+            # the H^T H oracle can see it.
             rows = list(real(kg, name))
             if name == "gram-out":
                 for i, j in ((0, 2), (2, 0)):
-                    rows[i][j] ^= 1
+                    assert j not in rows[i]
+                    rows[i] = dict(sorted({**rows[i], j: 1}.items()))
             return iter(rows)
 
         monkeypatch.setattr(mx, "matrix_rows", planted)
@@ -316,10 +309,11 @@ class TestFibreOperators:
         real = mx.matrix_rows
 
         def planted(kg, name):
-            # Row 0 of the out-gram, [1, 1, 0, 0], becomes [2, 0, 0, 0].
+            # Row 0 of the out-gram, {0: 1, 1: 1}, becomes {0: 2}.
             rows = list(real(kg, name))
             if name == "gram-out":
-                rows[0][:2] = [2, 0]
+                assert rows[0] == {0: 1, 1: 1}
+                rows[0] = {0: 2}
             return iter(rows)
 
         monkeypatch.setattr(mx, "matrix_rows", planted)
@@ -352,7 +346,7 @@ class TestFibreOperators:
         kg = seeded_multigraph()
         start = time.perf_counter()
         sums = [
-            sum(map(sum, mx.matrix_rows(kg, name)))
+            sum(sum(row.values()) for row in mx.matrix_rows(kg, name))
             for name in ("gram-out", "gram-in", "adjacency-out", "adjacency-in")
         ]
         elapsed = time.perf_counter() - start
@@ -453,23 +447,27 @@ class TestVerifyBudget:
             tracemalloc.stop()
         assert peak < 8_000_000
 
-    def test_no_dense_matrix_above_the_gate(self, monkeypatch):
-        # Above DENSE_CHECK_TRIPLE_LIMIT triples the incidence and line
-        # checks read row supports alone; at or below it they also build
-        # the two incidence IntMatrix (column_sums and gram each).
+    def test_twenty_thousand_triples_under_three_seconds(self):
+        # The rows come as supports straight from the fibres, so the
+        # reading costs O(m + sum of |fibre|^2), not m entries per row.
+        kg = seeded_multigraph(20000, 6600)
+        start = time.perf_counter()
+        results = verify.graph_checks(kg, 1)
+        assert time.perf_counter() - start < 3.0
+        assert {r.status for r in results} <= {"pass", "skipped"}
+
+    @pytest.mark.parametrize("m", [8, 9])
+    def test_no_incidence_or_line_check_builds_a_dense_matrix(self, monkeypatch, m):
         built = []
         real = IntMatrix.__post_init__
         monkeypatch.setattr(
             IntMatrix, "__post_init__", lambda self: built.append(self) or real(self)
         )
-        for m, expected in ((verify.DENSE_CHECK_TRIPLE_LIMIT + 1, 0),
-                            (verify.DENSE_CHECK_TRIPLE_LIMIT, 4)):
-            built.clear()
-            kg = seeded_multigraph(m, 6)
-            read = verify._reader(kg)
-            for name, check in verify._INCIDENCE_LINE_CHECKS.items():
-                assert check(kg, read) == [], name
-            assert len(built) == expected
+        kg = seeded_multigraph(m, 6)
+        read = verify._reader(kg)
+        for name, check in verify._INCIDENCE_LINE_CHECKS.items():
+            assert check(kg, read) == [], name
+        assert built == []
 
 
 class TestGramOracle:
@@ -479,8 +477,8 @@ class TestGramOracle:
     def test_sparse_gram_equals_dense_gram_rows(self, a):
         # Signed entries, columns with several nonzeros, zero rows and
         # columns, and sums that cancel to 0.
-        assert verify._gram_of_supports(supports(a), a.cols) == list(
-            mx.row_supports(a.gram_rows())
+        assert verify._gram_of_supports(supports(a), a.cols) == verify.row_supports(
+            naive_product(a.transpose(), a)
         )
 
 
@@ -549,10 +547,21 @@ class TestRank:
         assert rank == verify._rank_bareiss(matrix)
 
 
+def line_spectrum(kg, *, use_tails=False):
+    """spectrum_numeric on kg's out-line (or in-line) adjacency, read
+    from `matrix_rows`, against the fibre formula."""
+    name = "adjacency-in" if use_tails else "adjacency-out"
+    return spectrum_numeric(
+        list(mx.matrix_rows(kg, name)),
+        kg.triple_count,
+        spectrum_formula(kg, use_tails=use_tails),
+    )
+
+
 class TestSpectrum:
     def test_fan_formula_vs_eigensolver(self, fan_kg):
         # Oracle: dense symmetric eigensolver on the out-line adjacency.
-        adjacency = np.array(list(mx.matrix_rows(fan_kg, "adjacency-out")), dtype=float)
+        adjacency = np.array(dense_rows(fan_kg, "adjacency-out"), dtype=float)
         oracle = sorted(np.linalg.eigvalsh(adjacency))
         assert spectrum_formula(fan_kg) == [-1, -1, 1, 1]
         assert max(abs(a - b) for a, b in zip([-1, -1, 1, 1], oracle)) < TOL
@@ -568,13 +577,13 @@ class TestSpectrum:
         assert all(abs(x - y) < TOL for x, y in zip(numeric, oracle))
 
     def test_report_on_fan(self, fan_kg):
-        report = spectrum_report(fan_kg)
+        report = line_spectrum(fan_kg)
         assert report.exact_eigenvalues == (-1, -1, 1, 1)
         assert report.max_deviation < TOL
 
     def test_shared_head_triangle(self):
         kg = parse_kg("A r1 B\nA r2 C\nA r3 D\n")
-        report = spectrum_report(kg)
+        report = line_spectrum(kg)
         assert report.exact_eigenvalues == (-1, -1, 2)
         assert report.max_deviation < TOL
 
@@ -588,7 +597,7 @@ class TestSpectrum:
             spectrum_numeric([{1: 1}, {}], 2, [0, 0])
 
     def test_tail_side_analog(self, fan_kg):
-        report = spectrum_report(fan_kg, use_tails=True)
+        report = line_spectrum(fan_kg, use_tails=True)
         assert report.exact_eigenvalues == (-1, -1, 1, 1)
         assert report.max_deviation < TOL
 
@@ -596,8 +605,8 @@ class TestSpectrum:
     @given(st.integers(0, 10**9))
     def test_random_graphs_match(self, seed):
         kg = random_kg(Random(seed), max_entities=12, max_triples=30)
-        assert spectrum_report(kg).max_deviation < TOL
-        assert spectrum_report(kg, use_tails=True).max_deviation < TOL
+        assert line_spectrum(kg).max_deviation < TOL
+        assert line_spectrum(kg, use_tails=True).max_deviation < TOL
 
     def test_two_hundred_square_under_a_second(self):
         rng = Random(0)
@@ -608,7 +617,7 @@ class TestSpectrum:
         dense = np.array(rows, dtype=float)
         exact = [int(round(x)) for x in sorted(np.linalg.eigvalsh(dense))]
         start = time.perf_counter()
-        spectrum_numeric(list(mx.row_supports(rows)), 200, exact)
+        spectrum_numeric(verify.row_supports(rows), 200, exact)
         assert time.perf_counter() - start < 1.0
 
 

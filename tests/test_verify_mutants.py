@@ -18,7 +18,7 @@ from kgtopos.cli import main
 FAN = str(Path(__file__).parent / "data" / "fan.txt")
 # A r1 B, A r2 C, A r3 D, E r4 B: one head fibre of three triples.
 THREE_TRIPLE_FIBRE = str(Path(__file__).parent / "data" / "three_triple_fibre.txt")
-# The 2x4 layered DAG: 12 triples, above verify.DENSE_CHECK_TRIPLE_LIMIT.
+# The 2x4 layered DAG: 12 triples.
 LAYERED_DAG = str(Path(__file__).parent / "data" / "layered_dag.txt")
 
 
@@ -182,13 +182,19 @@ def _merge_first_two_components(real):
     return merged
 
 
+def _with_one(support, j):
+    # The row support with a 1 at column j, columns kept in increasing
+    # order as matrix_rows lists them.
+    return dict(sorted({**support, j: 1}.items()))
+
+
 def _empty_a_row_of_large_fibres(real):
     # The fan's fibres hold two triples each, so only the random graphs
     # of suite.incidence_line see this.
     def planted(fibres, m, diagonal):
         emptied = {fibre[-1] for fibre in fibres.values() if len(fibre) > 2}
         for i, row in enumerate(real(fibres, m, diagonal)):
-            yield [0] * m if i in emptied else row
+            yield {} if i in emptied else row
 
     return planted
 
@@ -203,22 +209,23 @@ def _stray_line_edge_across_fibres(real):
             own = next(fibre for fibre in fibres.values() if 0 in fibre)
             j = next((j for j in range(m) if j not in own), None)
             if j is not None:
-                rows[0][j] = rows[j][0] = 1
+                rows[0], rows[j] = _with_one(rows[0], j), _with_one(rows[j], 0)
         yield from rows
 
     return planted
 
 
 def _move_a_row_entry(real):
-    # In the first line-adjacency row with a 1, that 1 moves to the first
-    # 0 off the diagonal, a triple in another fibre, so the row's count
-    # of 1s stays right.
+    # In the first line-adjacency row with a 1, its first 1 moves to the
+    # first 0 off the diagonal, a triple in another fibre, so the row's
+    # count of 1s stays right.
     def planted(fibres, m, diagonal):
         rows = list(real(fibres, m, diagonal))
         for i, row in enumerate(rows if diagonal == 0 else ()):
-            wrong = [j for j, x in enumerate(row) if x == 0 and j != i]
-            if 1 in row and wrong:
-                row[row.index(1)], row[wrong[0]] = 0, 1
+            wrong = [j for j in range(m) if j not in row and j != i]
+            if row and wrong:
+                del row[next(iter(row))]
+                rows[i] = _with_one(row, wrong[0])
                 break
         yield from rows
 
@@ -233,33 +240,23 @@ def _large_fibre_row_misses_its_first(real):
         middles = {fibre[1]: fibre[0] for fibre in fibres.values() if len(fibre) > 2}
         for i, row in enumerate(real(fibres, m, diagonal)):
             if i in middles:
-                row[middles[i]] = 0
+                del row[middles[i]]
             yield row
 
     return planted
 
 
-def _copy_column_one(rows):
-    # Column 0's 1 is written into the next entity's row as well.
-    if rows and rows[0]:
-        k = next(k for k, row in enumerate(rows) if row[0])
-        rows[(k + 1) % len(rows)][0] = 1
-    return rows
-
-
 def _column_one_in_a_second_row(real):
-    # In the dense IntMatrix, which only the cross-check within the gate
-    # builds.
-    def planted(fibres, m):
-        matrix = real(fibres, m)
-        return mx.IntMatrix.from_rows(_copy_column_one(matrix.to_rows()))
+    # Column 0's 1 is written into the next entity's incidence row as well.
+    def planted(fibres):
+        rows = list(real(fibres))
+        k = next((k for k, row in enumerate(rows) if 0 in row), None)
+        if k is not None:
+            k = (k + 1) % len(rows)
+            rows[k] = _with_one(rows[k], 0)
+        return iter(rows)
 
     return planted
-
-
-def _column_one_in_a_second_row_of_the_rows(real):
-    # In the rows the reading consumes, and the IntMatrix built from them.
-    return lambda fibres, m: iter(_copy_column_one(list(real(fibres, m))))
 
 
 def _last_one_moves_right(real):
@@ -480,13 +477,6 @@ MUTANT_ROWS = [
          "line.matrix_consistency"],
         [],
     ),
-    (
-        [(mx, "_incidence")],
-        _column_one_in_a_second_row,
-        RANDOM_20,
-        ["incidence.column_sums", "incidence.gram", "suite.incidence_line"],
-        [],
-    ),
     # The graph checks read matrix_rows, not the row texts, so only
     # the suite's row-text oracle sees this.
     (
@@ -588,12 +578,12 @@ MUTANT_ROWS = [
     ),
     (
         [(mx, "_incidence_rows")],
-        _column_one_in_a_second_row_of_the_rows,
+        _column_one_in_a_second_row,
         RANDOM_20,
         ["incidence.column_sums", "incidence.gram", "suite.incidence_line"],
         [],
     ),
-    # Above the dense gate only the row supports are read.
+    # A graph read through the same row supports, with no random suite.
     (
         [(mx, "_fibre_rows")],
         _stray_line_edge_across_fibres,
@@ -619,7 +609,6 @@ MUTANT_IDS = [
     "stray-line-edge-across-fibres",
     "row-entry-moved",
     "large-fibre-row-misses-its-first",
-    "column-one-in-a-second-row",
     "row-text-last-one-moves-right",
     "pullback-sieve-drops-a-member",
     "pull-table-drops-its-highest-bit",
@@ -634,7 +623,7 @@ MUTANT_IDS = [
     "witness-sieve-test-drops-size-test",
     "witness-generators-in-key-order",
     "column-one-in-a-second-incidence-row",
-    "stray-line-edge-above-the-dense-gate",
+    "stray-line-edge-on-the-layered-dag",
 ]
 
 
@@ -700,56 +689,47 @@ def test_path_pullback_comparison_catches_a_short_pull_table(monkeypatch):
     ]
 
 
-def test_dense_cross_check_runs_within_the_gate_alone(monkeypatch):
-    # A fault in the dense IntMatrix alone: the fan (4 triples) is within
-    # the gate, so the cross-check meets it; the layered DAG (12 triples)
-    # is not, and its row supports are right.
-    monkeypatch.setattr(mx, "_incidence", _column_one_in_a_second_row(mx._incidence))
-    fan, dag = (parse_kg(Path(path).read_text()) for path in (FAN, LAYERED_DAG))
-    assert fan.triple_count <= verify.DENSE_CHECK_TRIPLE_LIMIT < dag.triple_count
-    assert verify.check_column_sums(fan) == [
-        "head incidence column 0 sums to 2",
-        "tail incidence column 0 sums to 2",
-    ]
-    assert verify.check_column_sums(dag) == []
-
-
 @pytest.mark.parametrize(
-    "name, resize, checks",
+    "name, plant, error, checks",
     [
-        ("adjacency-out", lambda row: row + [0],
+        ("adjacency-out", lambda rows, m: [{**rows[0], m: 1}, *rows[1:]],
+         "row 0 of adjacency-out has a column outside 0..11",
          ["incidence.line_operator_identity", "incidence.spectrum",
           "line.matrix_consistency"]),
-        ("head", lambda row: row[:-1],
+        ("gram-in", lambda rows, m: [{-1: 1, **rows[0]}, *rows[1:]],
+         "row 0 of gram-in has a column outside 0..11",
+         ["incidence.gram", "incidence.line_operator_identity"]),
+        ("head", lambda rows, m: rows[:-1],
+         "head has 7 rows, not 8",
          ["incidence.column_sums", "incidence.gram", "incidence.rank"]),
+        ("adjacency-in", lambda rows, m: [*rows, {}],
+         "adjacency-in has 13 rows, not 12",
+         ["incidence.line_operator_identity", "incidence.spectrum",
+          "line.matrix_consistency"]),
     ],
-    ids=["trailing-zero-added", "trailing-zero-dropped"],
+    ids=["column-past-the-last", "negative-column", "row-dropped", "row-added"],
 )
-def test_row_of_the_wrong_width_fails_the_checks_that_read_it(
-    monkeypatch, name, resize, checks
+def test_reading_out_of_range_fails_the_checks_that_read_it(
+    monkeypatch, name, plant, error, checks
 ):
-    # Row 0 gains or loses a trailing 0, which leaves its support as it
-    # was, so only the reading's width test can see it.  The layered DAG
-    # is above the dense gate, so no IntMatrix route runs beside it.
+    # A support with a column outside 0..m-1, or a matrix with a row too
+    # few or too many, would index past the oracles' rows and columns or
+    # wrap round them; the reading's range check fails every check that
+    # reads the matrix, with the same named error. The layered DAG has
+    # 8 entities and 12 triples.
     real = mx.matrix_rows
 
     def planted(kg, matrix):
         rows = list(real(kg, matrix))
-        if matrix == name:
-            assert rows[0][-1] == 0
-            rows[0] = resize(rows[0])
-        return iter(rows)
+        return iter(plant(rows, kg.triple_count) if matrix == name else rows)
 
     monkeypatch.setattr(mx, "matrix_rows", planted)
     kg = parse_kg(Path(LAYERED_DAG).read_text())
-    m = kg.triple_count
-    width = len(resize([0] * m))
+    assert (kg.entity_count, kg.triple_count) == (8, 12)
     results = {r.name: r for r in verify.graph_checks(kg, 1)}
     assert {
         check: (results[check].status, results[check].detail) for check in checks
-    } == dict.fromkeys(
-        checks, ("fail", f"ValueError: row 0 of {name} has {width} entries, not {m}")
-    )
+    } == dict.fromkeys(checks, ("fail", f"ValueError: {error}"))
     assert {r.status for n, r in results.items() if n not in checks} <= {
         "pass", "skipped"
     }
