@@ -150,9 +150,6 @@ presheaf_argument = click.argument("presheaf", type=EXISTING_FILE)
 topology_option = click.option(
     "--topology", type=click.Choice(["path", "atomic"]), default="path"
 )
-max_path_length_option = click.option(
-    "--max-path-length", type=click.IntRange(min=0), default=None
-)
 sieve_cap_option = click.option(
     "--sieve-cap", type=click.IntRange(min=0), default=DEFAULT_SIEVE_CAP
 )
@@ -162,8 +159,8 @@ section_cap_option = click.option(
 
 
 def site_options(fn):
-    """--topology, --max-path-length and --sieve-cap, in that order."""
-    return topology_option(max_path_length_option(sieve_cap_option(fn)))
+    """--topology and --sieve-cap, in that order."""
+    return topology_option(sieve_cap_option(fn))
 
 
 # The incidence builders `verify` calls; no command reads this table.
@@ -242,7 +239,8 @@ def line(graph: str, direction: str, fmt: str) -> None:
 
 @main.command()
 @graph_argument()
-@max_path_length_option
+@click.option("--max-path-length", type=click.IntRange(min=0), default=None,
+              help="Print only the paths up to this length; a cyclic graph needs it.")
 def freecat(graph: str, max_path_length: int | None) -> None:
     """Emit the path category of GRAPH as JSON."""
     _emit_json(build_free_category(_read_graph(graph), max_path_length).to_dict())
@@ -251,9 +249,9 @@ def freecat(graph: str, max_path_length: int | None) -> None:
 @main.command()
 @graph_argument()
 @site_options
-def covers(graph: str, topology: str, max_path_length: int | None, sieve_cap: int) -> None:
+def covers(graph: str, topology: str, sieve_cap: int) -> None:
     """Emit the covering sieves of GRAPH's site as JSON."""
-    site = build_site(_read_graph(graph), topology, max_path_length, sieve_cap)
+    site = build_site(_read_graph(graph), topology, sieve_cap)
     _emit_json(topology_to_dict(site, topology))
 
 
@@ -262,14 +260,8 @@ def sheaf() -> None:
     """Sheaf workflows on a site built from a graph."""
 
 
-def _load_site_and_presheaf(
-    graph: str,
-    presheaf_path: str,
-    topology: str,
-    max_path_length: int | None,
-    sieve_cap: int,
-):
-    site = build_site(_read_graph(graph), topology, max_path_length, sieve_cap)
+def _load_site_and_presheaf(graph: str, presheaf_path: str, topology: str, sieve_cap: int):
+    site = build_site(_read_graph(graph), topology, sieve_cap)
     presheaf = load_presheaf(site.category.kg, _read_json(presheaf_path))
     return site, presheaf
 
@@ -278,11 +270,9 @@ def _load_site_and_presheaf(
 @graph_argument()
 @presheaf_argument
 @site_options
-def check(graph, presheaf, topology, max_path_length, sieve_cap) -> None:
+def check(graph, presheaf, topology, sieve_cap) -> None:
     """Report whether PRESHEAF satisfies the sheaf condition."""
-    site, data = _load_site_and_presheaf(
-        graph, presheaf, topology, max_path_length, sieve_cap
-    )
+    site, data = _load_site_and_presheaf(graph, presheaf, topology, sieve_cap)
     result = is_sheaf(data, site)
     payload = {"is_sheaf": result.is_sheaf}
     if result.counterexample:
@@ -297,11 +287,9 @@ def check(graph, presheaf, topology, max_path_length, sieve_cap) -> None:
 @click.option("--family", "family_path", required=True, type=EXISTING_FILE,
               help="JSON {object, assignment: {path key: section}}.")
 @site_options
-def glue_cmd(graph, presheaf, family_path, topology, max_path_length, sieve_cap) -> None:
+def glue_cmd(graph, presheaf, family_path, topology, sieve_cap) -> None:
     """Glue a matching family to its unique section."""
-    site, data = _load_site_and_presheaf(
-        graph, presheaf, topology, max_path_length, sieve_cap
-    )
+    site, data = _load_site_and_presheaf(graph, presheaf, topology, sieve_cap)
     family = load_family(site.category, data, _read_json(family_path))
     obj = family.sieve.obj
     if not site.covers(family.sieve):
@@ -313,11 +301,9 @@ def glue_cmd(graph, presheaf, family_path, topology, max_path_length, sieve_cap)
 @graph_argument()
 @presheaf_argument
 @site_options
-def sheafify_cmd(graph, presheaf, topology, max_path_length, sieve_cap) -> None:
+def sheafify_cmd(graph, presheaf, topology, sieve_cap) -> None:
     """Sheafify PRESHEAF and report per-object section counts."""
-    site, data = _load_site_and_presheaf(
-        graph, presheaf, topology, max_path_length, sieve_cap
-    )
+    site, data = _load_site_and_presheaf(graph, presheaf, topology, sieve_cap)
     result = sheafify(data, site)
     _emit_json(
         {
@@ -334,11 +320,9 @@ def sheafify_cmd(graph, presheaf, topology, max_path_length, sieve_cap) -> None:
 @graph_argument()
 @presheaf_argument
 @site_options
-def global_cmd(graph, presheaf, topology, max_path_length, sieve_cap) -> None:
+def global_cmd(graph, presheaf, topology, sieve_cap) -> None:
     """Enumerate compatible families of sections across all objects."""
-    _, data = _load_site_and_presheaf(
-        graph, presheaf, topology, max_path_length, sieve_cap
-    )
+    _, data = _load_site_and_presheaf(graph, presheaf, topology, sieve_cap)
     sections = global_sections(data)
     _emit_json({"count": len(sections), "sections": sections})
 
@@ -346,9 +330,9 @@ def global_cmd(graph, presheaf, topology, max_path_length, sieve_cap) -> None:
 @sheaf.command(name="omega")
 @graph_argument()
 @site_options
-def omega_cmd(graph, topology, max_path_length, sieve_cap) -> None:
+def omega_cmd(graph, topology, sieve_cap) -> None:
     """Emit the subobject classifier of the site."""
-    site = build_site(_read_graph(graph), topology, max_path_length, sieve_cap)
+    site = build_site(_read_graph(graph), topology, sieve_cap)
     classifier = build_omega(site)
     _emit_json(
         {
@@ -367,13 +351,10 @@ def omega_cmd(graph, topology, max_path_length, sieve_cap) -> None:
 @click.option("--other", required=True, type=EXISTING_FILE,
               help="Presheaf JSON for the path-site side.")
 @section_cap_option
-@max_path_length_option
 @sieve_cap_option
-def adjoint_cmd(graph, presheaf, other, section_cap, max_path_length, sieve_cap) -> None:
+def adjoint_cmd(graph, presheaf, other, section_cap, sieve_cap) -> None:
     """Compare hom-set cardinalities across the two transports."""
-    site, atomic_side = _load_site_and_presheaf(
-        graph, presheaf, "path", max_path_length, sieve_cap
-    )
+    site, atomic_side = _load_site_and_presheaf(graph, presheaf, "path", sieve_cap)
     path_side = load_presheaf(site.category.kg, _read_json(other))
     report = check_adjunction(atomic_side, path_side, site, section_cap)
     _emit_json(
@@ -414,7 +395,9 @@ class _EnvvarOption(click.Option):
               help="Defaults to $KGTOPOS_SEED, then 0.")
 @click.option("--max-size", type=click.IntRange(min=1), default=60, show_default=True,
               help="Largest random graph (triples) in the property suites.")
-@max_path_length_option
+@click.option("--max-path-length", type=click.IntRange(min=0), default=None,
+              help="A bound that truncates, and any bound on a cyclic graph, "
+                   "skips the category, site and sheaf checks.")
 @sieve_cap_option
 @section_cap_option
 @click.option("--format", "fmt", type=click.Choice(["text", "json"]), default="text")

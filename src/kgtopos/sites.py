@@ -340,17 +340,14 @@ def path_topology(
     return Site(cat, minimum)
 
 
-def build_site(
-    kg,
-    topology: str = "path",
-    max_path_length: int | None = None,
-    sieve_cap: int = DEFAULT_SIEVE_CAP,
-) -> Site:
-    """Convenience: free category plus a named topology ('path' or 'atomic')."""
+def build_site(kg, topology: str = "path", sieve_cap: int = DEFAULT_SIEVE_CAP) -> Site:
+    """Convenience: the free category plus a named topology ('path' or
+    'atomic').  A site needs composition-closed hom-sets, so the category
+    is never bounded: a cyclic graph raises InfiniteCategoryError."""
     builders = {"path": path_topology, "atomic": atomic_topology}
     if topology not in builders:
         raise TopologyError(f"unknown topology {topology!r}; use 'path' or 'atomic'")
-    return builders[topology](build_free_category(kg, max_path_length), sieve_cap)
+    return builders[topology](build_free_category(kg), sieve_cap)
 
 
 def verify_topology_axioms(site: Site, sieve_cap: int = DEFAULT_SIEVE_CAP) -> list[str]:

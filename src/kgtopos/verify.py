@@ -43,6 +43,7 @@ from .kg import (
     KnowledgeGraph,
     compose_homs,
     entity_adjacency_counts,
+    find_entity_cycle,
     kg_from_json,
     parse_kg,
     serialize_kg,
@@ -1085,9 +1086,14 @@ def graph_checks(
         for name, check in _INCIDENCE_LINE_CHECKS.items()
     ]
     read.cache_clear()  # the reading is not kept while the category is built
+    truncated = "hom-sets truncated by the length bound"
     try:
-        cat = build_free_category(kg, max_path_length)
-        reason = None if cat.complete else "hom-sets truncated by the length bound"
+        if max_path_length is not None and find_entity_cycle(kg):
+            # Any bound truncates a cycle's hom-sets: nothing to enumerate.
+            cat, reason = None, truncated
+        else:
+            cat = build_free_category(kg, max_path_length)
+            reason = None if cat.complete else truncated
     except InfiniteCategoryError as exc:
         cat, reason = None, f"free category unavailable: {exc}"
     results += _gated(reason, [("freecat.walk_count", partial(check_walk_count, cat))])

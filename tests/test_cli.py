@@ -159,6 +159,47 @@ class TestFreecat:
         assert bounded.exit_code == 0
 
 
+class TestLengthBound:
+    """Only freecat and verify take --max-path-length.  A site needs
+    composition-closed hom-sets, so a bound never changed a site
+    command's answer: it built the same category or ended in exit 2."""
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["covers", FAN],
+            ["sheaf", "check", FAN, PRODUCT],
+            ["sheaf", "glue", FAN, PRODUCT, "--family", FAN_FAMILY],
+            ["sheaf", "sheafify", FAN, UNDERSIZED],
+            ["sheaf", "global", FAN, PRODUCT],
+            ["sheaf", "omega", FAN],
+            ["sheaf", "adjoint", FAN, UNDERSIZED, "--other", PRODUCT, "--section-cap", "4"],
+        ],
+        ids=["covers", "check", "glue", "sheafify", "global", "omega", "adjoint"],
+    )
+    def test_site_commands_refuse_the_bound(self, runner, args):
+        result = runner.invoke(main, [*args, "--max-path-length", "5"])
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert "No such option '--max-path-length'" in result.stderr
+        assert "Traceback" not in result.output
+
+    def test_verify_does_not_enumerate_a_bounded_cycle(self, runner, tmp_path):
+        # Any bound truncates a cycle's hom-sets, so verify skips the
+        # category checks without building the 2^21 - 1 paths of length
+        # at most 20 on two loops.
+        loops = tmp_path / "loops.txt"
+        loops.write_text("A r A\nA s A\n")
+        start = time.perf_counter()
+        long = runner.invoke(main, ["verify", str(loops), "--max-path-length", "20"])
+        assert time.perf_counter() - start < 1.0
+        short = runner.invoke(main, ["verify", str(loops), "--max-path-length", "2"])
+        assert long.exit_code == short.exit_code == 0
+        masked = [re.sub(r"\(\d+\.\d+s\)", "(s)", r.output) for r in (long, short)]
+        assert masked[0] == masked[1]
+        assert "SKIPPED freecat.walk_count (s) -- hom-sets truncated" in masked[0]
+
+
 class TestCovers:
     def test_path_covering_dump(self, runner):
         result = runner.invoke(main, ["covers", FAN, "--topology", "path"])
@@ -437,8 +478,8 @@ class TestHostileInput:
         "args, env",
         [
             (["freecat", FAN, "--max-path-length", "-1"], {}),
-            (["covers", FAN, "--max-path-length", "-1"], {}),
-            (["sheaf", "omega", FAN, "--max-path-length", "-1"], {}),
+            (["verify", FAN, "--max-path-length", "-1"], {}),
+            (["sheaf", "omega", FAN, "--sieve-cap", "-1"], {}),
             (["matrices", "NOT_UTF8"], {}),
             (["sheaf", "check", FAN, "NOT_UTF8"], {}),
             (["verify", FAN], {"KGTOPOS_SEED": "abc"}),
@@ -448,7 +489,7 @@ class TestHostileInput:
             (["verify", "--random", "--cases", "-3"], {}),
             (["verify", "--random", "--cases", "1", "--max-size", "-5"], {}),
         ],
-        ids=["freecat-negative-bound", "covers-negative-bound", "omega-negative-bound",
+        ids=["freecat-negative-bound", "verify-negative-bound", "omega-negative-sieve-cap",
              "graph-not-utf8", "presheaf-not-utf8", "seed-env-not-integer",
              "covers-negative-sieve-cap", "adjoint-negative-section-cap",
              "verify-negative-cases", "verify-negative-max-size"],

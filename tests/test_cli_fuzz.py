@@ -137,6 +137,7 @@ COMMANDS = st.sampled_from(
         ["covers", "--sieve-cap", "6"],
         ["sheaf", "omega", "--sieve-cap", "6"],
         ["verify", "--sieve-cap", "6"],
+        ["verify", "--max-path-length", "3"],
     ]
 )
 
@@ -174,8 +175,8 @@ def test_option_values(command, sieve_cap, section_cap, max_path_length, cases, 
     caps = ["--sieve-cap", str(sieve_cap)]
     bound = ["--max-path-length", str(max_path_length)]
     args, negative = {
-        "covers": (["covers", FAN, *caps, *bound], min(sieve_cap, max_path_length) < 0),
-        "omega": (["sheaf", "omega", FAN, *caps, *bound], min(sieve_cap, max_path_length) < 0),
+        "covers": (["covers", FAN, *caps], sieve_cap < 0),
+        "omega": (["sheaf", "omega", FAN, *caps], sieve_cap < 0),
         "adjoint": (
             ["sheaf", "adjoint", FAN, PRODUCT, "--other", PRODUCT, *caps,
              "--section-cap", str(section_cap)],
