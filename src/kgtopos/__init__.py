@@ -69,6 +69,7 @@ from .sites import (
     generate_topology,
     path_topology,
     pullback_sieve,
+    require_site_inputs,
     sieve_generated_by,
     verify_topology_axioms,
 )
@@ -83,12 +84,14 @@ from .sheaves import (
     global_sections,
     glue,
     inverse_image,
+    is_path_sheaf,
     is_sheaf,
     load_family,
     load_presheaf,
     omega,
     product_presheaf,
     sheafify,
+    sheafify_along_triples,
     terminal_presheaf,
 )
 from .verify import VerifyReport, run_verification

@@ -32,16 +32,19 @@ from .jsonout import JoinedRows, write_json
 from .kg import KnowledgeGraph, parse_kg
 from .sheaves import (
     DEFAULT_SECTION_CAP,
+    SheafCheck,
     check_adjunction,
     glue,
     global_sections,
+    is_path_sheaf,
     is_sheaf,
     load_family,
     load_presheaf,
     omega as build_omega,
     sheafify,
+    sheafify_along_triples,
 )
-from .sites import DEFAULT_SIEVE_CAP, build_site, topology_to_dict
+from .sites import DEFAULT_SIEVE_CAP, build_site, require_site_inputs, topology_to_dict
 from .verify import run_verification
 
 INPUT_ERROR, SIZE_ERROR = 2, 3
@@ -260,10 +263,12 @@ def sheaf() -> None:
     """Sheaf workflows on a site built from a graph."""
 
 
-def _load_site_and_presheaf(graph: str, presheaf_path: str, topology: str, sieve_cap: int):
-    site = build_site(_read_graph(graph), topology, sieve_cap)
-    presheaf = load_presheaf(site.category.kg, _read_json(presheaf_path))
-    return site, presheaf
+def _load_presheaf(graph: str, presheaf_path: str, topology: str, sieve_cap: int):
+    """The presheaf, read only once its graph passes build_site's refusals,
+    which build nothing: a command that needs the site builds it after."""
+    kg = _read_graph(graph)
+    require_site_inputs(kg, topology, sieve_cap)
+    return load_presheaf(kg, _read_json(presheaf_path))
 
 
 @sheaf.command()
@@ -272,8 +277,11 @@ def _load_site_and_presheaf(graph: str, presheaf_path: str, topology: str, sieve
 @site_options
 def check(graph, presheaf, topology, sieve_cap) -> None:
     """Report whether PRESHEAF satisfies the sheaf condition."""
-    site, data = _load_site_and_presheaf(graph, presheaf, topology, sieve_cap)
-    result = is_sheaf(data, site)
+    data = _load_presheaf(graph, presheaf, topology, sieve_cap)
+    if topology == "path" and is_path_sheaf(data):
+        result = SheafCheck(True)
+    else:  # the atomic site, or a witness, which needs the covering sieves
+        result = is_sheaf(data, build_site(data.kg, topology, sieve_cap))
     payload = {"is_sheaf": result.is_sheaf}
     if result.counterexample:
         payload["counterexample"] = result.counterexample
@@ -289,7 +297,8 @@ def check(graph, presheaf, topology, sieve_cap) -> None:
 @site_options
 def glue_cmd(graph, presheaf, family_path, topology, sieve_cap) -> None:
     """Glue a matching family to its unique section."""
-    site, data = _load_site_and_presheaf(graph, presheaf, topology, sieve_cap)
+    data = _load_presheaf(graph, presheaf, topology, sieve_cap)
+    site = build_site(data.kg, topology, sieve_cap)
     family = load_family(site.category, data, _read_json(family_path))
     obj = family.sieve.obj
     if not site.covers(family.sieve):
@@ -303,15 +312,19 @@ def glue_cmd(graph, presheaf, family_path, topology, sieve_cap) -> None:
 @site_options
 def sheafify_cmd(graph, presheaf, topology, sieve_cap) -> None:
     """Sheafify PRESHEAF and report per-object section counts."""
-    site, data = _load_site_and_presheaf(graph, presheaf, topology, sieve_cap)
-    result = sheafify(data, site)
+    data = _load_presheaf(graph, presheaf, topology, sieve_cap)
+    if topology == "path":
+        result = sheafify_along_triples(data)
+        verdict = is_path_sheaf(result)
+    else:
+        site = build_site(data.kg, topology, sieve_cap)
+        result = sheafify(data, site).sheaf
+        verdict = bool(is_sheaf(result, site))
     _emit_json(
         {
-            "section_counts": {
-                obj: len(result.sheaf.sections[obj]) for obj in site.category.objects
-            },
-            "is_sheaf": bool(is_sheaf(result.sheaf, site)),
-            "sheaf": result.sheaf.to_dict(),
+            "section_counts": {obj: len(result.sections[obj]) for obj in data.kg.entities},
+            "is_sheaf": verdict,
+            "sheaf": result.to_dict(),
         }
     )
 
@@ -322,7 +335,7 @@ def sheafify_cmd(graph, presheaf, topology, sieve_cap) -> None:
 @site_options
 def global_cmd(graph, presheaf, topology, sieve_cap) -> None:
     """Enumerate compatible families of sections across all objects."""
-    _, data = _load_site_and_presheaf(graph, presheaf, topology, sieve_cap)
+    data = _load_presheaf(graph, presheaf, topology, sieve_cap)
     sections = global_sections(data)
     _emit_json({"count": len(sections), "sections": sections})
 
@@ -354,7 +367,8 @@ def omega_cmd(graph, topology, sieve_cap) -> None:
 @sieve_cap_option
 def adjoint_cmd(graph, presheaf, other, section_cap, sieve_cap) -> None:
     """Compare hom-set cardinalities across the two transports."""
-    site, atomic_side = _load_site_and_presheaf(graph, presheaf, "path", sieve_cap)
+    atomic_side = _load_presheaf(graph, presheaf, "path", sieve_cap)
+    site = build_site(atomic_side.kg, "path", sieve_cap)
     path_side = load_presheaf(site.category.kg, _read_json(other))
     report = check_adjunction(atomic_side, path_side, site, section_cap)
     _emit_json(

@@ -32,13 +32,14 @@ class CompositionError(KgToposError):
 
 
 class InfiniteCategoryError(KgToposError):
-    """Path enumeration would not terminate. Carries a cycle witness."""
+    """Path enumeration would not terminate. Carries a cycle witness; `hint`
+    ends the message where the caller can pass a length bound."""
 
-    def __init__(self, cycle: list[str]):
+    def __init__(self, cycle: list[str], hint: str = ""):
         self.cycle = list(cycle)
         super().__init__(
             "entity digraph contains a cycle, hom-sets are infinite "
-            f"(witness: {' -> '.join(self.cycle)}); pass max_length to bound enumeration"
+            f"(witness: {' -> '.join(self.cycle)}){hint}"
         )
 
 

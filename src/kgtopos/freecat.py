@@ -215,7 +215,7 @@ def build_free_category(
     if max_length is None:
         cycle = find_entity_cycle(kg)
         if cycle is not None:
-            raise InfiniteCategoryError(cycle)
+            raise InfiniteCategoryError(cycle, "; pass max_length to bound enumeration")
     elif max_length < 0:
         raise ValueError("max_length must be non-negative")
 

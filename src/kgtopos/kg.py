@@ -103,6 +103,36 @@ class KnowledgeGraph:
             groups[e].append(i)
         return {e: tuple(members) for e, members in groups.items()}
 
+    @cached_property
+    def topological_order(self) -> tuple[str, ...] | None:
+        """The entities with every triple's head before its tail, or None
+        when the entity digraph has a cycle (find_entity_cycle names one).
+        Kahn's algorithm: the sources in entity order, then each entity
+        once the heads of all its triples are placed."""
+        waiting = {e: len(fibre) for e, fibre in self.tail_fibres.items()}
+        order = [e for e in self.entities if not waiting[e]]
+        for e in order:  # grows while it is read
+            for j in self.head_fibres[e]:
+                tail = self.tails[j]
+                waiting[tail] -= 1
+                if not waiting[tail]:
+                    order.append(tail)
+        return tuple(order) if len(order) == len(self.entities) else None
+
+    @cached_property
+    def morphism_counts(self) -> dict[str, int] | None:
+        """Per entity b, the morphisms into b of the free category,
+        identity included: N(b) = 1 + sum of N(a) over the triples
+        a -> b, in one pass over topological_order.  None on a cyclic
+        graph, whose hom-sets are infinite."""
+        order = self.topological_order
+        if order is None:
+            return None
+        counts: dict[str, int] = {}
+        for b in order:
+            counts[b] = 1 + sum(counts[self.heads[i]] for i in self.tail_fibres[b])
+        return counts
+
     def to_dict(self) -> dict:
         return {
             "entities": list(self.entities),

@@ -66,16 +66,14 @@ def random_small_category(
 ) -> FreeCategory:
     """A random acyclic free category kept within enumeration caps: total
     morphism count bounded and at most sieve_cap morphisms into any object.
-    Raises SizeCapError when SAMPLE_ATTEMPTS draws all miss the caps."""
+    Each draw is decided from its graph's morphism counts, and only the
+    one kept is enumerated.  Raises SizeCapError when SAMPLE_ATTEMPTS
+    draws all miss the caps."""
     for _ in range(SAMPLE_ATTEMPTS):
         kg = random_acyclic_kg(rng, max_entities, max_triples)
-        cat = build_free_category(kg)
-        if cat.total_morphisms > max_morphisms:
-            continue
-        if all(
-            len(cat.morphisms_into(obj)) <= sieve_cap for obj in cat.objects
-        ):
-            return cat
+        counts = kg.morphism_counts.values()
+        if sum(counts) <= max_morphisms and max(counts) <= sieve_cap:
+            return build_free_category(kg)
     raise SizeCapError(
         f"no category within {max_morphisms} morphisms and sieve cap {sieve_cap} "
         f"in {SAMPLE_ATTEMPTS} draws"

@@ -23,6 +23,12 @@ intersection, so P+(b), the colimit over them, is the set of families
 on the minimum covering sieve M(b): the product over its generators,
 id_b when M(b) is maximal, the paths from sources on the path site.
 
+The path site needs neither route: is_path_sheaf checks the bijections
+off the triples, and sheafify_along_triples builds the product over the
+paths from sources in topological order, with no free category.
+is_sheaf and sheafify on the site serve every other site, and are
+`verify`'s oracles for these two.
+
 The subobject classifier's closed sieves come from the fold that builds
 the path topology, as masks over the morphisms into each object (see
 sites): they are labelled by their set bits, which give their keys in
@@ -39,6 +45,7 @@ from typing import Iterable, Mapping
 
 from .errors import (
     GluingError,
+    InfiniteCategoryError,
     NaturalityError,
     SchemaError,
     SizeCapError,
@@ -46,7 +53,7 @@ from .errors import (
     UniquenessError,
 )
 from .freecat import FreeCategory, Path, gather, path_key
-from .kg import KnowledgeGraph
+from .kg import KnowledgeGraph, find_entity_cycle
 from .sites import (
     Sieve,
     Site,
@@ -377,11 +384,20 @@ def is_sheaf(presheaf: Presheaf, site: Site) -> SheafCheck:
     S, that is, where M(b) lacks the identity.
     """
     cat = site.category
-    for obj in cat.objects:
-        proper = not site.minimum[obj].mask >> cat.key_index[obj].bits[()] & 1
-        if proper and not _restrictions_biject(presheaf, obj):
-            return _first_failure(presheaf, site)
-    return SheafCheck(True)
+    failing = [
+        obj
+        for obj in cat.objects
+        if not site.minimum[obj].mask >> cat.key_index[obj].bits[()] & 1
+        and not _restrictions_biject(presheaf, obj)
+    ]
+    return _first_failure(presheaf, site, failing) if failing else SheafCheck(True)
+
+
+def is_path_sheaf(presheaf: Presheaf) -> bool:
+    """bool(is_sheaf) on the path site, read off the triples with no site:
+    M(b) lacks the identity exactly where b has incoming triples."""
+    kg = presheaf.kg
+    return all(_restrictions_biject(presheaf, obj) for obj in kg.entities if kg.tail_fibres[obj])
 
 
 def _restrictions_biject(presheaf: Presheaf, obj: str) -> bool:
@@ -396,11 +412,25 @@ def _restrictions_biject(presheaf: Presheaf, obj: str) -> bool:
     return len(traces) == len(sections) == size
 
 
-def _first_failure(presheaf: Presheaf, site: Site) -> SheafCheck:
-    """_sheaf_for_sieve on each covering sieve in order, to the first failure."""
+def _at_or_below(kg: KnowledgeGraph, objects: Iterable[str]) -> set[str]:
+    """The objects and every entity a path from one of them reaches, on
+    an acyclic graph, as every site's is."""
+    reached = set(objects)
+    for obj in kg.topological_order:
+        if any(kg.triples[i].head in reached for i in kg.tail_fibres[obj]):
+            reached.add(obj)
+    return reached
+
+
+def _first_failure(presheaf: Presheaf, site: Site, failing: Iterable[str]) -> SheafCheck:
+    """_sheaf_for_sieve on each covering sieve in order, to the first
+    failure, past every object that no path from a failing object
+    reaches: by is_sheaf's induction, no covering sieve fails there."""
+    scanned = _at_or_below(presheaf.kg, failing)
     checks = (
         _sheaf_for_sieve(presheaf, sieve)
         for obj in site.category.objects
+        if obj in scanned
         for sieve in site.covering_sieves(obj)
     )
     return next((check for check in checks if not check), SheafCheck(True))
@@ -647,6 +677,48 @@ def sheafify(presheaf: Presheaf, site: Site) -> SheafificationResult:
     twice, unit2 = _plus(once, factors)
     unit = NatTransformation(presheaf, twice, compose_components(unit2, unit1))
     return SheafificationResult(twice, unit)
+
+
+def sheafify_along_triples(presheaf: Presheaf) -> Presheaf:
+    """sheafify(presheaf, path site).sheaf, built along the triples in
+    topological order, with no free category and no site.
+
+    aP(b) is the product of P(s) over the paths p: s -> b from sources,
+    the generators of M(b), in path_key order; the restriction along
+    t: a -> b keeps the entries at the paths q.t for q into a.  The two
+    plus steps label a source's sections m0, m1, ... in the order of its
+    sorted first-step labels, and b's in the order of itertools.product
+    over those orders, path by path.  So the k-th tuple of the product
+    of range(|P(s)|) over the paths is b's section m<k>, and only the
+    section counts at the sources are read.
+    """
+    kg = presheaf.kg
+    order = kg.topological_order
+    if order is None:
+        raise InfiniteCategoryError(find_entity_cycle(kg))
+    paths: dict[str, list[Path]] = {}
+    for b in order:
+        found = (
+            Path(q.source, b, q.arrows + (i,))
+            for i in kg.tail_fibres[b]
+            for q in paths[kg.triples[i].head]
+        )
+        paths[b] = sorted(found, key=path_key) if kg.tail_fibres[b] else [Path(b, b, ())]
+    sizes = {b: [len(presheaf.sections[p.source]) for p in paths[b]] for b in kg.entities}
+    counts = {b: prod(sizes[b]) for b in kg.entities}
+    labels = [f"m{k}" for k in range(max(counts.values(), default=0))]
+    restrictions: dict[int, dict[str, str]] = {}
+    for i, t in enumerate(kg.triples):
+        position = {p.arrows: k for k, p in enumerate(paths[t.tail])}
+        picks = [position[q.arrows + (i,)] for q in paths[t.head]]
+        # The weight of each entry of a tuple at the head in its rank.
+        weights = [prod(sizes[t.head][j + 1 :]) for j in range(len(picks))]
+        restrictions[i] = {
+            labels[k]: labels[sum(x[j] * w for j, w in zip(picks, weights))]
+            for k, x in enumerate(product(*map(range, sizes[t.tail])))
+        }
+    sections = {b: tuple(labels[: counts[b]]) for b in kg.entities}
+    return Presheaf(kg, sections, restrictions)
 
 
 def inverse_image(presheaf: Presheaf, path_site: Site) -> Presheaf:

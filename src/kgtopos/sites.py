@@ -23,6 +23,9 @@ labels and orders are read off the mask.
 enumerate_sieves, the scan of the whole sieve lattice, serves only the
 oracles: generate_topology, the saturation of a coverage that `verify`
 compares both closed forms with, and verify_topology_axioms.
+
+build_site refuses a cycle or a sieve cap from the graph's morphism
+counts (require_site_inputs), before it enumerates a path.
 """
 
 from __future__ import annotations
@@ -33,8 +36,9 @@ from itertools import product
 from operator import and_
 from typing import Callable, Iterable, Mapping
 
-from .errors import SizeCapError, TopologyError
+from .errors import InfiniteCategoryError, SizeCapError, TopologyError
 from .freecat import FreeCategory, KeyIndex, Path, build_free_category, gather, path_key
+from .kg import KnowledgeGraph, find_entity_cycle
 
 DEFAULT_SIEVE_CAP = 12
 
@@ -123,8 +127,8 @@ def pullback_sieve(cat: FreeCategory, sieve: Sieve, g: Path) -> Sieve:
     return Sieve(g.source, mask, indexes[g.source])
 
 
-def _require_sieve_cap(cat: FreeCategory, obj: str, cap: int) -> None:
-    count = len(cat.morphisms_into(obj))
+def _require_sieve_cap(count: int, obj: str, cap: int) -> None:
+    """Refuse `count` morphisms into obj when they exceed the cap."""
     if count > cap:
         raise SizeCapError(
             f"{count} morphisms into {obj} exceeds the sieve cap {cap}; "
@@ -142,7 +146,7 @@ def enumerate_sieves(
     `cap` morphisms point into obj.
     """
     cat.require_complete("enumerate_sieves")
-    _require_sieve_cap(cat, obj, cap)
+    _require_sieve_cap(len(cat.morphisms_into(obj)), obj, cap)
     index = cat.key_index[obj]
     # Bitmask of morphisms forced into any sieve containing morphism k.
     required = [
@@ -272,7 +276,7 @@ def _require_sieve_lattices(cat: FreeCategory, sieve_cap: int) -> None:
     text, so a closed form refuses exactly the inputs saturation refuses."""
     cat.require_complete("generate_topology")
     for obj in cat.objects:
-        _require_sieve_cap(cat, obj, sieve_cap)
+        _require_sieve_cap(len(cat.morphisms_into(obj)), obj, sieve_cap)
 
 
 def atomic_topology(
@@ -340,14 +344,35 @@ def path_topology(
     return Site(cat, minimum)
 
 
-def build_site(kg, topology: str = "path", sieve_cap: int = DEFAULT_SIEVE_CAP) -> Site:
-    """Convenience: the free category plus a named topology ('path' or
-    'atomic').  A site needs composition-closed hom-sets, so the category
-    is never bounded: a cyclic graph raises InfiniteCategoryError."""
-    builders = {"path": path_topology, "atomic": atomic_topology}
-    if topology not in builders:
+TOPOLOGIES = ("path", "atomic")
+
+
+def require_site_inputs(
+    kg: KnowledgeGraph, topology: str = "path", sieve_cap: int = DEFAULT_SIEVE_CAP
+) -> None:
+    """build_site's refusals, read off the graph before anything is built:
+    an unknown topology name, then a cycle with its witness, then the
+    first entity, in entity order, with more than sieve_cap morphisms
+    into it, counted by kg.morphism_counts."""
+    if topology not in TOPOLOGIES:
         raise TopologyError(f"unknown topology {topology!r}; use 'path' or 'atomic'")
-    return builders[topology](build_free_category(kg), sieve_cap)
+    counts = kg.morphism_counts
+    if counts is None:
+        raise InfiniteCategoryError(find_entity_cycle(kg))
+    for obj in kg.entities:
+        _require_sieve_cap(counts[obj], obj, sieve_cap)
+
+
+def build_site(
+    kg: KnowledgeGraph, topology: str = "path", sieve_cap: int = DEFAULT_SIEVE_CAP
+) -> Site:
+    """Convenience: the free category plus a named topology ('path' or
+    'atomic'), once require_site_inputs passes.  A site needs
+    composition-closed hom-sets, so the category is never bounded: a
+    cyclic graph raises InfiniteCategoryError."""
+    require_site_inputs(kg, topology, sieve_cap)
+    builder = path_topology if topology == "path" else atomic_topology
+    return builder(build_free_category(kg), sieve_cap)
 
 
 def verify_topology_axioms(site: Site, sieve_cap: int = DEFAULT_SIEVE_CAP) -> list[str]:

@@ -4,11 +4,14 @@ Each check compares an implementation against an independent route:
 matrix identities against direct recomputation from triples, spliced
 matrix row texts against their rows rendered entry by entry, component
 partitions against fibre grouping, spectra against a blockwise eigensolver,
-morphism counts against walk counting by matrix powers, closed-form
+morphism counts against walk counting by matrix powers and the
+graph's counts per object against the enumeration, closed-form
 topologies against saturation over the sieve lattice, the subobject
 classifier against a closedness scan of that lattice, sheafification
 against the product over paths from sources and against the plus
-construction by matching-family search, hom-set cardinalities
+construction by matching-family search, the path site's sheafification
+and sheaf condition read off the triples against those on the site,
+hom-set cardinalities
 against brute-force enumeration, and so on.  Checks are seeded and
 deterministic; size-gated checks report 'skipped' with a reason instead
 of silently passing.
@@ -67,10 +70,12 @@ from .sheaves import (
     count_subsheaves,
     enumerate_matching_families,
     global_sections,
+    is_path_sheaf,
     is_sheaf,
     omega,
     restrict,
     sheafify,
+    sheafify_along_triples,
     sieve_label,
     terminal_presheaf,
 )
@@ -454,6 +459,15 @@ def check_walk_count(cat: FreeCategory) -> list[str]:
     return []
 
 
+def check_morphism_counts(cat: FreeCategory) -> list[str]:
+    """The graph's morphism counts, which the site refusals read, against
+    the enumerated morphisms into each object."""
+    enumerated = {obj: len(cat.morphisms_into(obj)) for obj in cat.objects}
+    if cat.kg.morphism_counts != enumerated:
+        return ["morphism counts differ from the enumerated hom-sets"]
+    return []
+
+
 def check_fibres_match_partitions(kg: KnowledgeGraph) -> list[str]:
     """The cached fibre index against fibres recomputed by one stable sort
     of the triple indices by head (or tail), grouped by that end."""
@@ -796,6 +810,7 @@ def suite_categories(seed: int, cases: int = 100) -> list[CheckResult]:
             rng, max_entities=8, max_triples=10, max_morphisms=250
         )
         failures.extend(check_walk_count(cat))
+        failures.extend(check_morphism_counts(cat))
         failures.extend(check_fibres_match_partitions(cat.kg))
         failures.extend(check_extend_functor(cat, rng))
         failures.extend(check_functoriality_of_homs(cat.kg, rng))
@@ -995,17 +1010,50 @@ def _generator_order_case() -> tuple[Presheaf, Site]:
     return Presheaf(kg, sections, restrictions), path_topology(build_free_category(kg))
 
 
+def _descendant_first_case() -> tuple[Presheaf, Site]:
+    """A non-sheaf on the path site whose first failing covering sieve in
+    object order, M(C) = {2.1}, lies at C, where the bijection holds: it
+    fails at B, which C's path from A passes, and the entity order lists
+    C before B.  The random graphs list every entity after its heads."""
+    kg = parse_kg("C r0 D\nB r1 C\nA r2 B\n")
+    sections = {"C": ("c0",), "D": ("d0",), "B": ("b0",), "A": ("a0", "a1")}
+    restrictions = {0: {"d0": "c0"}, 1: {"c0": "b0"}, 2: {"b0": "a0"}}
+    return Presheaf(kg, sections, restrictions), path_topology(build_free_category(kg))
+
+
+def check_sheafify_along_triples(
+    presheaf: Presheaf, site: Site, result: SheafificationResult
+) -> list[str]:
+    """The path site's routes with no site, against sheafify and is_sheaf
+    on it: sheafify_along_triples' sections and restriction tables,
+    entries in order, and is_path_sheaf on the presheaf and on its
+    sheafification."""
+    failures = []
+    if _sheafification_parts(sheafify_along_triples(presheaf), {}) != _sheafification_parts(
+        result.sheaf, {}
+    ):
+        failures.append("sheafify_along_triples differs from sheafify on the path site")
+    for what, candidate in (("presheaf", presheaf), ("sheafified presheaf", result.sheaf)):
+        if is_path_sheaf(candidate) != bool(is_sheaf(candidate, site)):
+            failures.append(f"is_path_sheaf disagrees with is_sheaf on the {what}")
+    return failures
+
+
 def suite_sheafification(seed: int, cases: int = 30) -> list[CheckResult]:
     def run_case(case: int, failures: list[str]) -> None:
-        if case == 0:  # once per suite; it draws nothing from the case RNGs
+        if case == 0:  # once per suite; they draw nothing from the case RNGs
             _is_sheaf_against_scan(
                 *_generator_order_case(), failures, "the generator-order presheaf"
+            )
+            _is_sheaf_against_scan(
+                *_descendant_first_case(), failures, "the descendant-first presheaf"
             )
         rng = _case_rng("sheafification", seed, case)
         site = _tiny_site(rng)
         presheaf = random_presheaf(rng, site.category.kg, max_sections=3)
         result = sheafify(presheaf, site)
         failures.extend(check_sheafification_product(presheaf, site, result))
+        failures.extend(check_sheafify_along_triples(presheaf, site, result))
         atomic = atomic_topology(site.category)
         failures.extend(
             _per_site((site, atomic), check_sheafify_against_search, presheaf)

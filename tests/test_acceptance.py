@@ -203,3 +203,34 @@ def test_criterion_12_deep_dag_sheaf_commands():
             elapsed = time.perf_counter() - start
             assert result.exit_code == 0, result.output
             assert elapsed < 2.0, f"sheaf {command} took {elapsed:.1f} s"
+
+
+@criterion(13, "site commands refuse the 2x20 and 2x40 DAGs from the counts", 3.0)
+def test_criterion_13_deep_dags_refused_from_the_counts():
+    # Layers of two entities, each pointing at both entities of the next
+    # layer: 2^20 - 1 and 2^40 - 1 morphisms into each sink.  L3n0, with
+    # 15, is the first entity over the default sieve cap in entity order,
+    # and the counts find it before any path is enumerated.
+    runner = CliRunner()
+    with runner.isolated_filesystem():
+        for layers in (20, 40):
+            names = [[f"L{k}n{i}" for i in range(2)] for k in range(layers)]
+            Path("dag.txt").write_text("".join(
+                f"{a} r {b}\n" for upper, lower in zip(names, names[1:])
+                for a in upper for b in lower
+            ))
+            for args in (
+                ["covers", "dag.txt"],
+                ["sheaf", "check", "dag.txt", str(DATA / "product_presheaf.json")],
+                ["sheaf", "sheafify", "dag.txt", str(DATA / "product_presheaf.json")],
+                ["sheaf", "global", "dag.txt", str(DATA / "product_presheaf.json")],
+            ):
+                start = time.perf_counter()
+                result = runner.invoke(main, args)
+                elapsed = time.perf_counter() - start
+                assert result.exit_code == 3, result.output
+                assert result.stderr == (
+                    "error: 15 morphisms into L3n0 exceeds the sieve cap 12; "
+                    "use a smaller graph or raise the cap\n"
+                )
+                assert elapsed < 0.3, f"{args[:2]} on the 2x{layers} DAG took {elapsed:.2f} s"

@@ -262,6 +262,72 @@ class TestCovers:
         assert result.stderr.startswith("error: ")
 
 
+SITE_COMMANDS = {
+    "check": ["sheaf", "check"],
+    "sheafify": ["sheaf", "sheafify"],
+    "global": ["sheaf", "global"],
+    "covers": ["covers"],
+    "omega": ["sheaf", "omega"],
+}
+
+
+class TestSiteRefusals:
+    # Every command on a site refuses what build_site refuses, with the
+    # same text and exit code and in the same order: the cycle, then the
+    # sieve cap, then the presheaf document; `check`, `sheafify` and
+    # `global` on the path site do so without building one.
+    def _invoke(self, runner, name, graph, presheaf=PRODUCT):
+        args = [*SITE_COMMANDS[name], str(graph)]
+        return runner.invoke(main, args if name in ("covers", "omega") else [*args, presheaf])
+
+    @pytest.mark.parametrize("name", list(SITE_COMMANDS))
+    def test_star_past_the_cap_exits_3(self, runner, tmp_path, name):
+        star = tmp_path / "star.txt"
+        star.write_text("".join(f"S{i} r{i} T\n" for i in range(13)))
+        result = self._invoke(runner, name, star)
+        assert result.exit_code == 3
+        assert result.stdout == ""
+        assert result.stderr == (
+            "error: 14 morphisms into T exceeds the sieve cap 12; "
+            "use a smaller graph or raise the cap\n"
+        )
+
+    @pytest.mark.parametrize("name", ["check", "sheafify", "global"])
+    @pytest.mark.parametrize("document", ["{", '{"sections": 1}'])
+    def test_cap_comes_before_the_presheaf(self, runner, tmp_path, name, document):
+        star = tmp_path / "star.txt"
+        star.write_text("".join(f"S{i} r{i} T\n" for i in range(13)))
+        malformed = tmp_path / "malformed.json"
+        malformed.write_text(document)
+        assert self._invoke(runner, name, star, str(malformed)).exit_code == 3
+        assert self._invoke(runner, name, FAN, str(malformed)).exit_code == 2
+
+    @pytest.mark.parametrize("name", list(SITE_COMMANDS))
+    def test_cycle_names_its_witness_without_a_bound_hint(self, runner, tmp_path, name):
+        # No site command takes a length bound, so none suggests one; the
+        # cycle comes before the cap, which the 13 sources of U pass.
+        cyclic = tmp_path / "cyclic.txt"
+        cyclic.write_text(
+            "A r B\nB s A\nC t A\n" + "".join(f"S{i} r{i} U\n" for i in range(13))
+        )
+        result = self._invoke(runner, name, cyclic)
+        assert result.exit_code == 2
+        assert result.stderr == (
+            "error: entity digraph contains a cycle, hom-sets are infinite "
+            "(witness: A -> B -> A)\n"
+        )
+        assert "max_length" not in result.output
+
+    def test_freecat_keeps_the_bound_hint(self, runner, tmp_path):
+        cyclic = tmp_path / "cyclic.txt"
+        cyclic.write_text("A r B\nB s A\nC t A\n")
+        result = runner.invoke(main, ["freecat", str(cyclic)])
+        assert result.exit_code == 2
+        assert result.stderr.endswith(
+            "(witness: A -> B -> A); pass max_length to bound enumeration\n"
+        )
+
+
 class TestSheafCommands:
     # SHA-256 of stdout and the exit code, recorded while a presheaf
     # still held its free category: moving it onto the graph and checking

@@ -3,7 +3,9 @@
 Every run must exit 0, 1, 2 or 3 with no Python traceback; documents the
 library rejects must exit 2, and a star graph past the sieve cap must
 exit 3 quickly instead of scanning sieves.  Generated chains, stars,
-two-layer DAGs and cycles go through every `sheaf` command.  Example
+two-layer DAGs and cycles go through every `sheaf` command, and so do
+the 2x20 and 2x40 layered DAGs, which every command on a site refuses
+from its morphism counts.  Example
 counts are small and every cap stays at most 12, so the module runs in
 a few seconds.
 """
@@ -13,6 +15,7 @@ import json
 import time
 from pathlib import Path
 
+import pytest
 from click.testing import CliRunner
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -260,3 +263,28 @@ def test_generated_graphs_through_every_sheaf_command(tmp_path_factory, text):
         ["adjoint", g, p, "--other", p],
     ):
         assert _run(["sheaf", *args]).exit_code == expected, args
+
+
+@pytest.mark.parametrize("layers", [20, 40])
+def test_deep_dags_through_every_site_command(tmp_path, layers):
+    # Layers of two entities, each pointing at both entities of the next:
+    # 2^(layers) - 1 morphisms into each sink.  Every command on a site
+    # refuses at L3n0, the first entity over the default cap, with 15.
+    names = [[f"L{k}n{i}" for i in range(2)] for k in range(layers)]
+    graph = tmp_path / "dag.txt"
+    graph.write_text("".join(
+        f"{a} r {b}\n" for upper, lower in zip(names, names[1:]) for a in upper for b in lower
+    ))
+    g, family = str(graph), str(DATA / "fan_family.json")
+    for args in (
+        ["covers", g],
+        ["sheaf", "check", g, PRODUCT],
+        ["sheaf", "glue", g, PRODUCT, "--family", family],
+        ["sheaf", "sheafify", g, PRODUCT],
+        ["sheaf", "global", g, PRODUCT],
+        ["sheaf", "omega", g],
+        ["sheaf", "adjoint", g, PRODUCT, "--other", PRODUCT],
+    ):
+        result = _run(args)
+        assert result.exit_code == 3, args
+        assert "15 morphisms into L3n0 exceeds the sieve cap 12" in result.stderr, args

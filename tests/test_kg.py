@@ -12,12 +12,14 @@ from kgtopos import (
     KgParseError,
     KnowledgeGraph,
     Triple,
+    build_free_category,
     check_hom,
     compose_homs,
     kg_from_json,
     parse_kg,
     serialize_kg,
 )
+from kgtopos.kg import find_entity_cycle
 from kgtopos.randgen import random_hom, random_kg
 
 from helpers import identity_hom, swap_hom
@@ -113,6 +115,37 @@ class TestFibreIndex:
                 e: tuple(i for i, end in enumerate(ends) if end == e)
                 for e in kg.entities
             }
+
+
+class TestOrderAndCounts:
+    def test_hand_counts(self):
+        # Identities, r and s into B, and r.t and s.t into C.
+        kg = parse_kg("B t C\nA r B\nA s B\n")
+        assert kg.topological_order == ("A", "B", "C")
+        assert kg.morphism_counts == {"A": 1, "B": 3, "C": 4}
+
+    @pytest.mark.parametrize("text", ["X r X\n", "A r B\nB s A\nC t A\n"])
+    def test_cycles_have_neither(self, text):
+        kg = parse_kg(text)
+        assert (kg.topological_order, kg.morphism_counts) == (None, None)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 10**9))
+    def test_order_is_topological_exactly_when_acyclic(self, seed):
+        kg = random_kg(Random(seed), max_entities=8, max_triples=12)
+        order = kg.topological_order
+        assert (order is None) == (find_entity_cycle(kg) is not None)
+        if order is not None:
+            rank = {e: k for k, e in enumerate(order)}
+            assert sorted(order) == sorted(kg.entities)
+            assert all(rank[t.head] < rank[t.tail] for t in kg.triples)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 10**9))
+    def test_counts_match_the_enumeration(self, seed):
+        kg = random_kg(Random(seed), max_entities=6, max_triples=8, acyclic=True)
+        cat = build_free_category(kg)
+        assert kg.morphism_counts == {obj: len(cat.morphisms_into(obj)) for obj in cat.objects}
 
 
 class TestHomomorphisms:

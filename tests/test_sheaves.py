@@ -13,6 +13,8 @@ from hypothesis import strategies as st
 
 from kgtopos import (
     GluingError,
+    InfiniteCategoryError,
+    KnowledgeGraph,
     MatchingFamily,
     NaturalityError,
     NatTransformation,
@@ -20,6 +22,7 @@ from kgtopos import (
     SchemaError,
     Site,
     SizeCapError,
+    Triple,
     UniquenessError,
     build_free_category,
     build_site,
@@ -30,6 +33,7 @@ from kgtopos import (
     global_sections,
     glue,
     inverse_image,
+    is_path_sheaf,
     is_sheaf,
     load_family,
     load_presheaf,
@@ -37,6 +41,7 @@ from kgtopos import (
     parse_kg,
     product_presheaf,
     sheafify,
+    sheafify_along_triples,
     sieve_generated_by,
     terminal_presheaf,
 )
@@ -528,7 +533,7 @@ class TestIsSheaf:
         saturated = generate_topology(cat, drawn, sieve_cap=8)
         for site in (path_topology(cat), atomic_topology(cat), saturated):
             check = is_sheaf(presheaf, site)
-            assert check == _first_failure(presheaf, site)
+            assert check == _first_failure(presheaf, site, cat.objects)
             assert check == sheaf_for(presheaf, listed(site))
         for coverage, site in (
             (path_coverage(cat), path_topology(cat)),
@@ -1000,6 +1005,57 @@ class TestSheafificationProduct:
         assert check_sheafification_product(presheaf, fan_path_site, broken) == [
             "unit not bijective at the source A"
         ]
+
+
+@st.composite
+def acyclic_graphs(draw):
+    """Up to 6 triples over 5 entities, each from a lower to a higher
+    index, with the entities and the triples listed in a drawn order, so
+    that an entity may come before the heads of its triples."""
+    n = draw(st.integers(1, 5))
+    edges = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), st.sampled_from("rs"))
+    triples = [
+        Triple(f"e{i}", p, f"e{j}")
+        for i, j, p in draw(st.lists(edges, max_size=6, unique=True))
+        if i < j
+    ]
+    entities = draw(st.permutations([f"e{i}" for i in range(n)]))
+    return KnowledgeGraph(tuple(entities), ("r", "s"), tuple(draw(st.permutations(triples))))
+
+
+class TestSheafifyAlongTriples:
+    """The path site's sheafification and sheaf condition read off the
+    triples, against sheafify and is_sheaf on the site."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(acyclic_graphs(), st.integers(0, 10**9), st.integers(0, 1))
+    def test_matches_the_site_route(self, kg, seed, min_sections):
+        presheaf = random_presheaf(
+            Random(seed), kg, max_sections=3, min_sections=min_sections
+        )
+        site = path_topology(build_free_category(kg), sieve_cap=20)
+        sheaf = sheafify_along_triples(presheaf)
+        assert _sheafification_parts(sheaf, {}) == _sheafification_parts(
+            sheafify(presheaf, site).sheaf, {}
+        )
+        for candidate in (presheaf, sheaf):
+            assert is_path_sheaf(candidate) == bool(is_sheaf(candidate, site))
+        assert is_path_sheaf(sheaf)
+
+    def test_reads_only_the_counts_at_sources(self, fan_kg, undersized_presheaf_data):
+        presheaf = load_presheaf(fan_kg, undersized_presheaf_data)
+        relabelled = Presheaf(
+            fan_kg,
+            {"A": ("x", "y"), "D": ("z",), "B": ("b",), "C": ("c",)},
+            {0: {"b": "y"}, 1: {"c": "x"}, 2: {"b": "z"}, 3: {"c": "z"}},
+        )
+        assert [len(presheaf.sections[s]) for s in "AD"] == [2, 1]
+        assert sheafify_along_triples(relabelled) == sheafify_along_triples(presheaf)
+
+    def test_cycle_raises_with_its_witness(self):
+        kg = parse_kg("A r B\nB s A\nC t A\n")
+        with pytest.raises(InfiniteCategoryError, match=r"\(witness: A -> B -> A\)$"):
+            sheafify_along_triples(terminal_presheaf(kg))
 
 
 class TestTransports:

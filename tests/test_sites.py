@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from kgtopos import (
     CategoryNotClosedError,
+    InfiniteCategoryError,
     Site,
     SizeCapError,
     TopologyError,
@@ -383,6 +384,30 @@ class TestClosedForm:
         )
         assert raised(lambda: path_topology(cat, 12)) == expected
         assert raised(lambda: atomic_topology(cat, 12)) == expected
+
+    def test_build_site_refuses_from_the_counts_in_order(self, monkeypatch):
+        # The topology name, then the cycle, then the first object over the
+        # cap in entity order, all before any path is enumerated.
+        def enumerated(kg, max_length=None):
+            raise AssertionError("build_site enumerated paths before refusing")
+
+        monkeypatch.setattr(sites, "build_free_category", enumerated)
+        star = "".join(f"s{i} r T\n" for i in range(13)) + "u r U\n"
+        cyclic = star + "A r B\nB s A\n"
+        for text in (star, cyclic):
+            assert raised(lambda: build_site(parse_kg(text), "bogus")) == (
+                TopologyError, "unknown topology 'bogus'; use 'path' or 'atomic'"
+            )
+        assert raised(lambda: build_site(parse_kg(cyclic))) == (
+            InfiniteCategoryError,
+            "entity digraph contains a cycle, hom-sets are infinite (witness: A -> B -> A)",
+        )
+        for topology in ("path", "atomic"):
+            assert raised(lambda: build_site(parse_kg(star), topology)) == (
+                SizeCapError,
+                "14 morphisms into T exceeds the sieve cap 12; "
+                "use a smaller graph or raise the cap",
+            )
 
     def test_truncated_category_parity(self):
         cat = build_free_category(parse_kg("A r B\nB s C\n"), max_length=1)

@@ -84,6 +84,38 @@ def _generators_in_key_order(real):
     )
 
 
+def _direct_sheafify_swaps_two_labels(real):
+    # At the first object with two sections or more, the first two labels
+    # trade places in its section tuple.  Every table still names them,
+    # so the result is the same presheaf, its sections listed out of order.
+    def planted(presheaf):
+        sheaf = real(presheaf)
+        for obj, labels in sheaf.sections.items():
+            if len(labels) > 1:
+                sheaf.sections[obj] = (labels[1], labels[0], *labels[2:])
+                break
+        return sheaf
+
+    return planted
+
+
+def _count_drops_the_last_triple(real):
+    # Each graph's morphism counts are read off the graph without its last
+    # triple, so the count at that triple's tail falls short.
+    return property(
+        lambda kg: real.func(KnowledgeGraph(kg.entities, kg.predicates, kg.triples[:-1]))
+    )
+
+
+def _skip_keeps_only_failing_objects(real):
+    # The witness walk scans only the objects whose bijection fails, as if
+    # those a path from them reaches were clean.  The random graphs list
+    # every entity after its heads, where the first failing covering sieve
+    # lies at a failing object anyway; only verify's descendant-first case
+    # lists a failing sieve's object before the object that makes it fail.
+    return lambda kg, objects: set(objects)
+
+
 def _rank_off_by_one(real):
     return lambda rows: real(rows) + 1
 
@@ -426,6 +458,27 @@ MUTANT_ROWS = [
         [],
     ),
     (
+        [(sheaves, "sheafify_along_triples"), (verify, "sheafify_along_triples")],
+        _direct_sheafify_swaps_two_labels,
+        RANDOM_20,
+        ["suite.sheafification"],
+        [],
+    ),
+    (
+        [(KnowledgeGraph, "morphism_counts")],
+        _count_drops_the_last_triple,
+        RANDOM_20,
+        ["suite.categories"],
+        [],
+    ),
+    (
+        [(sheaves, "_at_or_below")],
+        _skip_keeps_only_failing_objects,
+        RANDOM_20,
+        ["suite.sheafification"],
+        ["suite.omega"],
+    ),
+    (
         [(sheaves, "_factorizations")],
         _misses_identity_generator,
         RANDOM_20,
@@ -602,6 +655,9 @@ MUTANT_IDS = [
     "is-sheaf-always-passes",
     "local-condition-drops-size-test",
     "plus-swaps-two-images",
+    "direct-sheafify-swaps-two-labels",
+    "morphism-count-drops-the-last-triple",
+    "witness-skip-keeps-only-failing-objects",
     "plus-misses-identity-generator",
     "restriction-memo-keys-by-endpoints",
     "scc-merges-two-components",
