@@ -1021,31 +1021,34 @@ def _descendant_first_case() -> tuple[Presheaf, Site]:
     return Presheaf(kg, sections, restrictions), path_topology(build_free_category(kg))
 
 
-def check_sheafify_along_triples(
-    presheaf: Presheaf, site: Site, result: SheafificationResult
-) -> list[str]:
-    """The path site's routes with no site, against sheafify and is_sheaf
-    on it: sheafify_along_triples' sections and restriction tables,
-    entries in order, and is_path_sheaf on the presheaf and on its
-    sheafification."""
-    failures = []
+def check_sheafify_along_triples(presheaf: Presheaf, result: SheafificationResult) -> list[str]:
+    """sheafify_along_triples, which builds no site, against sheafify on
+    the path site: sections and restriction tables, entries in order."""
     if _sheafification_parts(sheafify_along_triples(presheaf), {}) != _sheafification_parts(
         result.sheaf, {}
     ):
-        failures.append("sheafify_along_triples differs from sheafify on the path site")
-    for what, candidate in (("presheaf", presheaf), ("sheafified presheaf", result.sheaf)):
-        if is_path_sheaf(candidate) != bool(is_sheaf(candidate, site)):
-            failures.append(f"is_path_sheaf disagrees with is_sheaf on the {what}")
-    return failures
+        return ["sheafify_along_triples differs from sheafify on the path site"]
+    return []
+
+
+def _path_sheaf_against_scan(
+    presheaf: Presheaf, site: Site, failures: list[str], what: str
+) -> SheafCheck:
+    """_is_sheaf_against_scan on a path site, appending a failure as well
+    when is_path_sheaf, which reads no site, gives another verdict."""
+    check = _is_sheaf_against_scan(presheaf, site, failures, what)
+    if is_path_sheaf(presheaf) != bool(check):
+        failures.append(f"is_path_sheaf disagrees with is_sheaf on {what}")
+    return check
 
 
 def suite_sheafification(seed: int, cases: int = 30) -> list[CheckResult]:
     def run_case(case: int, failures: list[str]) -> None:
         if case == 0:  # once per suite; they draw nothing from the case RNGs
-            _is_sheaf_against_scan(
+            _path_sheaf_against_scan(
                 *_generator_order_case(), failures, "the generator-order presheaf"
             )
-            _is_sheaf_against_scan(
+            _path_sheaf_against_scan(
                 *_descendant_first_case(), failures, "the descendant-first presheaf"
             )
         rng = _case_rng("sheafification", seed, case)
@@ -1053,12 +1056,12 @@ def suite_sheafification(seed: int, cases: int = 30) -> list[CheckResult]:
         presheaf = random_presheaf(rng, site.category.kg, max_sections=3)
         result = sheafify(presheaf, site)
         failures.extend(check_sheafification_product(presheaf, site, result))
-        failures.extend(check_sheafify_along_triples(presheaf, site, result))
+        failures.extend(check_sheafify_along_triples(presheaf, result))
         atomic = atomic_topology(site.category)
         failures.extend(
             _per_site((site, atomic), check_sheafify_against_search, presheaf)
         )
-        if not _is_sheaf_against_scan(
+        if not _path_sheaf_against_scan(
             result.sheaf, site, failures, "the sheafified presheaf"
         ):
             failures.append("sheafified presheaf fails the sheaf condition")
@@ -1070,7 +1073,7 @@ def suite_sheafification(seed: int, cases: int = 30) -> list[CheckResult]:
         # After both sheafify calls have filled the two memos.
         failures.extend(check_restrict_against_fold(site.category, presheaf))
         failures.extend(check_restrict_against_fold(site.category, result.sheaf))
-        if _is_sheaf_against_scan(presheaf, site, failures, "the presheaf"):
+        if _path_sheaf_against_scan(presheaf, site, failures, "the presheaf"):
             for obj in site.category.objects:
                 component = result.unit.components[obj]
                 if len(set(component.values())) != len(

@@ -107,6 +107,21 @@ def _count_drops_the_last_triple(real):
     )
 
 
+def _path_condition_skips_single_triples(real):
+    # The path site's condition read off the triples checks only objects
+    # with two incoming triples or more: a one-triple object's bijection
+    # P(b) -> P(a) goes unchecked.
+    def planted(presheaf):
+        kg = presheaf.kg
+        return all(
+            sheaves._restrictions_biject(presheaf, obj)
+            for obj in kg.entities
+            if len(kg.tail_fibres[obj]) > 1
+        )
+
+    return planted
+
+
 def _skip_keeps_only_failing_objects(real):
     # The witness walk scans only the objects whose bijection fails, as if
     # those a path from them reaches were clean.  The random graphs list
@@ -465,6 +480,13 @@ MUTANT_ROWS = [
         [],
     ),
     (
+        [(sheaves, "is_path_sheaf"), (verify, "is_path_sheaf")],
+        _path_condition_skips_single_triples,
+        RANDOM_20,
+        ["suite.sheafification"],
+        ["suite.omega"],
+    ),
+    (
         [(KnowledgeGraph, "morphism_counts")],
         _count_drops_the_last_triple,
         RANDOM_20,
@@ -656,6 +678,7 @@ MUTANT_IDS = [
     "local-condition-drops-size-test",
     "plus-swaps-two-images",
     "direct-sheafify-swaps-two-labels",
+    "path-condition-skips-single-triples",
     "morphism-count-drops-the-last-triple",
     "witness-skip-keeps-only-failing-objects",
     "plus-misses-identity-generator",
